@@ -5,6 +5,7 @@ prime fields."""
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from typing import Iterable, Sequence
 
@@ -19,6 +20,10 @@ class MissingImageError(KeyError):
 
 def _normalize(c: int, p: int) -> int:
     return c % p if p else c
+
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
 
 
 class PolyRing:
@@ -38,8 +43,8 @@ class PolyRing:
         weights = tuple(weights) if weights is not None else (1,) * len(names)
         if len(weights) != len(names) or any(w <= 0 for w in weights):
             raise ValueError("each variable needs one positive integer weight")
-        if modulus < 0:
-            raise ValueError("modulus must be 0 (integers) or a prime")
+        if modulus != 0 and not _is_prime(modulus):
+            raise ValueError(f"modulus must be 0 (integers) or a prime, not {modulus}")
         self.names = names
         self.weights = weights
         self.modulus = modulus
@@ -337,24 +342,38 @@ class SubstHom:
         self._powers: dict = {}
 
     def _power(self, i: int, k: int) -> Poly:
-        name = self.source.names[i]
-        if name not in self.images:
-            raise MissingImageError(f"no image for variable {name!r}")
-        cache = self._powers.setdefault(i, [self.target.one(), self.images[name]])
-        while len(cache) <= k:
-            cache.append(cache[-1] * cache[1])
-        return cache[k]
+        """The image of variable i raised to the power k >= 1, memoised
+        per (i, k).  Each entry is written once with its final value, so
+        threads sharing the hom can at worst compute a power twice."""
+        power = self._powers.get((i, k))
+        if power is None:
+            name = self.source.names[i]
+            if name not in self.images:
+                raise MissingImageError(f"no image for variable {name!r}")
+            image = self.images[name]
+            j = k
+            while j > 1 and (i, j - 1) not in self._powers:
+                j -= 1
+            power = image if j == 1 else self._powers[(i, j - 1)] * image
+            self._powers[(i, j)] = power
+            for m in range(j + 1, k + 1):
+                power = power * image
+                self._powers[(i, m)] = power
+        return power
 
     def apply(self, f: Poly) -> Poly:
         self.source.check_same(f.ring)
-        out = self.target.zero()
+        out: dict = {}
         for mono, c in f.terms.items():
-            term = self.target.const(c)
+            term = None
             for i, e in enumerate(mono):
                 if e:
-                    term = term * self._power(i, e)
-            out = out + term
-        return out
+                    power = self._power(i, e)
+                    term = power if term is None else term * power
+            for m, tc in (self.target.one() if term is None else term).terms.items():
+                out[m] = out.get(m, 0) + c * tc
+        p = self.target.modulus
+        return Poly(self.target, {m: s for m, c in out.items() if (s := _normalize(c, p))})
 
     def __call__(self, f: Poly) -> Poly:
         return self.apply(f)

@@ -29,22 +29,47 @@ class WeylAction:
     `xs` are the values of the torus coordinates x_1..x_r inside the ring
     (the last one may be the eliminated variable, rewritten through the
     linear relation x_1 + ... + x_r = 0), and `A` is the extra spin weight
-    when present."""
+    when present.
+
+    `generators` is the full public list.  `minimal_generators` is a
+    sublist, sharing its (name, hom) pairs, that generates the same group;
+    the incremental invariant oracle and the invariance check of
+    `verify_presentation` apply only these.  It defaults to every
+    generator."""
 
     def __init__(self, ring: PolyRing, generators: list[tuple[str, SubstHom]],
-                 xs: list[Poly], A: Poly | None = None, label: str = ""):
+                 xs: list[Poly], A: Poly | None = None, label: str = "",
+                 minimal_generators: list[tuple[str, SubstHom]] | None = None):
         self.ring = ring
         self.generators = generators
+        if minimal_generators is None:
+            minimal_generators = generators
+        elif not {id(g) for g in minimal_generators} <= {id(g) for g in generators}:
+            raise ValueError("minimal_generators must be taken from generators")
+        self.minimal_generators = minimal_generators
         self.xs = xs
         self.A = A
         self.label = label
 
     def sub_action(self, names: list[str]) -> "WeylAction":
+        """The subgroup generated by the named generators; all of them
+        stay in its minimal set."""
         keep = [(n, h) for n, h in self.generators if n in set(names)]
         return WeylAction(self.ring, keep, self.xs, self.A, f"{self.label}[sub]")
 
     def __repr__(self):
         return f"WeylAction({self.label}, {len(self.generators)} generators)"
+
+
+def _sign_then_adjacent(gens: list[tuple[str, SubstHom]], sign: list[str],
+                        r: int) -> list[tuple[str, SubstHom]]:
+    """The named sign generators followed by the adjacent transpositions
+    s(1,2), ..., s(r-1,r).  The adjacent transpositions generate S_r, and
+    S_r conjugates eps_1 (or eps_1 eps_2) to every eps_i (or eps_i eps_j),
+    so this generates the group of the full list (Humphreys, Reflection
+    Groups and Coxeter Groups, 1 and 2.10)."""
+    named = {gen[0]: gen for gen in gens}
+    return [named[n] for n in sign + [f"s({i},{i + 1})" for i in range(1, r)]]
 
 
 def _quotient_ring_xs(r: int, p: int, extra: tuple[str, ...] = ()) -> tuple[PolyRing, list[Poly]]:
@@ -100,7 +125,9 @@ def spin_action(n: int, p: int = 2) -> WeylAction:
         for j in range(1, r):
             gens.append((f"eps1*eps{j + 1}",
                          SubstHom(ring, ring, dict(fixed_x, A=A + xs[0] + xs[j]))))
-    return WeylAction(ring, gens, xs, A, label=f"Spin({n}) mod {p}")
+    minimal = _sign_then_adjacent(gens, ["eps1" if n % 2 else "eps1*eps2"], r)
+    return WeylAction(ring, gens, xs, A, label=f"Spin({n}) mod {p}",
+                      minimal_generators=minimal)
 
 
 def classical_action(family: str, rank: int, p: int) -> WeylAction:
@@ -123,7 +150,9 @@ def classical_action(family: str, rank: int, p: int) -> WeylAction:
             gens.append((f"eps1*eps{j + 1}",
                          SubstHom(ring, ring, dict(ident, x1=-xs[0],
                                                    **{f"x{j + 1}": -xs[j]}))))
-    return WeylAction(ring, gens, xs, label=f"{family}{rank} mod {p}")
+    sign = ["eps1"] if family in ("B", "C") else ["eps1*eps2"] if rank > 1 else []
+    return WeylAction(ring, gens, xs, label=f"{family}{rank} mod {p}",
+                      minimal_generators=_sign_then_adjacent(gens, sign, rank))
 
 
 def symmetric_quotient_action(r: int, p: int = 2) -> WeylAction:
@@ -133,7 +162,8 @@ def symmetric_quotient_action(r: int, p: int = 2) -> WeylAction:
     ring, xs = _quotient_ring_xs(r, p)
     gens = [(f"s({i + 1},{j + 1})", _perm_hom(ring, xs, i, j))
             for i, j in itertools.combinations(range(r), 2)]
-    return WeylAction(ring, gens, xs, label=f"S{r} on quotient mod {p}")
+    return WeylAction(ring, gens, xs, label=f"S{r} on quotient mod {p}",
+                      minimal_generators=_sign_then_adjacent(gens, [], r))
 
 
 def _subset_product(action: WeylAction, subsets) -> Poly:
@@ -214,8 +244,9 @@ def _orbit_classes(basis: list, perms: list[dict]) -> list[list[int]]:
 def brute_invariant_dimension(action: WeylAction, d: int,
                               guard: int = MONOMIAL_GUARD) -> int:
     """dim of the joint kernel of (g - 1) on the weighted-degree-d
-    component.  Variable permutations are folded into orbit sums first;
-    the remaining generators are intersected by F_p elimination."""
+    component.  Only the action's minimal generators are applied:
+    variable permutations among them are folded into orbit sums first,
+    the rest are intersected by F_p elimination."""
     ring = action.ring
     basis = ring.monomials_of_degree(d)
     if len(basis) > guard:
@@ -224,7 +255,7 @@ def brute_invariant_dimension(action: WeylAction, d: int,
     if not basis:
         return 0
     perm_maps, linear_gens = [], []
-    for name, hom in action.generators:
+    for name, hom in action.minimal_generators:
         perm = _variable_permutation(hom)
         if perm is not None:
             perm_maps.append(perm)
@@ -329,8 +360,9 @@ def _invariant_vectors_fp(ring, basis, perm_maps, linear_gens, d) -> list:
 def brute_invariant_dimension_stacked(action: WeylAction, d: int,
                                       guard: int = MONOMIAL_GUARD) -> int:
     """Reference implementation: stack the (g - 1) matrices for every
-    generator and take one kernel.  Used to cross-check the incremental
-    path at small sizes."""
+    generator of the full list and take one kernel.  Used to cross-check
+    the incremental path, which applies only the minimal generators, at
+    small sizes."""
     ring = action.ring
     basis = ring.monomials_of_degree(d)
     if len(basis) > guard:
@@ -498,10 +530,12 @@ def verify_presentation(action: WeylAction, cp: ClaimedPresentation, dmax: int,
                         guard: int = MONOMIAL_GUARD) -> VerifyReport:
     """Per degree d <= dmax, compare three integers: the brute-force
     invariant dimension, the rank of the span of all degree-d products of
-    the claimed generators, and the claimed Hilbert series coefficient."""
+    the claimed generators, and the claimed Hilbert series coefficient.
+    Claimed generators are checked for invariance under the action's
+    minimal generators, which generate the same group as the full list."""
     label = action.label
     for gname, value in zip(cp.names, cp.values):
-        for hname, hom in action.generators:
+        for hname, hom in action.minimal_generators:
             if hom(value) != value:
                 return VerifyReport(label, cp.names, [],
                                     failure=f"generator {gname} is not invariant under {hname}")

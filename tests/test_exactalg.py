@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 
@@ -115,6 +117,38 @@ def test_substitution_is_multiplicative():
         f, g = rand_poly(rng, src), rand_poly(rng, src)
         assert h(f * g) == h(f) * h(g)
         assert h(f + g) == h(f) + h(g)
+
+
+def test_substitution_memo_is_thread_safe():
+    # four threads share one fresh hom per round; a lost update in the
+    # power memo would hand one of them a wrong power of x + y + z
+    ring = PolyRing(["x", "y", "z"], modulus=3)
+    x, y, z = ring.gens()
+    f, expected = x ** 24, (x + y + z) ** 24
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            h = SubstHom(ring, ring, {"x": x + y + z, "y": y, "z": z})
+            threads = [threading.Thread(target=lambda h=h: results.append(h(f) == expected))
+                       for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [True] * 40
+
+
+def test_modulus_must_be_zero_or_prime():
+    for p in (1, 4, 9, -3):
+        with pytest.raises(ValueError, match="prime"):
+            PolyRing(["x"], modulus=p)
+    for p in (0, 2, 3, 5, 7):
+        assert PolyRing(["x"], modulus=p).modulus == p
 
 
 def test_elementary_symmetric():

@@ -17,6 +17,7 @@ from modp.invariants import (
     spin_claimed,
     symmetric_quotient_action,
     verify_presentation,
+    WeylAction,
     _degree_products,
 )
 
@@ -123,15 +124,87 @@ def test_brute_dimension_guard():
 
 
 def test_incremental_matches_stacked():
+    # the incremental path applies the minimal generators, the stacked
+    # oracle the full list
     cases = [(spin_action(7), range(1, 7)),
              (spin_action(8), range(1, 6)),
+             (spin_action(9), range(1, 8)),
+             (spin_action(10), range(1, 7)),
              (classical_action("B", 2, 3), range(1, 6)),
+             (classical_action("B", 4, 3), range(1, 7)),
+             (classical_action("C", 4, 3), range(1, 7)),
+             (classical_action("D", 4, 3), range(1, 7)),
              (classical_action("D", 3, 2), range(1, 5)),
-             (symmetric_quotient_action(4), range(1, 6))]
+             (symmetric_quotient_action(4), range(1, 6)),
+             (symmetric_quotient_action(5), range(1, 8))]
     for action, degrees in cases:
         for d in degrees:
             assert brute_invariant_dimension(action, d) == \
                 brute_invariant_dimension_stacked(action, d), (action.label, d)
+
+
+def _closure(action, generators) -> set:
+    """Every group element, as the tuple of images of the ring variables,
+    reached by words in the given generators."""
+    start = action.ring.gens()
+    seen, frontier = {start}, [start]
+    while frontier:
+        step = []
+        for images in frontier:
+            for _, h in generators:
+                new = tuple(h(f) for f in images)
+                if new not in seen:
+                    seen.add(new)
+                    step.append(new)
+        frontier = step
+    return seen
+
+
+def test_minimal_generators_generate_the_same_group():
+    # compared with each other, not with |W|: eps_1...eps_r acts
+    # trivially on the spin model
+    cases = [(spin_action(7), 24), (spin_action(8), 96), (spin_action(9), 192),
+             (classical_action("B", 3, 3), 48), (classical_action("C", 4, 3), 384),
+             (classical_action("D", 4, 3), 192), (classical_action("D", 3, 2), 6),
+             (symmetric_quotient_action(4), 24), (symmetric_quotient_action(5), 120)]
+    for action, order in cases:
+        minimal = action.minimal_generators
+        assert len(minimal) < len(action.generators), action.label
+        group = _closure(action, action.generators)
+        assert len(group) == order, action.label
+        assert _closure(action, minimal) == group, action.label
+
+
+def test_minimal_generators_per_action():
+    assert [n for n, _ in spin_action(9).minimal_generators] == \
+        ["eps1", "s(1,2)", "s(2,3)", "s(3,4)"]
+    assert [n for n, _ in spin_action(10).minimal_generators] == \
+        ["eps1*eps2", "s(1,2)", "s(2,3)", "s(3,4)", "s(4,5)"]
+    assert [n for n, _ in classical_action("C", 3, 3).minimal_generators] == \
+        ["eps1", "s(1,2)", "s(2,3)"]
+    assert [n for n, _ in classical_action("D", 3, 3).minimal_generators] == \
+        ["eps1*eps2", "s(1,2)", "s(2,3)"]
+    assert [n for n, _ in symmetric_quotient_action(4).minimal_generators] == \
+        ["s(1,2)", "s(2,3)", "s(3,4)"]
+    a = spin_action(7)
+    with pytest.raises(ValueError, match="taken from generators"):
+        WeylAction(a.ring, a.generators, a.xs, a.A,
+                   minimal_generators=[(name, h) for name, h in a.generators])
+
+
+def test_sub_action_applies_every_kept_generator():
+    a = spin_action(9)
+    small = a.sub_action(["eps1", "eps2", "eps3"])
+    assert small.minimal_generators == small.generators
+    assert [n for n, _ in small.generators] == ["eps1", "eps2", "eps3"]
+    # had small kept only its generators that are minimal in the parent,
+    # it would act through eps1 alone and test_E_subgroup_saturation
+    # would pass vacuously
+    only_eps1 = a.sub_action(["eps1"])
+    assert any(brute_invariant_dimension(small, d) != brute_invariant_dimension(only_eps1, d)
+               for d in range(1, 5))
+    for d in range(1, 5):
+        assert brute_invariant_dimension(small, d) == brute_invariant_dimension_stacked(small, d)
 
 
 def test_eps1_degree2_kernel_cross_check():
