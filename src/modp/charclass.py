@@ -10,13 +10,13 @@ import itertools
 from dataclasses import dataclass, field
 
 from .exactalg import (
-    F2Matrix,
-    FpMatrix,
+    GradedComponent,
     Poly,
     PolyRing,
     SubstHom,
     determinant,
     elementary_symmetric,
+    elementary_symmetric_of,
     partial_derivative,
 )
 from .groupdata import Series, _conv, one_minus_q_power
@@ -63,9 +63,6 @@ class GradedPresentation:
                 return g
         raise KeyError(name)
 
-    def relation(self, text: str) -> Poly:
-        return self.ring.poly(text)
-
     def with_relations(self, *texts: str) -> "GradedPresentation":
         """Parse and install homogeneous relations; returns self."""
         for text in texts:
@@ -96,50 +93,16 @@ class GradedPresentation:
                 rels.append(self.ring.var(g.name) ** 2)
         return rels
 
-    def monomial_basis(self, d: int) -> list[Poly]:
-        """Monomials of degree d with square-zero exponents capped at 1
-        (a basis only when the relations are monomial; see dim_degree)."""
-        caps = {g.name for g in self.generators if g.square_zero}
-        out = []
-        for mono in self.ring.monomials_of_degree(d):
-            if all(e <= 1 for e, g in zip(mono, self.generators) if g.name in caps):
-                out.append(Poly(self.ring, {mono: 1}))
-        return out
-
     def dim_degree(self, d: int, guard: int = DIM_GUARD) -> int:
         """Exact dimension of the degree-d component of the quotient:
         count of ambient monomials minus the rank of all relation
         multiples in that degree."""
         if d < 0:
             return 0
-        basis = self.ring.monomials_of_degree(d)
-        if len(basis) > guard:
-            raise ValueError(f"degree {d} needs {len(basis)} monomials (> guard {guard})")
-        rels = self._all_relations()
-        if not rels:
-            return len(basis)
-        index = {m: i for i, m in enumerate(basis)}
-        if self.modulus == 2:
-            rows = []
-            for rel in rels:
-                e = rel.degree()
-                for mono in self.ring.monomials_of_degree(d - e):
-                    mask = 0
-                    for m in rel.terms:
-                        mask |= 1 << index[tuple(a + b for a, b in zip(m, mono))]
-                    rows.append(mask)
-            rank = F2Matrix(rows, len(basis)).rank()
-        else:
-            rows = []
-            for rel in rels:
-                e = rel.degree()
-                for mono in self.ring.monomials_of_degree(d - e):
-                    row = [0] * len(basis)
-                    for m, c in rel.terms.items():
-                        row[index[tuple(a + b for a, b in zip(m, mono))]] = c
-                    rows.append(row)
-            rank = FpMatrix(rows, len(basis), self.modulus).rank() if rows else 0
-        return len(basis) - rank
+        comp = GradedComponent(self.ring, d, guard=guard)
+        rows = [comp.vector(rel, shift=mono) for rel in self._all_relations()
+                for mono in self.ring.monomials_of_degree(d - rel.degree())]
+        return len(comp.basis) - comp.rank(rows)
 
     def to_json(self) -> dict:
         gens = []
@@ -329,14 +292,11 @@ def bo2_power_ring(r: int) -> PolyRing:
 
 class RestrictionHom:
     """A degree-preserving SubstHom out of a presentation, checked to kill
-    the source relations; `mod_radical` records that nilpotent classes of
-    the target were dropped."""
+    the source relations."""
 
-    def __init__(self, source: GradedPresentation, hom: SubstHom,
-                 mod_radical: bool = False):
+    def __init__(self, source: GradedPresentation, hom: SubstHom):
         self.source = source
         self.hom = hom
-        self.mod_radical = mod_radical
         for name, img in hom.images.items():
             d = source.generator(name).degree
             if img and (not img.is_homogeneous() or img.degree() != d):
@@ -388,7 +348,7 @@ def restriction_bso_to_bo2r(n: int) -> RestrictionHom:
                 others = ts[:m] + ts[m + 1:]
                 total = total + svars[m] * tvars[m] * elementary_symmetric(target, a - 1, others)
             images[f"u{2 * a + 1}"] = total
-    return RestrictionHom(source, SubstHom(source.ring, target, images), mod_radical=True)
+    return RestrictionHom(source, SubstHom(source.ring, target, images))
 
 
 def k_target_ring(r: int) -> PolyRing:
@@ -429,15 +389,10 @@ def restriction_to_K(n: int) -> RestrictionHom:
     s = target.var("s")
     images = {}
     for a in range(1, r + 1):
-        e_a = target.zero()
-        for comb in itertools.combinations(all_t, a):
-            term = target.one()
-            for t in comb:
-                term = term * t
-            e_a = e_a + term
+        e_a = elementary_symmetric_of(target, a, all_t)
         images[f"u{2 * a}"] = e_a
         images[f"u{2 * a + 1}"] = s * e_a if a % 2 else target.zero()
-    return RestrictionHom(source, SubstHom(source.ring, target, images), mod_radical=True)
+    return RestrictionHom(source, SubstHom(source.ring, target, images))
 
 
 # -- the Bockstein -----------------------------------------------------

@@ -317,10 +317,14 @@ def cmd_jacobian(args) -> int:
 
 
 def _parse_dims(spec: str) -> list[int]:
-    if ".." in spec:
-        lo, _, hi = spec.partition("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(spec)]
+    lo, _, hi = spec.partition("..")
+    try:
+        dims = list(range(int(lo), int(hi or lo) + 1))
+    except ValueError:
+        raise ValueError(f"--dims takes a degree or a range lo..hi, not {spec!r}") from None
+    if dims and dims[0] < 0:
+        raise ValueError(f"--dims must not be negative, got {spec!r}")
+    return dims
 
 
 def cmd_quillen(args) -> int:
@@ -349,11 +353,7 @@ def cmd_spin_compare(args) -> int:
     def compute() -> dict:
         return quillen.spin11_compare().to_dict()
 
-    try:
-        payload = _cache(args).roundtrip("spin-compare", {}, compute)
-    except RuntimeError as err:
-        print(f"modp: spin-compare failed: {err}", file=sys.stderr)
-        return 1
+    payload = _cache(args).roundtrip("spin-compare", {}, compute)
     emit(args, "spin-compare", {}, payload,
          [f"D_top       = {payload['D_top']}",
           f"D_low       = {payload['D_low']}",
@@ -418,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="emit one JSON document")
     common.add_argument("--csv", action="store_true", help="emit CSV where tabular")
     common.add_argument("--verbose", action="store_true")
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--no-cache", action="store_true")
     common.add_argument("--refresh-cache", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -495,9 +494,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Exit 0 on success, 1 when a verification fails (a failed report, or
+    a RuntimeError from two routes that disagree), 2 on a usage or
+    precondition error; every error is one line on stderr."""
     args = build_parser().parse_args(argv)
     t0 = time.time()
-    code = args.fn(args)
+    try:
+        code = args.fn(args)
+    except ValueError as err:
+        raise SystemExit2(str(err)) from None
+    except RuntimeError as err:
+        print(f"modp: {args.command} failed: {err}", file=sys.stderr)
+        return 1
     if getattr(args, "verbose", False):
         print(f"modp: {args.command} finished in {time.time() - t0:.2f}s",
               file=sys.stderr)

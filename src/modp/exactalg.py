@@ -1,12 +1,14 @@
 """Exact sparse multivariate polynomials over F_p or Z, substitution
-homomorphisms, determinants, and bit-packed linear algebra over small
-prime fields."""
+homomorphisms, determinants, bit-packed linear algebra over small prime
+fields, and graded components as coordinate spaces for ranks and
+kernels."""
 
 from __future__ import annotations
 
 import itertools
 import math
 import re
+from operator import add
 from typing import Iterable, Sequence
 
 
@@ -288,9 +290,6 @@ class Poly:
             out.setdefault(self.ring.degree_of_monomial(m), {})[m] = c
         return {d: Poly(self.ring, t) for d, t in sorted(out.items())}
 
-    def coefficient(self, mono: Sequence[int]) -> int:
-        return self.terms.get(tuple(mono), 0)
-
     # -- text / JSON forms --------------------------------------------
 
     def __str__(self):
@@ -417,6 +416,18 @@ def elementary_symmetric(ring: PolyRing, a: int, names: Sequence[str] | None = N
     return ring.from_terms(out)
 
 
+def elementary_symmetric_of(ring: PolyRing, a: int, values: Sequence[Poly]) -> Poly:
+    """e_a of polynomial values: the sum of the products of every a of
+    them (e_0 = 1)."""
+    out = ring.zero()
+    for comb in itertools.combinations(values, a):
+        term = ring.one()
+        for v in comb:
+            term = term * v
+        out = out + term
+    return out
+
+
 def partial_derivative(f: Poly, name: str) -> Poly:
     """Formal partial derivative, with coefficients in the ring
     (so d(x^2)/dx = 0 over F_2)."""
@@ -429,21 +440,6 @@ def partial_derivative(f: Poly, name: str) -> Poly:
             m[i] = k - 1
             out[tuple(m)] = out.get(tuple(m), 0) + c * k
     return f.ring.from_terms(out)
-
-
-def graded_component_basis(ring: PolyRing, d: int, modulo: Sequence[str] | None = None) -> list:
-    """Ordered monomial basis of the weighted-degree-d component.
-
-    `modulo` names the variables of a linear relation sum(vars) = 0; the
-    last of them (in ring order) is eliminated and the basis consists of
-    monomials in the remaining variables."""
-    if d < 0:
-        raise ValueError("negative degree")
-    skip: frozenset = frozenset()
-    if modulo:
-        idx = max(ring.var_index(n) for n in modulo)
-        skip = frozenset({ring.names[idx]})
-    return ring.monomials_of_degree(d, skip)
 
 
 # -- determinants ----------------------------------------------------
@@ -539,18 +535,6 @@ class F2Matrix:
     def __init__(self, rows: Iterable[int], cols: int):
         self.rows = list(rows)
         self.cols = cols
-
-    @classmethod
-    def from_lists(cls, rows: Sequence[Sequence[int]]) -> "F2Matrix":
-        cols = len(rows[0]) if rows else 0
-        packed = []
-        for r in rows:
-            m = 0
-            for j, v in enumerate(r):
-                if v % 2:
-                    m |= 1 << j
-            packed.append(m)
-        return cls(packed, cols)
 
     def rank(self) -> int:
         return len(_f2_pivot_rows(self.rows))
@@ -668,9 +652,102 @@ class FpMatrix:
         return basis
 
 
-def fp_kernel_dimension(m: F2Matrix | FpMatrix) -> int:
-    """Dimension of the right kernel; rank + kernel = number of columns."""
-    return m.kernel_dimension()
+class GradedComponent:
+    """The weighted-degree-d component of a polynomial ring over F_p as a
+    coordinate space on its monomial basis (variables in `skip` held at
+    exponent zero).
+
+    This is the one place that knows how component vectors are stored:
+    over F_2 a vector is a bitmask (bit i is basis[i]), over odd p a dense
+    coefficient list.  A component with more than `guard` monomials is
+    refused before its index is built."""
+
+    def __init__(self, ring: PolyRing, d: int, skip: frozenset = frozenset(),
+                 guard: int | None = None):
+        if not ring.modulus:
+            raise ValueError(f"graded components need a prime field, not {ring}")
+        self.ring = ring
+        self.modulus = ring.modulus
+        self.basis = ring.monomials_of_degree(d, skip)
+        if guard is not None and len(self.basis) > guard:
+            raise ValueError(f"degree {d} needs {len(self.basis)} monomials (> guard {guard})")
+        self.index = {m: i for i, m in enumerate(self.basis)}
+
+    def vector(self, f: Poly, shift: tuple | None = None):
+        """Coordinates of f, or of f times the monomial `shift`."""
+        monos = f.terms if shift is None else [tuple(map(add, m, shift)) for m in f.terms]
+        index = self.index
+        if self.modulus == 2:
+            mask = 0
+            for m in monos:
+                mask |= 1 << index[m]
+            return mask
+        v = [0] * len(self.basis)
+        for m, c in zip(monos, f.terms.values()):
+            v[index[m]] = c
+        return v
+
+    def poly(self, v) -> Poly:
+        """The polynomial with coordinates v."""
+        basis = self.basis
+        if self.modulus == 2:
+            terms = {}
+            while v:
+                i = v.bit_length() - 1
+                terms[basis[i]] = 1
+                v ^= 1 << i
+            return Poly(self.ring, terms)
+        return Poly(self.ring, {basis[i]: c for i, c in enumerate(v) if c})
+
+    def indicator(self, positions: Iterable[int]):
+        """The sum of the basis monomials at the given positions."""
+        if self.modulus == 2:
+            mask = 0
+            for i in positions:
+                mask |= 1 << i
+            return mask
+        v = [0] * len(self.basis)
+        for i in positions:
+            v[i] = 1
+        return v
+
+    def rank(self, vectors: Sequence) -> int:
+        """Dimension of the span of the vectors."""
+        if self.modulus == 2:
+            return F2Matrix(vectors, len(self.basis)).rank()
+        return FpMatrix(vectors, len(self.basis), self.modulus).rank() if vectors else 0
+
+    def fixed_combinations(self, vecs: Sequence, hom: SubstHom) -> list:
+        """A basis of the vectors in the span of `vecs` that hom fixes:
+        the kernel of (hom - 1) on the span, written back in coordinates."""
+        n, p = len(self.basis), self.modulus
+        images = [self.vector(hom(self.poly(v))) for v in vecs]
+        out = []
+        if p == 2:
+            rows: dict[int, int] = {}
+            for col, (v, w) in enumerate(zip(vecs, images)):
+                w ^= v
+                while w:
+                    j = w.bit_length() - 1
+                    rows[j] = rows.get(j, 0) | (1 << col)
+                    w ^= 1 << j
+            for combo in f2_kernel_basis(list(rows.values()), len(vecs)):
+                m = 0
+                while combo:
+                    c = combo.bit_length() - 1
+                    m ^= vecs[c]
+                    combo ^= 1 << c
+                out.append(m)
+            return out
+        rows = [[(w[i] - v[i]) % p for v, w in zip(vecs, images)] for i in range(n)]
+        for combo in FpMatrix(rows, len(vecs), p).kernel_basis():
+            v = [0] * n
+            for c, vec in zip(combo, vecs):
+                if c:
+                    for i in range(n):
+                        v[i] = (v[i] + c * vec[i]) % p
+            out.append(v)
+        return out
 
 
 def f2_kernel_dimension_exhaustive(rows: Sequence[int], cols: int) -> int:

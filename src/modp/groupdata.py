@@ -41,15 +41,6 @@ class GroupSpec:
         if fam == "Sp" and n % 2:
             raise ValueError("Sp takes an even matrix size 2n")
 
-    def lie_rank(self) -> int:
-        if self.family in ("SO", "O", "Spin"):
-            return self.rank // 2
-        if self.family == "Sp":
-            return self.rank // 2
-        if self.family == "GL":
-            return self.rank
-        return self.rank
-
     def __str__(self):
         return f"{self.family}{self.rank}"
 

@@ -11,12 +11,11 @@ from dataclasses import dataclass, field
 from .exactalg import (
     F2Matrix,
     FpMatrix,
+    GradedComponent,
     Poly,
     PolyRing,
     SubstHom,
-    elementary_symmetric,
-    f2_kernel_basis,
-    _f2_pivot_rows,
+    elementary_symmetric_of,
 )
 from .groupdata import Series
 
@@ -216,8 +215,8 @@ def _variable_permutation(hom: SubstHom) -> dict | None:
     return perm
 
 
-def _orbit_classes(basis: list, perms: list[dict]) -> list[list[int]]:
-    index = {m: i for i, m in enumerate(basis)}
+def _orbit_classes(component: GradedComponent, perms: list[dict]) -> list[list[int]]:
+    basis, index = component.basis, component.index
     parent = list(range(len(basis)))
 
     def find(a):
@@ -247,12 +246,8 @@ def brute_invariant_dimension(action: WeylAction, d: int,
     component.  Only the action's minimal generators are applied:
     variable permutations among them are folded into orbit sums first,
     the rest are intersected by F_p elimination."""
-    ring = action.ring
-    basis = ring.monomials_of_degree(d)
-    if len(basis) > guard:
-        raise ValueError(
-            f"degree {d} needs {len(basis)} monomials (> guard {guard}); lower the degree")
-    if not basis:
+    comp = GradedComponent(action.ring, d, guard=guard)
+    if not comp.basis:
         return 0
     perm_maps, linear_gens = [], []
     for name, hom in action.minimal_generators:
@@ -261,100 +256,14 @@ def brute_invariant_dimension(action: WeylAction, d: int,
             perm_maps.append(perm)
         else:
             linear_gens.append(hom)
-    if ring.modulus == 2:
-        return len(_invariant_vectors_f2(ring, basis, perm_maps, linear_gens, d))
-    return len(_invariant_vectors_fp(ring, basis, perm_maps, linear_gens, d))
-
-
-def _invariant_vectors_f2(ring, basis, perm_maps, linear_gens, d) -> list[int]:
-    index = {m: i for i, m in enumerate(basis)}
-
-    def to_mask(f: Poly) -> int:
-        mask = 0
-        for mono in f.terms:
-            mask |= 1 << index[mono]
-        return mask
-
-    def to_poly(mask: int) -> Poly:
-        terms = {}
-        while mask:
-            i = mask.bit_length() - 1
-            terms[basis[i]] = 1
-            mask ^= 1 << i
-        return Poly(ring, terms)
-
-    if perm_maps:
-        vecs = []
-        for cls in _orbit_classes(basis, perm_maps):
-            m = 0
-            for i in cls:
-                m |= 1 << i
-            vecs.append(m)
-    else:
-        vecs = [1 << i for i in range(len(basis))]
-
+    classes = (_orbit_classes(comp, perm_maps) if perm_maps
+               else [[i] for i in range(len(comp.basis))])
+    vecs = [comp.indicator(cls) for cls in classes]
     for hom in linear_gens:
-        polys = [to_poly(v) for v in vecs]
-        rows: dict[int, int] = {}
-        for col, (v, f) in enumerate(zip(vecs, polys)):
-            w = to_mask(hom(f)) ^ v
-            while w:
-                j = w.bit_length() - 1
-                rows[j] = rows.get(j, 0) | (1 << col)
-                w ^= 1 << j
-        kernel = f2_kernel_basis(list(rows.values()), len(vecs))
-        new_vecs = []
-        for combo in kernel:
-            m = 0
-            while combo:
-                c = combo.bit_length() - 1
-                m ^= vecs[c]
-                combo ^= 1 << c
-            new_vecs.append(m)
-        vecs = new_vecs
+        vecs = comp.fixed_combinations(vecs, hom)
         if not vecs:
             break
-    return vecs
-
-
-def _invariant_vectors_fp(ring, basis, perm_maps, linear_gens, d) -> list:
-    p = ring.modulus
-    index = {m: i for i, m in enumerate(basis)}
-    n = len(basis)
-    if perm_maps:
-        vecs = []
-        for cls in _orbit_classes(basis, perm_maps):
-            v = [0] * n
-            for i in cls:
-                v[i] = 1
-            vecs.append(v)
-    else:
-        vecs = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-    for hom in linear_gens:
-        rows = []
-        for i in range(n):
-            rows.append([0] * len(vecs))
-        for col, v in enumerate(vecs):
-            f = Poly(ring, {basis[i]: c for i, c in enumerate(v) if c})
-            g = hom(f)
-            w = [0] * n
-            for mono, c in g.terms.items():
-                w[index[mono]] = c
-            for i in range(n):
-                rows[i][col] = (w[i] - v[i]) % p
-        kernel = FpMatrix(rows, len(vecs), p).kernel_basis()
-        new_vecs = []
-        for combo in kernel:
-            v = [0] * n
-            for c, vec in zip(combo, vecs):
-                if c:
-                    for i in range(n):
-                        v[i] = (v[i] + c * vec[i]) % p
-            new_vecs.append(v)
-        vecs = new_vecs
-        if not vecs:
-            break
-    return vecs
+    return len(vecs)
 
 
 def brute_invariant_dimension_stacked(action: WeylAction, d: int,
@@ -429,7 +338,7 @@ def spin_claimed(action: WeylAction, n: int) -> ClaimedPresentation:
     odd n, k[c_2..c_r, mu_{r-1}] (r even) or k[c_2..c_r, mu_r] (r odd)."""
     r = len(action.xs)
     names = [f"c{i}" for i in range(2, r + 1)]
-    values = [_e_of_xs(action, i) for i in range(2, r + 1)]
+    values = [elementary_symmetric_of(action.ring, i, action.xs) for i in range(2, r + 1)]
     if n % 2:
         names.append(f"eta{r - 1}")
         values.append(eta(action, r - 1))
@@ -442,16 +351,6 @@ def spin_claimed(action: WeylAction, n: int) -> ClaimedPresentation:
     return ClaimedPresentation(names, values)
 
 
-def _e_of_xs(action: WeylAction, i: int) -> Poly:
-    out = action.ring.zero()
-    for comb in itertools.combinations(action.xs, i):
-        term = action.ring.one()
-        for v in comb:
-            term = term * v
-        out = out + term
-    return out
-
-
 def nakajima_claimed(action: WeylAction) -> ClaimedPresentation:
     """S_r invariants of the quotient ring: k[c_2..c_r] for r >= 3 but
     k[x_1] for r = 2."""
@@ -459,7 +358,8 @@ def nakajima_claimed(action: WeylAction) -> ClaimedPresentation:
     if r == 2:
         return ClaimedPresentation(["x1"], [action.ring.var("x1")])
     names = [f"c{i}" for i in range(2, r + 1)]
-    return ClaimedPresentation(names, [_e_of_xs(action, i) for i in range(2, r + 1)])
+    return ClaimedPresentation(names, [elementary_symmetric_of(action.ring, i, action.xs)
+                                       for i in range(2, r + 1)])
 
 
 def classical_claimed(action: WeylAction, family: str, rank: int, p: int) -> ClaimedPresentation:
@@ -468,17 +368,18 @@ def classical_claimed(action: WeylAction, family: str, rank: int, p: int) -> Cla
     and D keeps e_r(x) itself."""
     if p == 2:
         names = [f"c{i}" for i in range(1, rank + 1)]
-        return ClaimedPresentation(names, [_e_of_xs(action, i) for i in range(1, rank + 1)])
+        return ClaimedPresentation(names, [elementary_symmetric_of(action.ring, i, action.xs)
+                                           for i in range(1, rank + 1)])
     square = SubstHom(action.ring, action.ring,
                       {n: action.ring.var(n) * action.ring.var(n) for n in action.ring.names})
     names, values = [], []
     top = rank if family in ("B", "C") else rank - 1
     for i in range(1, top + 1):
         names.append(f"d{2 * i}")
-        values.append(square(_e_of_xs(action, i)))
+        values.append(square(elementary_symmetric_of(action.ring, i, action.xs)))
     if family == "D":
         names.append(f"e{rank}")
-        values.append(_e_of_xs(action, rank))
+        values.append(elementary_symmetric_of(action.ring, rank, action.xs))
     return ClaimedPresentation(names, values)
 
 
@@ -506,43 +407,26 @@ class VerifyReport:
         return self.failure is None and all(r.ok for r in self.rows)
 
 
-def _degree_products(degrees: list[int], d: int):
-    """Exponent vectors e >= 0 with sum e_i * degrees_i = d."""
-    out = []
-    e = [0] * len(degrees)
-
-    def rec(i, rem):
-        if i == len(degrees):
-            if rem == 0:
-                out.append(tuple(e))
-            return
-        step = degrees[i]
-        for k in range(rem // step, -1, -1):
-            e[i] = k
-            rec(i + 1, rem - k * step)
-        e[i] = 0
-
-    rec(0, d)
-    return out
-
-
 def verify_presentation(action: WeylAction, cp: ClaimedPresentation, dmax: int,
                         guard: int = MONOMIAL_GUARD) -> VerifyReport:
     """Per degree d <= dmax, compare three integers: the brute-force
     invariant dimension, the rank of the span of all degree-d products of
     the claimed generators, and the claimed Hilbert series coefficient.
     Claimed generators are checked for invariance under the action's
-    minimal generators, which generate the same group as the full list."""
+    minimal generators, which generate the same group as the full list.
+    The monomial guard is checked on every degree before any work."""
+    ring = action.ring
+    for d, size in enumerate(Series((1,), ring.weights).coefficients(dmax)):
+        if size > guard:
+            raise ValueError(f"degree {d} needs {size} monomials (> guard {guard})")
     label = action.label
     for gname, value in zip(cp.names, cp.values):
         for hname, hom in action.minimal_generators:
             if hom(value) != value:
                 return VerifyReport(label, cp.names, [],
                                     failure=f"generator {gname} is not invariant under {hname}")
-    series = presentation_hilbert(cp)
-    coeffs = series.coefficients(dmax)
-    ring = action.ring
-    p = ring.modulus
+    coeffs = presentation_hilbert(cp).coefficients(dmax)
+    products = PolyRing(cp.names, cp.degrees)
     powers = [[ring.one(), v] for v in cp.values]
 
     def value_power(i, k):
@@ -552,35 +436,16 @@ def verify_presentation(action: WeylAction, cp: ClaimedPresentation, dmax: int,
 
     rows = []
     for d in range(1, dmax + 1):
-        basis = ring.monomials_of_degree(d)
-        if len(basis) > guard:
-            raise ValueError(f"degree {d} exceeds the monomial guard {guard}")
-        index = {m: i for i, m in enumerate(basis)}
+        comp = GradedComponent(ring, d)
         vectors = []
-        for expo in _degree_products(cp.degrees, d):
+        for expo in products.monomials_of_degree(d):
             f = ring.one()
             for i, k in enumerate(expo):
                 if k:
                     f = f * value_power(i, k)
-            vectors.append(f)
-        if p == 2:
-            masks = []
-            for f in vectors:
-                m = 0
-                for mono in f.terms:
-                    m |= 1 << index[mono]
-                masks.append(m)
-            span_rank = len(_f2_pivot_rows(masks))
-        else:
-            dense = []
-            for f in vectors:
-                row = [0] * len(basis)
-                for mono, c in f.terms.items():
-                    row[index[mono]] = c
-                dense.append(row)
-            span_rank = FpMatrix(dense, len(basis), p).rank() if dense else 0
+            vectors.append(comp.vector(f))
         rows.append(DegreeRow(d, brute_invariant_dimension(action, d, guard),
-                              span_rank, coeffs[d]))
+                              comp.rank(vectors), coeffs[d]))
     return VerifyReport(label, cp.names, rows)
 
 
@@ -605,19 +470,12 @@ def lemma_inv2_check(ring: PolyRing, a: Poly, x: str, dmax: int) -> VerifyReport
     w = ring.weights[xi]
     rows = []
     for d in range(1, dmax + 1):
-        basis = ring.monomials_of_degree(d)
-        index = {m: i for i, m in enumerate(basis)}
-        masks = []
-        count = 0
+        comp = GradedComponent(ring, d)
+        vectors = []
         for k in range(0, d // (2 * w) + 1):
             uk = u ** k
             for mono in ring.monomials_of_degree(d - 2 * w * k, skip=frozenset({x})):
-                f = Poly(ring, {mono: 1}) * uk
-                count += 1
-                m = 0
-                for mm in f.terms:
-                    m |= 1 << index[mm]
-                masks.append(m)
-        span_rank = len(_f2_pivot_rows(masks))
-        rows.append(DegreeRow(d, brute_invariant_dimension(action, d), span_rank, count))
+                vectors.append(comp.vector(uk, shift=mono))
+        rows.append(DegreeRow(d, brute_invariant_dimension(action, d),
+                              comp.rank(vectors), len(vectors)))
     return VerifyReport(action.label, ["u"], rows)

@@ -7,8 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .charclass import Generator, GradedPresentation
-from .exactalg import F2Matrix, Poly, PolyRing
+from .charclass import Generator, GradedPresentation, _transport
+from .exactalg import Poly, PolyRing
 from .groupdata import Series, _conv, one_minus_q_power
 
 
@@ -149,15 +149,16 @@ def quillen_presentation(n: int) -> QuillenPresentation:
 
 
 @lru_cache(maxsize=None)
-def _extended_ring_and_thetas(n: int):
+def _ideal_presentation(n: int) -> GradedPresentation:
+    """k[w_2..w_n, z]/(theta_i), z standing for the extra generator: the
+    same ring as H*(BSpin(n); F_2) when the thetas form a regular
+    sequence."""
     qp = quillen_presentation(n)
-    names = list(qp.ambient.ring.names) + ["z"]
-    weights = list(qp.ambient.ring.weights) + [qp.extra_degree]
-    ring = PolyRing(names, weights, 2)
-    thetas = []
-    for t in qp.thetas:
-        thetas.append(ring.from_terms({mono + (0,): c for mono, c in t.terms.items()}))
-    return ring, thetas
+    ambient = qp.ambient.ring
+    gens = [Generator(name, w) for name, w in zip(ambient.names, ambient.weights)]
+    pres = GradedPresentation(gens + [Generator("z", qp.extra_degree)])
+    pres.relations = [_transport(t, pres.ring) for t in qp.thetas]
+    return pres
 
 
 @lru_cache(maxsize=None)
@@ -165,22 +166,8 @@ def quillen_dim(n: int, d: int, guard: int = 200_000) -> int:
     """Coefficient of q^d, computed both from the complete-intersection
     series and by exact linear algebra on the ideal component; a mismatch
     would falsify regularity at desk scale and raises."""
-    qp = quillen_presentation(n)
-    from_series = qp.series().coefficient(d)
-    ring, thetas = _extended_ring_and_thetas(n)
-    basis = ring.monomials_of_degree(d)
-    if len(basis) > guard:
-        raise ValueError(f"degree {d} needs {len(basis)} monomials (> guard {guard})")
-    index = {m: i for i, m in enumerate(basis)}
-    rows = []
-    for theta in thetas:
-        e = theta.degree()
-        for mono in ring.monomials_of_degree(d - e):
-            mask = 0
-            for m in theta.terms:
-                mask |= 1 << index[tuple(a + b for a, b in zip(m, mono))]
-            rows.append(mask)
-    from_linear_algebra = len(basis) - F2Matrix(rows, len(basis)).rank()
+    from_series = quillen_presentation(n).series().coefficient(d)
+    from_linear_algebra = _ideal_presentation(n).dim_degree(d, guard)
     if from_series != from_linear_algebra:
         raise RuntimeError(
             f"regularity check failed for n={n}, d={d}: series {from_series} "

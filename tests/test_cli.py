@@ -127,3 +127,47 @@ def test_console_script_entry_point(tmp_path):
              "PYTHONPATH": ":".join(sys.path)})
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2 6"
+
+
+@pytest.mark.parametrize("argv", [
+    "quillen --n 5",
+    "quillen --n 11 --dims 3..x",
+    "quillen --n 11 --dims -1",
+    "invariants --n 4",
+    "invariants --n 9 --p 3",
+    "invariants --group classical --family B --rank 3 --p 4",
+    "invariants --group classical --family E --rank 3",
+    "invariants --group nakajima --r 1",
+    "invariants --group nakajima --r 8 --max-degree 40",
+    "jacobian --r 9",
+    "restrict --n 8 --target K",
+    "ring --name bso --n 1",
+    "weyl --family B --rank 9",
+    "degrees --family E8 --rank 3",
+    "primes --family X --rank 2",
+])
+def test_precondition_errors_exit_2(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("MODP_CACHE_DIR", str(tmp_path))
+    with pytest.raises(SystemExit) as err:
+        main(argv.split())
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("modp: error: ")
+    assert "Traceback" not in captured.err
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_route_mismatch_exits_1(capsys, tmp_path, monkeypatch):
+    import modp.quillen
+
+    def mismatch():
+        raise RuntimeError("series 26 != linear algebra 27")
+
+    monkeypatch.setenv("MODP_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(modp.quillen, "spin11_compare", mismatch)
+    assert main(["spin-compare", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "modp: spin-compare failed: series 26 != linear algebra 27\n"

@@ -7,16 +7,16 @@ import pytest
 from modp.exactalg import (
     F2Matrix,
     FpMatrix,
+    GradedComponent,
     MissingImageError,
     PolyRing,
     RingMismatchError,
     SubstHom,
     determinant,
     elementary_symmetric,
+    elementary_symmetric_of,
     exact_divide,
     f2_kernel_dimension_exhaustive,
-    fp_kernel_dimension,
-    graded_component_basis,
     identity_hom,
     partial_derivative,
 )
@@ -157,6 +157,8 @@ def test_elementary_symmetric():
     assert elementary_symmetric(r, 0) == r.one()
     assert elementary_symmetric(r, 3) == r.poly("t1*t2*t3")
     assert elementary_symmetric(r, 4).is_zero()
+    for a in range(5):
+        assert elementary_symmetric_of(r, a, r.gens()) == elementary_symmetric(r, a)
 
 
 def test_partial_derivative():
@@ -234,15 +236,16 @@ def test_exact_divide():
 
 def test_graded_component_basis():
     r = PolyRing(["x1", "x2"])
-    basis = graded_component_basis(r, 2)
+    basis = r.monomials_of_degree(2)
     assert [r.from_terms({m: 1}) for m in basis] == [
         r.poly("x1^2"), r.poly("x1*x2"), r.poly("x2^2")]
+    # x3 eliminated through x1 + x2 + x3 = 0
     r3 = PolyRing(["x1", "x2", "x3"])
-    basis3 = graded_component_basis(r3, 2, modulo=["x1", "x2", "x3"])
+    basis3 = r3.monomials_of_degree(2, skip=frozenset({"x3"}))
     assert len(basis3) == 3
     assert all(m[2] == 0 for m in basis3)
     w = PolyRing(["c2", "c3", "eta2"], weights=(2, 3, 4))
-    basis_w = graded_component_basis(w, 4)
+    basis_w = w.monomials_of_degree(4)
     assert len(basis_w) == 2
 
 
@@ -271,9 +274,9 @@ def test_poly_json_form():
 
 def test_f2_ranks_and_kernels():
     zero = F2Matrix([0, 0, 0], 5)
-    assert fp_kernel_dimension(zero) == 5
+    assert zero.kernel_dimension() == 5
     ident = F2Matrix([1 << i for i in range(4)], 4)
-    assert fp_kernel_dimension(ident) == 0
+    assert ident.kernel_dimension() == 0
     rng = random.Random(17)
     for _ in range(60):
         cols = rng.choice((9, 12))
@@ -296,3 +299,41 @@ def test_fp_matrix_rank_kernel():
         for v in m.kernel_basis():
             for row in rows:
                 assert sum(a * b for a, b in zip(row, v)) % p == 0
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_graded_component_coordinates(p):
+    from modp.invariants import WeylAction, brute_invariant_dimension_stacked
+    rng = random.Random(29 + p)
+    ring = PolyRing(["x", "y", "z", "w"], weights=(1, 1, 2, 1), modulus=p)
+    skip = frozenset({"w"})
+
+    def random_element(basis):
+        monos = rng.sample(basis, rng.randrange(1, len(basis) + 1))
+        return ring.from_terms({m: rng.randrange(1, p) if p > 2 else 1 for m in monos})
+
+    comp = GradedComponent(ring, 5, skip)
+    assert len(comp.basis) == 12 and all(m[3] == 0 for m in comp.basis)
+    shift = (1, 0, 0, 0)
+    for _ in range(20):
+        f = random_element(comp.basis)
+        assert comp.poly(comp.vector(f)) == f
+        g = random_element(GradedComponent(ring, 4, skip).basis)
+        assert comp.vector(g, shift=shift) == comp.vector(g * ring.var("x"))
+    assert comp.poly(comp.indicator([0, 2])) == ring.from_terms(
+        {comp.basis[0]: 1, comp.basis[2]: 1})
+    for _ in range(10):
+        rows = [comp.vector(random_element(comp.basis)) for _ in range(rng.randrange(1, 12))]
+        m = F2Matrix(rows, 12) if p == 2 else FpMatrix(rows, 12, p)
+        assert comp.rank(rows) == m.rank_by_columns()
+    assert comp.rank([]) == 0
+    # x -> y -> x + y, z -> z + x*y fixes a subspace the stacked oracle measures
+    x, y, z, w = ring.gens()
+    hom = SubstHom(ring, ring, {"x": y, "y": x + y, "z": z + x * y, "w": w})
+    action = WeylAction(ring, [("g", hom)], [])
+    for d in range(1, 5):
+        full = GradedComponent(ring, d)
+        fixed = full.fixed_combinations([full.indicator([i]) for i in range(len(full.basis))],
+                                        hom)
+        assert len(fixed) == brute_invariant_dimension_stacked(action, d), (p, d)
+        assert all(hom(full.poly(v)) == full.poly(v) for v in fixed)

@@ -18,7 +18,6 @@ from modp.invariants import (
     symmetric_quotient_action,
     verify_presentation,
     WeylAction,
-    _degree_products,
 )
 
 
@@ -214,7 +213,6 @@ def test_eps1_degree2_kernel_cross_check():
     assert dim == brute_invariant_dimension_stacked(a, 2)
     # exhaustive over all vectors of the 6-dimensional component
     from modp.exactalg import f2_kernel_dimension_exhaustive
-    from modp.invariants import _invariant_vectors_f2
     ring = a.ring
     basis = ring.monomials_of_degree(2)
     hom = a.generators[0][1]
@@ -250,7 +248,7 @@ def test_presentation_hilbert():
     assert presentation_hilbert(empty).coefficients(5) == [1, 0, 0, 0, 0, 0]
     a11 = spin_action(11)
     cp11 = spin_claimed(a11, 11)
-    expected = len(_degree_products(cp11.degrees, 16))
+    expected = len(PolyRing(cp11.names, cp11.degrees).monomials_of_degree(16))
     assert presentation_hilbert(cp11).coefficient(16) == expected
     cp_rel = ClaimedPresentation(["c2"], [cp.values[0]], relations=[cp.values[0]])
     with pytest.raises(ValueError, match="dim_degree"):
@@ -331,3 +329,21 @@ def test_lemma_inv2_pointwise():
     u = x * (x + a)
     assert h(u) == u
     assert h(x) - x == a
+
+
+def test_verify_guard_trips_before_any_work(monkeypatch):
+    import modp.invariants
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return brute_invariant_dimension(*args, **kwargs)
+
+    monkeypatch.setattr(modp.invariants, "brute_invariant_dimension", counting)
+    a = spin_action(7)
+    # degree 5 of F_2[x1, x2, A] has 21 monomials
+    with pytest.raises(ValueError, match="degree 5 needs 21 monomials"):
+        verify_presentation(a, spin_claimed(a, 7), 10, guard=20)
+    assert calls == []
+    assert verify_presentation(a, spin_claimed(a, 7), 4, guard=20).passed
+    assert len(calls) == 4
