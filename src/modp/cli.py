@@ -317,9 +317,9 @@ def cmd_jacobian(args) -> int:
 
 
 def _parse_dims(spec: str) -> list[int]:
-    lo, _, hi = spec.partition("..")
+    lo, sep, hi = spec.partition("..")
     try:
-        dims = list(range(int(lo), int(hi or lo) + 1))
+        dims = list(range(int(lo), int(hi if sep else lo) + 1))
     except ValueError:
         raise ValueError(f"--dims takes a degree or a range lo..hi, not {spec!r}") from None
     if dims and dims[0] < 0:

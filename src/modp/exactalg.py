@@ -654,21 +654,19 @@ class FpMatrix:
 
 class GradedComponent:
     """The weighted-degree-d component of a polynomial ring over F_p as a
-    coordinate space on its monomial basis (variables in `skip` held at
-    exponent zero).
+    coordinate space on its monomial basis.
 
     This is the one place that knows how component vectors are stored:
     over F_2 a vector is a bitmask (bit i is basis[i]), over odd p a dense
     coefficient list.  A component with more than `guard` monomials is
     refused before its index is built."""
 
-    def __init__(self, ring: PolyRing, d: int, skip: frozenset = frozenset(),
-                 guard: int | None = None):
+    def __init__(self, ring: PolyRing, d: int, guard: int | None = None):
         if not ring.modulus:
             raise ValueError(f"graded components need a prime field, not {ring}")
         self.ring = ring
         self.modulus = ring.modulus
-        self.basis = ring.monomials_of_degree(d, skip)
+        self.basis = ring.monomials_of_degree(d)
         if guard is not None and len(self.basis) > guard:
             raise ValueError(f"degree {d} needs {len(self.basis)} monomials (> guard {guard})")
         self.index = {m: i for i, m in enumerate(self.basis)}

@@ -132,6 +132,7 @@ def test_console_script_entry_point(tmp_path):
 @pytest.mark.parametrize("argv", [
     "quillen --n 5",
     "quillen --n 11 --dims 3..x",
+    "quillen --n 11 --dims 3..",
     "quillen --n 11 --dims -1",
     "invariants --n 4",
     "invariants --n 9 --p 3",
