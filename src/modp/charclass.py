@@ -17,7 +17,9 @@ from .exactalg import (
     determinant,
     elementary_symmetric,
     elementary_symmetric_of,
+    gradient,
     partial_derivative,
+    sum_of_products,
 )
 from .groupdata import Series, _conv, one_minus_q_power
 
@@ -205,17 +207,14 @@ def kunneth(a: GradedPresentation, b: GradedPresentation) -> GradedPresentation:
 
 
 def _transport(f: Poly, target: PolyRing, mapping: dict | None = None) -> Poly:
-    terms = {}
-    for mono, c in f.terms.items():
-        e = [0] * len(target.names)
-        for i, k in enumerate(mono):
-            if k:
-                name = f.ring.names[i]
-                if mapping:
-                    name = mapping[name]
-                e[target.var_index(name)] = k
-        terms[tuple(e)] = c
-    return target.from_terms(terms)
+    """f with each variable renamed (through `mapping`, else kept) to the
+    variable of that name in `target`."""
+    if f.ring.modulus != target.modulus:
+        raise ValueError(f"cannot transport {f.ring} to {target}: coefficient fields differ")
+    move = f.ring.relabeling(target, {
+        i: target.var_index(mapping[name] if mapping else name)
+        for i, name in enumerate(f.ring.names)})
+    return Poly(target, {move(m): c for m, c in f.coeffs.items()})
 
 
 # -- u-class Whitney calculus ------------------------------------------
@@ -270,14 +269,9 @@ def whitney_sum(uE: UClass, uF: UClass) -> UClass:
     trunc = min(uE.truncation, uF.truncation)
     comps = [ring.one()]
     for m in range(1, trunc + 1):
-        total = ring.zero()
-        if m % 2 == 0:
-            for j in range(0, m + 1, 2):
-                total = total + uE[j] * uF[m - j]
-        else:
-            for l in range(m + 1):
-                total = total + uE[l] * uF[m - l]
-        comps.append(total)
+        step = 2 if m % 2 == 0 else 1
+        comps.append(sum_of_products(ring, [(uE[j], uF[m - j])
+                                            for j in range(0, m + 1, step)]))
     return UClass(uE.presentation, comps)
 
 
@@ -334,20 +328,16 @@ def restriction_bso_to_bo2r(n: int) -> RestrictionHom:
         for a in range(1, r + 1):
             images[f"u{2 * a}"] = elementary_symmetric(target, a, ts)
         for a in range(1, r):
-            total = target.zero()
-            for m in range(r):
-                others = ts[:m] + ts[m + 1:]
-                total = total + svars[m] * elementary_symmetric(target, a, others)
-            images[f"u{2 * a + 1}"] = total
+            images[f"u{2 * a + 1}"] = sum_of_products(target, [
+                (svars[m], elementary_symmetric(target, a, ts[:m] + ts[m + 1:]))
+                for m in range(r)])
     else:
         source = bso_presentation(n)
         for a in range(1, r + 1):
             images[f"u{2 * a}"] = elementary_symmetric(target, a, ts)
-            total = target.zero()
-            for m in range(r):
-                others = ts[:m] + ts[m + 1:]
-                total = total + svars[m] * tvars[m] * elementary_symmetric(target, a - 1, others)
-            images[f"u{2 * a + 1}"] = total
+            images[f"u{2 * a + 1}"] = sum_of_products(target, [
+                (svars[m], tvars[m], elementary_symmetric(target, a - 1, ts[:m] + ts[m + 1:]))
+                for m in range(r)])
     return RestrictionHom(source, SubstHom(source.ring, target, images))
 
 
@@ -410,17 +400,11 @@ class Derivation:
             self.images[name] = img
 
     def __call__(self, f: Poly) -> Poly:
+        """D(f) = sum_i (df/dx_i) D(x_i), summed in one accumulator."""
         self.ring.check_same(f.ring)
-        out = self.ring.zero()
-        for mono, c in f.terms.items():
-            for i, e in enumerate(mono):
-                if not e:
-                    continue
-                name = self.ring.names[i]
-                lowered = list(mono)
-                lowered[i] = e - 1
-                out = out + self.ring.from_terms({tuple(lowered): c * e}) * self.images[name]
-        return out
+        return sum_of_products(self.ring, [
+            (part, self.images[name])
+            for name, part in zip(self.ring.names, gradient(f)) if part])
 
 
 def bockstein(r: int) -> Derivation:

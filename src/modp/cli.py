@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -40,9 +41,21 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "modp-invariants"
 
 
+@functools.lru_cache(maxsize=1)
+def source_digest() -> str:
+    """sha256 over the names and bytes of the package's modp/*.py files,
+    read once per process, so that a cached result is never served to
+    different code under the same version string."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
 class ResultCache:
     """Content-addressed JSON store keyed on (operation, parameters,
-    library version); a hit is served only on an exact version match."""
+    library version, source digest); a hit is served only when the stored
+    entry carries the same version and source digest."""
 
     def __init__(self, directory: Path, policy: str = "use"):
         self.directory = directory
@@ -50,7 +63,7 @@ class ResultCache:
         self._warned = False
 
     def _key(self, op: str, params: dict) -> str:
-        blob = json.dumps([op, params, __version__], sort_keys=True)
+        blob = json.dumps([op, params, __version__, source_digest()], sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def roundtrip(self, op: str, params: dict, compute):
@@ -61,12 +74,14 @@ class ResultCache:
         if self.policy == "use" and path.exists():
             try:
                 entry = json.loads(path.read_text())
-                if entry.get("version") == __version__:
+                if (entry.get("version") == __version__
+                        and entry.get("source") == source_digest()):
                     return entry["payload"]
             except (ValueError, KeyError):
                 pass  # corrupted entry: recompute and overwrite
         payload = compute()
         entry = {"schema": SCHEMA, "key": key, "version": __version__,
+                 "source": source_digest(),
                  "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
                  "payload": payload}
         try:
@@ -209,20 +224,23 @@ def cmd_invariants(args) -> int:
             if args.n is None:
                 raise SystemExit2("--group spin needs --n")
             action = invariants.spin_action(args.n, args.p)
-            cp = invariants.spin_claimed(action, args.n)
+            claim = functools.partial(invariants.spin_claimed, action, args.n)
         elif args.group == "nakajima":
             if args.r is None:
                 raise SystemExit2("--group nakajima needs --r")
             action = invariants.symmetric_quotient_action(args.r, args.p)
-            cp = invariants.nakajima_claimed(action)
+            claim = functools.partial(invariants.nakajima_claimed, action)
         elif args.group == "classical":
             if args.family is None or args.rank is None:
                 raise SystemExit2("--group classical needs --family and --rank")
             action = invariants.classical_action(args.family, args.rank, args.p)
-            cp = invariants.classical_claimed(action, args.family, args.rank, args.p)
+            claim = functools.partial(invariants.classical_claimed, action,
+                                      args.family, args.rank, args.p)
         else:
             raise SystemExit2(f"unknown group kind {args.group}")
-        return _report_payload(invariants.verify_presentation(action, cp, dmax))
+        # the guard needs only the ring; building a claim can take seconds
+        invariants.check_monomial_guard(action.ring, dmax)
+        return _report_payload(invariants.verify_presentation(action, claim(), dmax))
 
     payload = _cache(args).roundtrip("invariants", params, compute)
     emit(args, "invariants", params, payload, _report_lines(payload),

@@ -8,8 +8,15 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from operator import add
-from typing import Iterable, Sequence
+from operator import itemgetter
+from types import MappingProxyType
+from typing import Callable, Iterable, Sequence
+
+# Each exponent lives in one byte of a packed monomial.  The top bit of
+# every byte is a guard bit, so the largest exponent is 127 and a sum of
+# two valid exponents never carries into the neighbouring field.
+FIELD_BITS = 8
+EXPONENT_LIMIT = 1 << (FIELD_BITS - 1)
 
 
 class RingMismatchError(ValueError):
@@ -20,10 +27,6 @@ class MissingImageError(KeyError):
     pass
 
 
-def _normalize(c: int, p: int) -> int:
-    return c % p if p else c
-
-
 def _is_prime(n: int) -> bool:
     return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
 
@@ -32,9 +35,14 @@ class PolyRing:
     """A polynomial ring with named variables, positive integer weights and
     coefficient modulus p (p = 0 means integer coefficients).
 
-    Monomials are exponent tuples.  The fixed monomial order is graded
-    lexicographic: weighted degree first, then the exponent tuple, both
-    descending in printed output.
+    A monomial is one packed int: variable i owns the byte at bit offset
+    8 * (n - 1 - i), so variable 0 sits in the highest byte, and the
+    weighted degree sits above all of them.  Integer order is therefore
+    the monomial order, graded lexicographic on (degree, exponents), a
+    product of monomials is an integer sum and a degree is one shift.
+    Exponents are at most 127; a larger one raises ValueError.  Exponent
+    tuples appear only at the boundary: `monomial`, `exponents`,
+    `from_terms`, `poly`, `poly_from_json` and `Poly.terms`.
     """
 
     def __init__(self, names: Sequence[str], weights: Sequence[int] | None = None,
@@ -51,7 +59,18 @@ class PolyRing:
         self.weights = weights
         self.modulus = modulus
         self._index = {n: i for i, n in enumerate(names)}
+        n = len(names)
+        self._shift = FIELD_BITS * n
+        self._low = (1 << self._shift) - 1
+        self._offsets = tuple(FIELD_BITS * (n - 1 - i) for i in range(n))
+        self._guard = sum((EXPONENT_LIMIT << off) for off in self._offsets)
+        self._units = tuple((w << self._shift) | (1 << off)
+                            for w, off in zip(weights, self._offsets))
+        self._unit_index = {u: i for i, u in enumerate(self._units)}
+        # below this packed degree no product can fill an exponent field
+        self._safe = (EXPONENT_LIMIT * min(weights, default=1)) << self._shift
         self._basis_cache: dict = {}
+        self._reach_cache: dict = {}
 
     # -- construction ------------------------------------------------
 
@@ -62,14 +81,11 @@ class PolyRing:
         return self.const(1)
 
     def const(self, c: int) -> "Poly":
-        c = _normalize(c, self.modulus)
-        return Poly(self, {(0,) * len(self.names): c} if c else {})
+        c = c % self.modulus if self.modulus else c
+        return Poly(self, {0: c} if c else {})
 
     def var(self, name: str) -> "Poly":
-        i = self.var_index(name)
-        e = [0] * len(self.names)
-        e[i] = 1
-        return Poly(self, {tuple(e): 1})
+        return Poly(self, {self._units[self.var_index(name)]: 1})
 
     def gens(self) -> tuple["Poly", ...]:
         return tuple(self.var(n) for n in self.names)
@@ -80,48 +96,125 @@ class PolyRing:
         return self._index[name]
 
     def from_terms(self, terms: dict) -> "Poly":
+        """The polynomial with the given {exponent tuple: coefficient}."""
+        p = self.modulus
         out = {}
-        for mono, c in terms.items():
-            c = _normalize(c, self.modulus)
+        for exps, c in terms.items():
+            c = c % p if p else c
             if c:
-                out[tuple(mono)] = c
+                out[self.monomial(exps)] = c
         return Poly(self, out)
+
+    # -- monomials ---------------------------------------------------
+
+    def monomial(self, exps: Sequence[int]) -> int:
+        """The packed monomial with the given exponent tuple."""
+        if len(exps) != len(self.names):
+            raise ValueError(f"{len(exps)} exponents for the {len(self.names)} "
+                             f"variables of {self}")
+        packed = 0
+        for name, off, e in zip(self.names, self._offsets, exps):
+            if not 0 <= e < EXPONENT_LIMIT:
+                raise ValueError(f"exponent {e} of {name} is outside 0..{EXPONENT_LIMIT - 1}")
+            packed |= e << off
+        return (sum(e * w for e, w in zip(exps, self.weights)) << self._shift) | packed
+
+    def exponents(self, m: int) -> tuple[int, ...]:
+        """The exponent tuple of a packed monomial."""
+        return tuple((m & self._low).to_bytes(len(self.names), "big"))
+
+    def _check_fields(self, monos: Iterable[int]) -> None:
+        """Raise if a packed monomial has filled an exponent field."""
+        guard = self._guard
+        for m in monos:
+            if m & guard:
+                i = next(i for i, off in enumerate(self._offsets)
+                         if (m >> off) & EXPONENT_LIMIT)
+                raise ValueError(f"exponent of {self.names[i]} exceeds "
+                                 f"{EXPONENT_LIMIT - 1} in {self}")
+
+    def relabeling(self, target: "PolyRing", index_map: dict) -> Callable[[int], int]:
+        """The map on packed monomials that renames every variable i of
+        this ring to the variable index_map[i] of `target`, of the same
+        weight; target variables left out get exponent 0."""
+        if sorted(index_map) != list(range(len(self.names))):
+            raise ValueError(f"a relabeling of {self} must map each of its variables once")
+        for i, j in index_map.items():
+            if self.weights[i] != target.weights[j]:
+                raise ValueError(f"{self.names[i]} and {target.names[j]} differ in weight")
+        n, low, shift, tshift = len(self.names), self._low, self._shift, target._shift
+        source_of = [n] * len(target.names)  # byte n of the source is a zero pad
+        for i, j in index_map.items():
+            source_of[j] = i
+        pick = itemgetter(*source_of) if source_of else (lambda b: ())
+        single = len(source_of) == 1
+
+        def move(m: int) -> int:
+            picked = pick((m & low).to_bytes(n, "big") + b"\0")
+            return ((m >> shift) << tshift) | int.from_bytes(
+                bytes((picked,) if single else picked), "big")
+        return move
 
     # -- grading -----------------------------------------------------
 
-    def degree_of_monomial(self, mono: Sequence[int]) -> int:
-        return sum(e * w for e, w in zip(mono, self.weights))
-
-    def sort_key(self, mono: tuple) -> tuple:
-        return (self.degree_of_monomial(mono), mono)
-
-    def monomials_of_degree(self, d: int, skip: frozenset = frozenset()) -> list:
-        """All exponent tuples of weighted degree d, in descending monomial
+    def monomials_of_degree(self, d: int, skip: frozenset = frozenset()) -> list[int]:
+        """All packed monomials of weighted degree d, in descending monomial
         order.  Variables in `skip` are held at exponent zero."""
         key = (d, skip)
-        if key not in self._basis_cache:
-            monos = []
-            e = [0] * len(self.names)
+        basis = self._basis_cache.get(key)
+        if basis is None:
+            basis = self._basis_cache[key] = self._enumerate(d, skip)
+        return basis
 
-            def rec(i: int, rem: int):
-                if i == len(self.names):
-                    if rem == 0:
-                        monos.append(tuple(e))
-                    return
-                if self.names[i] in skip:
-                    rec(i + 1, rem)
-                    return
-                w = self.weights[i]
-                for k in range(rem // w, -1, -1):
-                    e[i] = k
-                    rec(i + 1, rem - k * w)
-                e[i] = 0
+    def _enumerate(self, d: int, skip: frozenset) -> list[int]:
+        """Walk the variables in order, each exponent descending, keeping
+        only the choices whose remaining degree the later variables can
+        still reach; the walk meets every monomial once, in order.  A
+        partial monomial keeps the degree still to place in its top field,
+        so choosing exponent e of a variable is one integer addition."""
+        if d < 0:
+            return []
+        active = tuple(i for i, name in enumerate(self.names) if name not in skip)
+        reach = self._reachable(active, d)
+        if not (reach[0] >> d) & 1:
+            return []
+        shift = self._shift
+        states = [d << shift]
+        for k, i in enumerate(active):
+            w, off, after = self.weights[i], self._offsets[i], reach[k + 1]
+            steps: dict[int, list[int]] = {}
+            nxt: list[int] = []
+            for s in states:
+                rem = s >> shift
+                step = steps.get(rem)
+                if step is None:
+                    es = [e for e in range(rem // w, -1, -1) if (after >> (rem - e * w)) & 1]
+                    if es and es[0] >= EXPONENT_LIMIT:
+                        raise ValueError(f"degree {d} needs exponent {es[0]} of "
+                                         f"{self.names[i]}, above {EXPONENT_LIMIT - 1}")
+                    step = steps[rem] = [(e << off) - ((e * w) << shift) for e in es]
+                nxt += [s + x for x in step]
+            states = nxt
+        top = d << shift
+        return [s + top for s in states]
 
-            if d >= 0:
-                rec(0, d)
-            monos.sort(key=self.sort_key, reverse=True)
-            self._basis_cache[key] = monos
-        return self._basis_cache[key]
+    def _reachable(self, active: tuple, d: int) -> list[int]:
+        """reach[k]: bitset of the degrees <= some limit >= d that the
+        variables active[k:] can make (reach[len(active)] = {0})."""
+        cached = self._reach_cache.get(active)
+        if cached is None or cached[0] < d:
+            limit = max(d, 2 * cached[0] if cached else 64)
+            mask = (1 << (limit + 1)) - 1
+            reach = [1]
+            for i in reversed(active):
+                r, step = reach[-1], self.weights[i]
+                while step <= limit:
+                    r |= (r << step) & mask
+                    step *= 2
+                reach.append(r)
+            reach.reverse()
+            self._reach_cache[active] = cached = (limit, reach)
+        return cached[1]
 
     # -- misc --------------------------------------------------------
 
@@ -137,7 +230,7 @@ class PolyRing:
         return f"{k}[{','.join(self.names)}]"
 
     def check_same(self, other: "PolyRing"):
-        if self != other:
+        if other is not self and self != other:
             raise RingMismatchError(f"ring mismatch: {self} vs {other}")
 
     # -- parsing -----------------------------------------------------
@@ -153,7 +246,7 @@ class PolyRing:
         text = text.strip()
         if not text or text == "0":
             return self.zero()
-        out = self.zero()
+        acc: dict = {}
         for sgn, term in _split_terms(text):
             coeff = 1
             mono = [0] * len(self.names)
@@ -170,8 +263,9 @@ class PolyRing:
                 else:
                     name, k = factor, 1
                 mono[self.var_index(name.strip())] += k
-            out = out + self.from_terms({tuple(mono): sgn * coeff})
-        return out
+            m = self.monomial(mono)
+            acc[m] = acc.get(m, 0) + sgn * coeff
+        return Poly(self, _reduced(self, acc))
 
 
 def _split_terms(text: str):
@@ -190,36 +284,77 @@ def _split_terms(text: str):
     return terms
 
 
+def _reduced(ring: PolyRing, acc) -> dict:
+    """The coefficient dict of an accumulator: over F_2 the set of
+    monomials of odd count, otherwise a dict of unreduced coefficients."""
+    if isinstance(acc, set):
+        return dict.fromkeys(acc, 1)
+    p = ring.modulus
+    if p:
+        return {m: s for m, c in acc.items() if (s := c % p)}
+    return {m: c for m, c in acc.items() if c}
+
+
+def _mul_into(ring: PolyRing, acc, f: dict, g: dict) -> None:
+    """Add the product of the coefficient dicts f and g to an accumulator
+    (a set toggled by parity over F_2, a dict of sums otherwise)."""
+    if not f or not g:
+        return
+    if max(f) + max(g) >= ring._safe:
+        ring._check_fields(a + b for a in f for b in g)
+    if ring.modulus == 2:
+        if len(f) > len(g):
+            f, g = g, f
+        for a in f:
+            acc ^= {a + b for b in g}
+        return
+    get = acc.get
+    for a, c in f.items():
+        for b, e in g.items():
+            m = a + b
+            acc[m] = get(m, 0) + c * e
+
+
 class Poly:
-    """Immutable sparse polynomial: a map from exponent tuples to nonzero
-    coefficients."""
+    """Immutable sparse polynomial: `coeffs` maps packed monomials (see
+    PolyRing) to nonzero coefficients reduced mod p (all 1 over F_2)."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "coeffs")
 
-    def __init__(self, ring: PolyRing, terms: dict):
+    def __init__(self, ring: PolyRing, coeffs: dict):
         self.ring = ring
-        self.terms = terms
+        self.coeffs = coeffs
+
+    @property
+    def terms(self) -> MappingProxyType:
+        """Read-only {exponent tuple: coefficient} view."""
+        exps = self.ring.exponents
+        return MappingProxyType({exps(m): c for m, c in self.coeffs.items()})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeffs
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, int):
             other = self.ring.const(other)
-        return isinstance(other, Poly) and self.ring == other.ring and self.terms == other.terms
+        return isinstance(other, Poly) and self.ring == other.ring and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        return hash((self.ring, frozenset(self.coeffs.items())))
 
     def __add__(self, other: "Poly") -> "Poly":
         other = self._coerce(other)
         p = self.ring.modulus
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = _normalize(out.get(mono, 0) + c, p)
+        if p == 2:
+            return Poly(self.ring, dict.fromkeys(self.coeffs.keys() ^ other.coeffs.keys(), 1))
+        out = dict(self.coeffs)
+        for mono, c in other.coeffs.items():
+            s = out.get(mono, 0) + c
+            if p:
+                s %= p
             if s:
                 out[mono] = s
             else:
@@ -228,24 +363,19 @@ class Poly:
 
     def __neg__(self):
         p = self.ring.modulus
-        return Poly(self.ring, {m: _normalize(-c, p) for m, c in self.terms.items()})
+        if p == 2:
+            return self
+        return Poly(self.ring, {m: (-c % p if p else -c) for m, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
     def __mul__(self, other) -> "Poly":
         other = self._coerce(other)
-        p = self.ring.modulus
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = _normalize(out.get(m, 0) + c1 * c2, p)
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return Poly(self.ring, out)
+        ring = self.ring
+        acc = set() if ring.modulus == 2 else {}
+        _mul_into(ring, acc, self.coeffs, other.coeffs)
+        return Poly(ring, _reduced(ring, acc))
 
     __rmul__ = __mul__
     __radd__ = __add__
@@ -268,38 +398,47 @@ class Poly:
         self.ring.check_same(other.ring)
         return other
 
+    def variable_index(self) -> int | None:
+        """i if this polynomial is the variable x_i itself, else None."""
+        if len(self.coeffs) != 1:
+            return None
+        ((m, c),) = self.coeffs.items()
+        return self.ring._unit_index.get(m) if c == 1 else None
+
     # -- grading -----------------------------------------------------
 
     def degree(self) -> int:
         """Maximal weighted degree of a term (0 for the zero polynomial)."""
-        if not self.terms:
-            return 0
-        return max(self.ring.degree_of_monomial(m) for m in self.terms)
+        return max(self.coeffs, default=0) >> self.ring._shift
 
     def is_homogeneous(self) -> bool:
-        degs = {self.ring.degree_of_monomial(m) for m in self.terms}
-        return len(degs) <= 1
+        if not self.coeffs:
+            return True
+        shift = self.ring._shift
+        return min(self.coeffs) >> shift == max(self.coeffs) >> shift
 
     def homogeneous_component(self, d: int) -> "Poly":
-        return Poly(self.ring, {m: c for m, c in self.terms.items()
-                                if self.ring.degree_of_monomial(m) == d})
+        shift = self.ring._shift
+        return Poly(self.ring, {m: c for m, c in self.coeffs.items() if m >> shift == d})
 
     def homogeneous_components(self) -> dict:
         out: dict = {}
-        for m, c in self.terms.items():
-            out.setdefault(self.ring.degree_of_monomial(m), {})[m] = c
+        shift = self.ring._shift
+        for m, c in self.coeffs.items():
+            out.setdefault(m >> shift, {})[m] = c
         return {d: Poly(self.ring, t) for d, t in sorted(out.items())}
 
     # -- text / JSON forms --------------------------------------------
 
     def __str__(self):
-        if not self.terms:
+        if not self.coeffs:
             return "0"
         parts = []
-        for mono in sorted(self.terms, key=self.ring.sort_key, reverse=True):
-            c = self.terms[mono]
+        exps = self.ring.exponents
+        for mono in sorted(self.coeffs, reverse=True):
+            c = self.coeffs[mono]
             factors = []
-            for name, e in zip(self.ring.names, mono):
+            for name, e in zip(self.ring.names, exps(mono)):
                 if e == 1:
                     factors.append(name)
                 elif e > 1:
@@ -321,8 +460,43 @@ class Poly:
         return f"<{self} in {self.ring}>"
 
     def to_json(self) -> list:
-        monos = sorted(self.terms, key=self.ring.sort_key, reverse=True)
-        return [{"exponents": list(m), "coeff": self.terms[m]} for m in monos]
+        exps = self.ring.exponents
+        return [{"exponents": list(exps(m)), "coeff": self.coeffs[m]}
+                for m in sorted(self.coeffs, reverse=True)]
+
+
+def sum_of_products(ring: PolyRing, products: Iterable[Iterable[Poly]]) -> Poly:
+    """The sum over `products` of the product of each sequence of factors
+    (an empty sequence is 1), accumulated in one dict and reduced once.
+    One-term factors are folded into a single term first (a monomial sum
+    and a coefficient product); the last factor with several terms is
+    multiplied straight into the accumulator."""
+    p, guard = ring.modulus, ring._guard
+    acc = set() if p == 2 else {}
+    for factors in products:
+        mono, coeff, polys = 0, 1, []
+        for f in factors:
+            ring.check_same(f.ring)
+            if len(f.coeffs) == 1:
+                ((m, c),) = f.coeffs.items()
+                mono += m
+                coeff *= c
+                if mono & guard:
+                    ring._check_fields((mono,))
+            elif f.coeffs:
+                polys.append(f.coeffs)
+            else:
+                break  # a zero factor
+        else:
+            if mono or coeff != 1 or not polys:
+                polys.insert(0, {mono: coeff})
+            head = polys[0]
+            for g in polys[1:-1]:
+                part = set() if p == 2 else {}
+                _mul_into(ring, part, head, g)
+                head = _reduced(ring, part)
+            _mul_into(ring, acc, head, polys[-1] if len(polys) > 1 else {0: 1})
+    return Poly(ring, _reduced(ring, acc))
 
 
 class SubstHom:
@@ -361,18 +535,14 @@ class SubstHom:
         return power
 
     def apply(self, f: Poly) -> Poly:
+        """The image of f: each term c*m goes to c times the product of
+        the memoised image powers of m, summed in one accumulator."""
         self.source.check_same(f.ring)
-        out: dict = {}
-        for mono, c in f.terms.items():
-            term = None
-            for i, e in enumerate(mono):
-                if e:
-                    power = self._power(i, e)
-                    term = power if term is None else term * power
-            for m, tc in (self.target.one() if term is None else term).terms.items():
-                out[m] = out.get(m, 0) + c * tc
-        p = self.target.modulus
-        return Poly(self.target, {m: s for m, c in out.items() if (s := _normalize(c, p))})
+        exps, const = self.source.exponents, self.target.const
+        return sum_of_products(self.target, [
+            [self._power(i, e) for i, e in enumerate(exps(mono)) if e]
+            + ([] if c == 1 else [const(c)])
+            for mono, c in f.coeffs.items()])
 
     def __call__(self, f: Poly) -> Poly:
         return self.apply(f)
@@ -404,42 +574,39 @@ def elementary_symmetric(ring: PolyRing, a: int, names: Sequence[str] | None = N
     if a < 0:
         raise ValueError("negative index")
     names = tuple(names) if names is not None else ring.names
-    idx = [ring.var_index(n) for n in names]
-    if a > len(idx):
+    units = [ring._units[ring.var_index(n)] for n in names]
+    if a > len(units):
         return ring.zero()
-    out = {}
-    for comb in itertools.combinations(idx, a):
-        e = [0] * len(ring.names)
-        for i in comb:
-            e[i] = 1
-        out[tuple(e)] = 1
-    return ring.from_terms(out)
+    return Poly(ring, {sum(comb): 1 for comb in itertools.combinations(units, a)})
 
 
 def elementary_symmetric_of(ring: PolyRing, a: int, values: Sequence[Poly]) -> Poly:
     """e_a of polynomial values: the sum of the products of every a of
     them (e_0 = 1)."""
-    out = ring.zero()
-    for comb in itertools.combinations(values, a):
-        term = ring.one()
-        for v in comb:
-            term = term * v
-        out = out + term
-    return out
+    return sum_of_products(ring, itertools.combinations(values, a))
+
+
+def gradient(f: Poly) -> list[Poly]:
+    """The formal partial derivatives of f in variable order, with
+    coefficients in the ring (so d(x^2)/dx = 0 over F_2)."""
+    ring = f.ring
+    p = ring.modulus
+    parts: list[dict] = [{} for _ in ring.names]
+    units, exps = ring._units, ring.exponents
+    for mono, c in f.coeffs.items():
+        for i, e in enumerate(exps(mono)):
+            if e:
+                # mono -> mono / x_i is injective, so no two terms collide
+                s = c * e % p if p else c * e
+                if s:
+                    parts[i][mono - units[i]] = s
+    return [Poly(ring, part) for part in parts]
 
 
 def partial_derivative(f: Poly, name: str) -> Poly:
     """Formal partial derivative, with coefficients in the ring
     (so d(x^2)/dx = 0 over F_2)."""
-    i = f.ring.var_index(name)
-    out = {}
-    for mono, c in f.terms.items():
-        if mono[i]:
-            m = list(mono)
-            k = m[i]
-            m[i] = k - 1
-            out[tuple(m)] = out.get(tuple(m), 0) + c * k
-    return f.ring.from_terms(out)
+    return gradient(f)[f.ring.var_index(name)]
 
 
 # -- determinants ----------------------------------------------------
@@ -465,14 +632,10 @@ def _det_cofactor(rows, ring):
     n = len(rows)
     if n == 1:
         return rows[0][0]
-    out = ring.zero()
-    for i in range(n):
-        if rows[i][0].is_zero():
-            continue
-        minor = [rows[j][1:] for j in range(n) if j != i]
-        term = rows[i][0] * _det_cofactor(minor, ring)
-        out = out + (term if i % 2 == 0 else -term)
-    return out
+    return sum_of_products(ring, (
+        (rows[i][0] if i % 2 == 0 else -rows[i][0],
+         _det_cofactor([rows[j][1:] for j in range(n) if j != i], ring))
+        for i in range(n) if not rows[i][0].is_zero()))
 
 
 def _det_bareiss(m, ring):
@@ -504,16 +667,17 @@ def exact_divide(f: Poly, g: Poly) -> Poly:
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     p = ring.modulus
-    glead = max(g.terms, key=ring.sort_key)
-    gc = g.terms[glead]
+    glead = max(g.coeffs)
+    gc = g.coeffs[glead]
     gcinv = pow(gc, -1, p) if p else None
-    q = ring.zero()
-    r = f
-    while r.terms:
-        lead = max(r.terms, key=ring.sort_key)
-        c = r.terms[lead]
-        mono = tuple(a - b for a, b in zip(lead, glead))
-        if any(e < 0 for e in mono):
+    q: dict = {}
+    r = dict(f.coeffs)
+    while r:
+        lead = max(r)
+        c = r[lead]
+        mono = lead - glead
+        # a smaller exponent borrows, which shows in a guard bit or the sign
+        if mono < 0 or mono & ring._guard:
             raise ValueError(f"non-exact division: {f} by {g}")
         if p:
             coeff = (c * gcinv) % p
@@ -521,10 +685,17 @@ def exact_divide(f: Poly, g: Poly) -> Poly:
             if c % gc:
                 raise ValueError(f"non-exact division: {f} by {g}")
             coeff = c // gc
-        t = ring.from_terms({mono: coeff})
-        q = q + t
-        r = r - t * g
-    return q
+        q[mono] = coeff
+        for b, e in g.coeffs.items():
+            m = mono + b
+            s = r.get(m, 0) - coeff * e
+            if p:
+                s %= p
+            if s:
+                r[m] = s
+            else:
+                r.pop(m, None)
+    return Poly(ring, q)
 
 
 # -- linear algebra over F_2 and F_p ---------------------------------
@@ -671,18 +842,17 @@ class GradedComponent:
             raise ValueError(f"degree {d} needs {len(self.basis)} monomials (> guard {guard})")
         self.index = {m: i for i, m in enumerate(self.basis)}
 
-    def vector(self, f: Poly, shift: tuple | None = None):
-        """Coordinates of f, or of f times the monomial `shift`."""
-        monos = f.terms if shift is None else [tuple(map(add, m, shift)) for m in f.terms]
+    def vector(self, f: Poly, shift: int = 0):
+        """Coordinates of f, or of f times the packed monomial `shift`."""
         index = self.index
         if self.modulus == 2:
             mask = 0
-            for m in monos:
-                mask |= 1 << index[m]
+            for m in f.coeffs:
+                mask |= 1 << index[m + shift]
             return mask
         v = [0] * len(self.basis)
-        for m, c in zip(monos, f.terms.values()):
-            v[index[m]] = c
+        for m, c in f.coeffs.items():
+            v[index[m + shift]] = c
         return v
 
     def poly(self, v) -> Poly:

@@ -204,19 +204,17 @@ def mu(action: WeylAction, j: int) -> Poly:
 def _variable_permutation(hom: SubstHom) -> dict | None:
     """Index map if the hom permutes variables with coefficient 1."""
     perm = {}
-    for name in hom.source.names:
+    for i, name in enumerate(hom.source.names):
         img = hom.images.get(name)
-        if img is None or len(img.terms) != 1:
+        j = None if img is None else img.variable_index()
+        if j is None:
             return None
-        ((mono, c),) = img.terms.items()
-        if c != 1 or sum(mono) != 1:
-            return None
-        perm[hom.source.var_index(name)] = mono.index(1)
+        perm[i] = j
     return perm
 
 
 def _orbit_classes(component: GradedComponent, perms: list[dict]) -> list[list[int]]:
-    basis, index = component.basis, component.index
+    basis, index, ring = component.basis, component.index, component.ring
     parent = list(range(len(basis)))
 
     def find(a):
@@ -226,12 +224,9 @@ def _orbit_classes(component: GradedComponent, perms: list[dict]) -> list[list[i
         return a
 
     for perm in perms:
+        move = ring.relabeling(ring, perm)
         for i, mono in enumerate(basis):
-            img = [0] * len(mono)
-            for k, e in enumerate(mono):
-                img[perm[k]] = e
-            j = index[tuple(img)]
-            ra, rb = find(i), find(j)
+            ra, rb = find(i), find(index[move(mono)])
             if ra != rb:
                 parent[ra] = rb
     classes: dict[int, list[int]] = {}
@@ -287,7 +282,7 @@ def brute_invariant_dimension_stacked(action: WeylAction, d: int,
             for col, mono in enumerate(basis):
                 g = hom(Poly(ring, {mono: 1}))
                 w = 0
-                for m in g.terms:
+                for m in g.coeffs:
                     w |= 1 << index[m]
                 w ^= 1 << col
                 while w:
@@ -300,7 +295,7 @@ def brute_invariant_dimension_stacked(action: WeylAction, d: int,
         block = [[0] * n for _ in range(n)]
         for col, mono in enumerate(basis):
             g = hom(Poly(ring, {mono: 1}))
-            for m, c in g.terms.items():
+            for m, c in g.coeffs.items():
                 block[index[m]][col] = (block[index[m]][col] + c) % p
             block[col][col] = (block[col][col] - 1) % p
         stacked.extend(block)
@@ -407,6 +402,15 @@ class VerifyReport:
         return self.failure is None and all(r.ok for r in self.rows)
 
 
+def check_monomial_guard(ring: PolyRing, dmax: int, guard: int = MONOMIAL_GUARD) -> None:
+    """Raise ValueError if a component of degree <= dmax has more than
+    `guard` monomials, read off the ambient Hilbert series without
+    building any basis."""
+    for d, size in enumerate(Series((1,), ring.weights).coefficients(dmax)):
+        if size > guard:
+            raise ValueError(f"degree {d} needs {size} monomials (> guard {guard})")
+
+
 def verify_presentation(action: WeylAction, cp: ClaimedPresentation, dmax: int,
                         guard: int = MONOMIAL_GUARD) -> VerifyReport:
     """Per degree d <= dmax, compare three integers: the brute-force
@@ -416,9 +420,7 @@ def verify_presentation(action: WeylAction, cp: ClaimedPresentation, dmax: int,
     minimal generators, which generate the same group as the full list.
     The monomial guard is checked on every degree before any work."""
     ring = action.ring
-    for d, size in enumerate(Series((1,), ring.weights).coefficients(dmax)):
-        if size > guard:
-            raise ValueError(f"degree {d} needs {size} monomials (> guard {guard})")
+    check_monomial_guard(ring, dmax, guard)
     label = action.label
     for gname, value in zip(cp.names, cp.values):
         for hname, hom in action.minimal_generators:
@@ -440,7 +442,7 @@ def verify_presentation(action: WeylAction, cp: ClaimedPresentation, dmax: int,
         vectors = []
         for expo in products.monomials_of_degree(d):
             f = ring.one()
-            for i, k in enumerate(expo):
+            for i, k in enumerate(products.exponents(expo)):
                 if k:
                     f = f * value_power(i, k)
             vectors.append(comp.vector(f))
@@ -456,7 +458,7 @@ def lemma_inv2_check(ring: PolyRing, a: Poly, x: str, dmax: int) -> VerifyReport
     xi = ring.var_index(x)
     if a.is_zero():
         raise ValueError("a = 0 makes the action trivial; lemma hypothesis violated")
-    if any(mono[xi] for mono in a.terms):
+    if any(ring.exponents(m)[xi] for m in a.coeffs):
         raise ValueError(f"a must lie in the base ring (no {x})")
     if not a.is_homogeneous() or a.degree() != ring.weights[xi]:
         raise ValueError(f"a must be homogeneous of the weight of {x}")

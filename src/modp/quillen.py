@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .charclass import Generator, GradedPresentation, _transport
-from .exactalg import Poly, PolyRing
+from .exactalg import Poly, PolyRing, SubstHom, sum_of_products
 from .groupdata import Series, _conv, one_minus_q_power
 
 
@@ -34,8 +34,7 @@ class SWRing:
         lo = 2 if so else 1
         self.ring = PolyRing([f"w{i}" for i in range(lo, n + 1)],
                              list(range(lo, n + 1)), 2)
-        self._total_sq: dict[str, Poly] = {}
-        self._var_powers: dict[tuple[str, int], Poly] = {}
+        self._square: SubstHom | None = None
 
     def w(self, m: int) -> Poly:
         """w_m as an element: w_0 = 1, and w_m = 0 above n (or m = 1 in
@@ -50,40 +49,21 @@ class SWRing:
         """Wu's formula: Sq^i w_j = sum_l C(j-l-1, i-l) w_l w_{i+j-l}."""
         if not 0 <= i <= j:
             return self.ring.zero()
-        out = self.ring.zero()
-        for l in range(i + 1):
-            if binom_mod2(j - l - 1, i - l):
-                out = out + self.w(l) * self.w(i + j - l)
-        return out
-
-    def _total_square_of_var(self, name: str) -> Poly:
-        if name not in self._total_sq:
-            j = int(name[1:])
-            total = self.ring.zero()
-            for i in range(j + 1):
-                total = total + self.sq_on_generator(i, j)
-            self._total_sq[name] = total
-        return self._total_sq[name]
-
-    def _total_square_power(self, name: str, e: int) -> Poly:
-        key = (name, e)
-        if key not in self._var_powers:
-            base = self._total_square_of_var(name)
-            prev = self._total_square_power(name, e - 1) if e > 1 else self.ring.one()
-            self._var_powers[key] = prev * base
-        return self._var_powers[key]
+        return sum_of_products(self.ring, [(self.w(l), self.w(i + j - l)) for l in range(i + 1)
+                                           if binom_mod2(j - l - 1, i - l)])
 
     def total_sq(self, f: Poly) -> Poly:
-        """The total square Sq = sum_i Sq^i, extended multiplicatively."""
+        """The total square Sq = sum_i Sq^i, a ring endomorphism by the
+        Cartan formula: the substitution w_j -> sum_i Sq^i w_j.  The
+        substitution and its memo of powers are built on first use and
+        written once."""
         self.ring.check_same(f.ring)
-        out = self.ring.zero()
-        for mono, _ in f.terms.items():
-            term = self.ring.one()
-            for idx, e in enumerate(mono):
-                if e:
-                    term = term * self._total_square_power(self.ring.names[idx], e)
-            out = out + term
-        return out
+        if self._square is None:
+            self._square = SubstHom(self.ring, self.ring, {
+                name: sum_of_products(self.ring, [
+                    (self.sq_on_generator(i, j),) for i in range(j + 1)])
+                for name, j in zip(self.ring.names, self.ring.weights)})
+        return self._square.apply(f)
 
     def sq(self, i: int, f: Poly) -> Poly:
         """Sq^i f for homogeneous f (degree component deg f + i of the
@@ -137,7 +117,9 @@ class QuillenPresentation:
         return Series(num, den, truncation)
 
 
-@lru_cache(maxsize=None)
+# The memos below are bounded; each holds far more entries (one per n, or
+# per (n, degree)) than a sweep over every degree of interest fills.
+@lru_cache(maxsize=32)
 def quillen_presentation(n: int) -> QuillenPresentation:
     """H*(BSpin(n); F_2) = k[w_2..w_n]/J tensor k[w_{2^h}], J generated by
     the iterated squares of w_2."""
@@ -148,7 +130,7 @@ def quillen_presentation(n: int) -> QuillenPresentation:
     return QuillenPresentation(n, h, sw, theta_sequence(n, sw), 1 << h)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _ideal_presentation(n: int) -> GradedPresentation:
     """k[w_2..w_n, z]/(theta_i), z standing for the extra generator: the
     same ring as H*(BSpin(n); F_2) when the thetas form a regular
@@ -161,7 +143,7 @@ def _ideal_presentation(n: int) -> GradedPresentation:
     return pres
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def quillen_dim(n: int, d: int, guard: int = 200_000) -> int:
     """Coefficient of q^d, computed both from the complete-intersection
     series and by exact linear algebra on the ideal component; a mismatch

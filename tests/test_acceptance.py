@@ -94,7 +94,7 @@ def _random_uclass(rng, pres, trunc):
     ring = pres.ring
     comps = [ring.one()]
     for m in range(1, trunc + 1):
-        terms = {mono: 1 for mono in ring.monomials_of_degree(m)
+        terms = {ring.exponents(mono): 1 for mono in ring.monomials_of_degree(m)
                  if rng.random() < 0.35}
         comps.append(ring.from_terms(terms))
     return UClass(pres, comps)
@@ -132,9 +132,11 @@ def test_criterion_06_bockstein_identities():
     ring = beta.ring
     failures = 0
     for _ in range(1000):
-        fa = ring.from_terms({m: 1 for m in ring.monomials_of_degree(rng.randrange(1, 6))
+        fa = ring.from_terms({ring.exponents(m): 1
+                              for m in ring.monomials_of_degree(rng.randrange(1, 6))
                               if rng.random() < 0.3})
-        fb = ring.from_terms({m: 1 for m in ring.monomials_of_degree(rng.randrange(1, 6))
+        fb = ring.from_terms({ring.exponents(m): 1
+                              for m in ring.monomials_of_degree(rng.randrange(1, 6))
                               if rng.random() < 0.3})
         if beta(fa * fb) != beta(fa) * fb + fa * beta(fb):
             failures += 1

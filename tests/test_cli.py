@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -172,3 +173,70 @@ def test_route_mismatch_exits_1(capsys, tmp_path, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "modp: spin-compare failed: series 26 != linear algebra 27\n"
+
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_json_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"][:3]))
+def test_json_bytes_match_golden(case, capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("MODP_CACHE_DIR", str(tmp_path))
+    code, out = run_cli(capsys, *case["argv"])
+    assert code == 0
+    assert out == case["stdout"]
+
+
+@pytest.mark.parametrize("argv", [
+    "invariants --n 13 --max-degree 40",
+    "invariants --group nakajima --r 8 --max-degree 40",
+    "invariants --group classical --family B --rank 8 --p 3 --max-degree 40",
+])
+def test_guard_trips_before_the_claim_is_built(argv, capsys, tmp_path, monkeypatch):
+    import modp.invariants
+
+    def never(*args):
+        raise AssertionError("claim built before the monomial guard")
+
+    for builder in ("spin_claimed", "nakajima_claimed", "classical_claimed"):
+        monkeypatch.setattr(modp.invariants, builder, never)
+    monkeypatch.setenv("MODP_CACHE_DIR", str(tmp_path))
+    with pytest.raises(SystemExit) as err:
+        main(argv.split())
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("modp: error: degree ")
+    if argv == "invariants --n 13 --max-degree 40":
+        assert captured.err == "modp: error: degree 27 needs 201376 monomials (> guard 200000)\n"
+
+
+def test_cache_misses_when_the_source_changes(capsys, tmp_path, monkeypatch):
+    import modp.cli
+    import modp.quillen
+
+    monkeypatch.setenv("MODP_CACHE_DIR", str(tmp_path))
+    argv = ("quillen", "--n", "11", "--dims", "0..8", "--json")
+    code, cold = run_cli(capsys, *argv)
+    assert code == 0
+    (old_entry,) = tmp_path.glob("*.json")
+    calls = []
+    original = modp.quillen.quillen_presentation
+
+    def counted(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(modp.quillen, "quillen_presentation", counted)
+    assert run_cli(capsys, *argv) == (0, cold)
+    assert calls == []  # warm: served from the entry
+    monkeypatch.setattr(modp.cli, "source_digest", lambda: "0" * 64)
+    # an entry under the new key that was written by other code is stale
+    key = modp.cli.ResultCache(tmp_path)._key("quillen", {"n": 11, "dims": list(range(9))})
+    new_path = tmp_path / f"{key}.json"
+    new_path.write_text(old_entry.read_text())
+    assert run_cli(capsys, *argv) == (0, cold)
+    assert calls == [11]
+    assert json.loads(new_path.read_text())["source"] == "0" * 64
+    assert run_cli(capsys, *argv) == (0, cold)
+    assert calls == [11]

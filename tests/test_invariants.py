@@ -216,7 +216,7 @@ def test_eps1_degree2_kernel_cross_check():
     ring = a.ring
     basis = ring.monomials_of_degree(2)
     hom = a.generators[0][1]
-    index = {m: i for i, m in enumerate(basis)}
+    index = {ring.exponents(m): i for i, m in enumerate(basis)}
     rows = {}
     for col, mono in enumerate(basis):
         from modp.exactalg import Poly
