@@ -23,8 +23,6 @@ from .exactalg import (
 )
 from .groupdata import Series, _conv, one_minus_q_power
 
-DIM_GUARD = 200_000
-
 
 @dataclass(frozen=True)
 class Generator:
@@ -95,13 +93,13 @@ class GradedPresentation:
                 rels.append(self.ring.var(g.name) ** 2)
         return rels
 
-    def dim_degree(self, d: int, guard: int = DIM_GUARD) -> int:
+    def dim_degree(self, d: int) -> int:
         """Exact dimension of the degree-d component of the quotient:
         count of ambient monomials minus the rank of all relation
         multiples in that degree."""
         if d < 0:
             return 0
-        comp = GradedComponent(self.ring, d, guard=guard)
+        comp = GradedComponent(self.ring, d)
         rows = [comp.vector(rel, shift=mono) for rel in self._all_relations()
                 for mono in self.ring.monomials_of_degree(d - rel.degree())]
         return len(comp.basis) - comp.rank(rows)
@@ -125,17 +123,18 @@ class GradedPresentation:
 
 # -- the cataloged rings ----------------------------------------------
 
+def _u_generators(n: int) -> list[Generator]:
+    """u_2, ..., u_n with u_2a in Hodge bidegree (a, a) and u_2a+1 in
+    (a+1, a)."""
+    return [Generator(f"u{m}", m, (m - m // 2, m // 2)) for m in range(2, n + 1)]
+
+
 def bso_presentation(n: int) -> GradedPresentation:
     """k[u_2, ..., u_n] with u_2a in Hodge bidegree (a, a) and u_2a+1 in
     (a+1, a)."""
     if n < 2:
         raise ValueError("need n >= 2")
-    gens = []
-    for m in range(2, n + 1):
-        a = m // 2
-        bide = (a, a) if m % 2 == 0 else (a + 1, a)
-        gens.append(Generator(f"u{m}", m, bide))
-    return GradedPresentation(gens)
+    return GradedPresentation(_u_generators(n))
 
 
 def bo_presentation(n: int) -> GradedPresentation:
@@ -144,18 +143,9 @@ def bo_presentation(n: int) -> GradedPresentation:
     if n < 1:
         raise ValueError("need n >= 1")
     if n % 2 == 0:
-        gens = [Generator("u1", 1, (1, 0))]
-        for m in range(2, n + 1):
-            a = m // 2
-            bide = (a, a) if m % 2 == 0 else (a + 1, a)
-            gens.append(Generator(f"u{m}", m, bide))
-        return GradedPresentation(gens)
-    gens = [Generator("v1", 1, (0, 1), square_zero=True), Generator("c1", 2, (1, 1))]
-    for m in range(2, n + 1):
-        a = m // 2
-        bide = (a, a) if m % 2 == 0 else (a + 1, a)
-        gens.append(Generator(f"u{m}", m, bide))
-    return GradedPresentation(gens)
+        return GradedPresentation([Generator("u1", 1, (1, 0))] + _u_generators(n))
+    return GradedPresentation([Generator("v1", 1, (0, 1), square_zero=True),
+                               Generator("c1", 2, (1, 1))] + _u_generators(n))
 
 
 def bmu_p_presentation(c_name: str = "c1", v_name: str = "v1",
@@ -321,10 +311,7 @@ def restriction_bso_to_bo2r(n: int) -> RestrictionHom:
     images = {}
     if n % 2 == 0:
         source = bo_presentation(n)
-        s_total = target.zero()
-        for s in svars:
-            s_total = s_total + s
-        images["u1"] = s_total
+        images["u1"] = elementary_symmetric_of(target, 1, svars)
         for a in range(1, r + 1):
             images[f"u{2 * a}"] = elementary_symmetric(target, a, ts)
         for a in range(1, r):
@@ -353,9 +340,7 @@ def collapse_to_K(r: int) -> SubstHom:
     rewritten through the linear relation."""
     source = bo2_power_ring(r)
     target = k_target_ring(r)
-    t_last = target.zero()
-    for i in range(1, r):
-        t_last = t_last + target.var(f"t{i}")
+    t_last = elementary_symmetric_of(target, 1, [target.var(f"t{i}") for i in range(1, r)])
     images = {}
     for i in range(1, r + 1):
         images[f"s{i}"] = target.var("s")
@@ -372,10 +357,7 @@ def restriction_to_K(n: int) -> RestrictionHom:
     source = bso_presentation(n)
     target = k_target_ring(r)
     ts = [target.var(f"t{i}") for i in range(1, r)]
-    t_last = target.zero()
-    for t in ts:
-        t_last = t_last + t
-    all_t = ts + [t_last]
+    all_t = ts + [elementary_symmetric_of(target, 1, ts)]
     s = target.var("s")
     images = {}
     for a in range(1, r + 1):
@@ -467,9 +449,7 @@ def jacobian_certificate(r: int, variant: str = "O") -> JacobianReport:
     mid = rest.hom.target
     ring = PolyRing([f"x{i}" for i in range(1, r)] + [f"t{i}" for i in range(1, r + 1)],
                     [1] * (r - 1) + [2] * r, 2)
-    x_last = ring.zero()
-    for i in range(1, r):
-        x_last = x_last + ring.var(f"x{i}")
+    x_last = elementary_symmetric_of(ring, 1, [ring.var(f"x{i}") for i in range(1, r)])
     to_bh = SubstHom(mid, ring, dict(
         {f"s{i}": ring.var(f"x{i}") for i in range(1, r)},
         **{f"s{r}": x_last},

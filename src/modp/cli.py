@@ -16,8 +16,9 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .exactalg import PolyRing
+from .exactalg import PolyRing, check_monomial_guard
 from .groupdata import (
+    _EXCEPTIONAL_RANK,
     GroupSpec,
     flag_poincare,
     fundamental_degrees,
@@ -125,17 +126,10 @@ def group_payload(g: GroupSpec) -> dict:
 def _group_from_args(args) -> GroupSpec:
     rank = args.rank
     if rank is None:
-        implied = {"G2": 2, "F4": 4, "E6": 6, "E7": 7, "E8": 8}
-        if args.family not in implied:
-            raise SystemExit2(f"--rank is required for family {args.family}")
-        rank = implied[args.family]
+        if args.family not in _EXCEPTIONAL_RANK:
+            raise ValueError(f"--rank is required for family {args.family}")
+        rank = _EXCEPTIONAL_RANK[args.family]
     return GroupSpec(args.family, rank)
-
-
-class SystemExit2(SystemExit):
-    def __init__(self, message: str):
-        print(f"modp: error: {message}", file=sys.stderr)
-        super().__init__(2)
 
 
 # -- subcommands -------------------------------------------------------
@@ -222,24 +216,24 @@ def cmd_invariants(args) -> int:
     def compute() -> dict:
         if args.group == "spin":
             if args.n is None:
-                raise SystemExit2("--group spin needs --n")
+                raise ValueError("--group spin needs --n")
             action = invariants.spin_action(args.n, args.p)
             claim = functools.partial(invariants.spin_claimed, action, args.n)
         elif args.group == "nakajima":
             if args.r is None:
-                raise SystemExit2("--group nakajima needs --r")
+                raise ValueError("--group nakajima needs --r")
             action = invariants.symmetric_quotient_action(args.r, args.p)
             claim = functools.partial(invariants.nakajima_claimed, action)
         elif args.group == "classical":
             if args.family is None or args.rank is None:
-                raise SystemExit2("--group classical needs --family and --rank")
+                raise ValueError("--group classical needs --family and --rank")
             action = invariants.classical_action(args.family, args.rank, args.p)
             claim = functools.partial(invariants.classical_claimed, action,
                                       args.family, args.rank, args.p)
         else:
-            raise SystemExit2(f"unknown group kind {args.group}")
+            raise ValueError(f"unknown group kind {args.group}")
         # the guard needs only the ring; building a claim can take seconds
-        invariants.check_monomial_guard(action.ring, dmax)
+        check_monomial_guard(action.ring, range(dmax + 1))
         return _report_payload(invariants.verify_presentation(action, claim(), dmax))
 
     payload = _cache(args).roundtrip("invariants", params, compute)
@@ -267,7 +261,7 @@ _RING_BUILDERS = {
 
 def cmd_ring(args) -> int:
     if args.name in ("bso", "bo") and args.n is None:
-        raise SystemExit2(f"--name {args.name} needs --n")
+        raise ValueError(f"--name {args.name} needs --n")
     pres = _RING_BUILDERS[args.name](args)
     series = pres.series().coefficients(args.series_to)
     payload = dict(pres.to_json(), series=series)
@@ -298,7 +292,7 @@ def cmd_whitney(args) -> int:
             if "ring" not in f_doc else _uclass_from_json(f_doc)
         total = charclass.whitney_sum(e, f)
     except (ValueError, KeyError) as err:
-        raise SystemExit2(f"bad u-class input: {err}")
+        raise ValueError(f"bad u-class input: {err}") from None
     payload = {"ring": {"vars": list(total.presentation.ring.names),
                         "weights": list(total.presentation.ring.weights)},
                "components": [str(c) for c in total.components]}
@@ -351,6 +345,8 @@ def cmd_quillen(args) -> int:
 
     def compute() -> dict:
         qp = quillen.quillen_presentation(args.n)
+        # every requested component is counted before any is computed
+        check_monomial_guard(quillen._ideal_presentation(args.n).ring, dims)
         return {"n": args.n, "h": qp.h,
                 "theta_degrees": [t.degree() for t in qp.thetas],
                 "extra_degree": qp.extra_degree,
@@ -520,7 +516,8 @@ def main(argv=None) -> int:
     try:
         code = args.fn(args)
     except ValueError as err:
-        raise SystemExit2(str(err)) from None
+        print(f"modp: error: {err}", file=sys.stderr)
+        sys.exit(2)
     except RuntimeError as err:
         print(f"modp: {args.command} failed: {err}", file=sys.stderr)
         return 1

@@ -18,6 +18,9 @@ from typing import Callable, Iterable, Sequence
 FIELD_BITS = 8
 EXPONENT_LIMIT = 1 << (FIELD_BITS - 1)
 
+# The largest graded component any basis walk may build.
+MONOMIAL_GUARD = 200_000
+
 
 class RingMismatchError(ValueError):
     pass
@@ -70,7 +73,7 @@ class PolyRing:
         # below this packed degree no product can fill an exponent field
         self._safe = (EXPONENT_LIMIT * min(weights, default=1)) << self._shift
         self._basis_cache: dict = {}
-        self._reach_cache: dict = {}
+        self._count_cache: tuple | None = None
 
     # -- construction ------------------------------------------------
 
@@ -157,16 +160,17 @@ class PolyRing:
 
     # -- grading -----------------------------------------------------
 
-    def monomials_of_degree(self, d: int, skip: frozenset = frozenset()) -> list[int]:
+    def monomials_of_degree(self, d: int) -> list[int]:
         """All packed monomials of weighted degree d, in descending monomial
-        order.  Variables in `skip` are held at exponent zero."""
-        key = (d, skip)
-        basis = self._basis_cache.get(key)
+        order.  A component of more than MONOMIAL_GUARD monomials is
+        refused before any of them is built."""
+        basis = self._basis_cache.get(d)
         if basis is None:
-            basis = self._basis_cache[key] = self._enumerate(d, skip)
+            check_monomial_guard(self, (d,))
+            basis = self._basis_cache[d] = self._enumerate(d)
         return basis
 
-    def _enumerate(self, d: int, skip: frozenset) -> list[int]:
+    def _enumerate(self, d: int) -> list[int]:
         """Walk the variables in order, each exponent descending, keeping
         only the choices whose remaining degree the later variables can
         still reach; the walk meets every monomial once, in order.  A
@@ -174,21 +178,20 @@ class PolyRing:
         so choosing exponent e of a variable is one integer addition."""
         if d < 0:
             return []
-        active = tuple(i for i, name in enumerate(self.names) if name not in skip)
-        reach = self._reachable(active, d)
-        if not (reach[0] >> d) & 1:
+        counts = self._count_table(d)
+        if not counts[0][d]:
             return []
         shift = self._shift
         states = [d << shift]
-        for k, i in enumerate(active):
-            w, off, after = self.weights[i], self._offsets[i], reach[k + 1]
+        for i, (w, off) in enumerate(zip(self.weights, self._offsets)):
+            after = counts[i + 1]
             steps: dict[int, list[int]] = {}
             nxt: list[int] = []
             for s in states:
                 rem = s >> shift
                 step = steps.get(rem)
                 if step is None:
-                    es = [e for e in range(rem // w, -1, -1) if (after >> (rem - e * w)) & 1]
+                    es = [e for e in range(rem // w, -1, -1) if after[rem - e * w]]
                     if es and es[0] >= EXPONENT_LIMIT:
                         raise ValueError(f"degree {d} needs exponent {es[0]} of "
                                          f"{self.names[i]}, above {EXPONENT_LIMIT - 1}")
@@ -198,22 +201,24 @@ class PolyRing:
         top = d << shift
         return [s + top for s in states]
 
-    def _reachable(self, active: tuple, d: int) -> list[int]:
-        """reach[k]: bitset of the degrees <= some limit >= d that the
-        variables active[k:] can make (reach[len(active)] = {0})."""
-        cached = self._reach_cache.get(active)
+    def _count_table(self, d: int) -> list[list[int]]:
+        """counts[k][e]: the number of monomials of degree e in the
+        variables k, k+1, ..., for every e up to some limit >= d
+        (counts[n] holds only the monomial 1).  A nonzero entry is the
+        reachability test of the basis walk, and counts[0][e] is the size
+        of the degree-e component.  The table is replaced, never changed,
+        when a larger degree is asked for."""
+        cached = self._count_cache
         if cached is None or cached[0] < d:
             limit = max(d, 2 * cached[0] if cached else 64)
-            mask = (1 << (limit + 1)) - 1
-            reach = [1]
-            for i in reversed(active):
-                r, step = reach[-1], self.weights[i]
-                while step <= limit:
-                    r |= (r << step) & mask
-                    step *= 2
-                reach.append(r)
-            reach.reverse()
-            self._reach_cache[active] = cached = (limit, reach)
+            counts = [[1] + [0] * limit]
+            for w in reversed(self.weights):
+                row = list(counts[-1])
+                for e in range(w, limit + 1):
+                    row[e] += row[e - w]
+                counts.append(row)
+            counts.reverse()
+            self._count_cache = cached = (limit, counts)
         return cached[1]
 
     # -- misc --------------------------------------------------------
@@ -266,6 +271,16 @@ class PolyRing:
             m = self.monomial(mono)
             acc[m] = acc.get(m, 0) + sgn * coeff
         return Poly(self, _reduced(self, acc))
+
+
+def check_monomial_guard(ring: PolyRing, degrees: Iterable[int]) -> None:
+    """Raise ValueError on the first of the degrees whose component of
+    `ring` has more than MONOMIAL_GUARD monomials, counted from the count
+    table without building any basis."""
+    for d in degrees:
+        size = ring._count_table(d)[0][d] if d >= 0 else 0
+        if size > MONOMIAL_GUARD:
+            raise ValueError(f"degree {d} needs {size} monomials (> guard {MONOMIAL_GUARD})")
 
 
 def _split_terms(text: str):
@@ -829,17 +844,14 @@ class GradedComponent:
 
     This is the one place that knows how component vectors are stored:
     over F_2 a vector is a bitmask (bit i is basis[i]), over odd p a dense
-    coefficient list.  A component with more than `guard` monomials is
-    refused before its index is built."""
+    coefficient list."""
 
-    def __init__(self, ring: PolyRing, d: int, guard: int | None = None):
+    def __init__(self, ring: PolyRing, d: int):
         if not ring.modulus:
             raise ValueError(f"graded components need a prime field, not {ring}")
         self.ring = ring
         self.modulus = ring.modulus
         self.basis = ring.monomials_of_degree(d)
-        if guard is not None and len(self.basis) > guard:
-            raise ValueError(f"degree {d} needs {len(self.basis)} monomials (> guard {guard})")
         self.index = {m: i for i, m in enumerate(self.basis)}
 
     def vector(self, f: Poly, shift: int = 0):

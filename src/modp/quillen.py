@@ -144,12 +144,12 @@ def _ideal_presentation(n: int) -> GradedPresentation:
 
 
 @lru_cache(maxsize=1024)
-def quillen_dim(n: int, d: int, guard: int = 200_000) -> int:
+def quillen_dim(n: int, d: int) -> int:
     """Coefficient of q^d, computed both from the complete-intersection
     series and by exact linear algebra on the ideal component; a mismatch
     would falsify regularity at desk scale and raises."""
     from_series = quillen_presentation(n).series().coefficient(d)
-    from_linear_algebra = _ideal_presentation(n).dim_degree(d, guard)
+    from_linear_algebra = _ideal_presentation(n).dim_degree(d)
     if from_series != from_linear_algebra:
         raise RuntimeError(
             f"regularity check failed for n={n}, d={d}: series {from_series} "

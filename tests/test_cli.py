@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -121,11 +122,13 @@ def test_jacobian_csv_and_flag(capsys, tmp_path, monkeypatch):
 
 
 def test_console_script_entry_point(tmp_path):
+    env = {"PATH": "/usr/bin:/bin", "MODP_CACHE_DIR": str(tmp_path),
+           "PYTHONPATH": ":".join(sys.path)}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
     proc = subprocess.run(
         [sys.executable, "-m", "modp.cli", "degrees", "--family", "G2"],
-        capture_output=True, text=True,
-        env={"PATH": "/usr/bin:/bin", "MODP_CACHE_DIR": str(tmp_path),
-             "PYTHONPATH": ":".join(sys.path)})
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2 6"
 
@@ -159,6 +162,32 @@ def test_precondition_errors_exit_2(argv, capsys, tmp_path, monkeypatch):
     assert captured.err.startswith("modp: error: ")
     assert "Traceback" not in captured.err
     assert not list(tmp_path.glob("*.json"))
+
+
+@pytest.mark.parametrize("dims, degree, size", [
+    ("120", 120, 2902117),
+    ("0..120", 82, 207624),
+])
+def test_quillen_guard_trips_before_any_basis_walk(dims, degree, size, capsys, tmp_path,
+                                                   monkeypatch):
+    from modp.exactalg import PolyRing
+
+    def never(self, d):
+        raise AssertionError(f"basis of degree {d} walked before the monomial guard")
+
+    monkeypatch.setattr(PolyRing, "_enumerate", never)
+    monkeypatch.setenv("MODP_CACHE_DIR", str(tmp_path))
+    with pytest.raises(SystemExit) as err:
+        main(["quillen", "--n", "11", "--dims", dims])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"modp: error: degree {degree} needs {size} monomials (> guard 200000)\n"
+
+
+def test_selftest_passes(capsys):
+    assert main(["selftest"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "9/9 selftests passed"
 
 
 def test_route_mismatch_exits_1(capsys, tmp_path, monkeypatch):

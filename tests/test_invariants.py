@@ -116,10 +116,12 @@ def test_brute_dimension_basics():
     assert brute_invariant_dimension(b3, 3) == 3
 
 
-def test_brute_dimension_guard():
+def test_brute_dimension_guard(monkeypatch):
+    import modp.exactalg
+    monkeypatch.setattr(modp.exactalg, "MONOMIAL_GUARD", 10)
     a = spin_action(7)
     with pytest.raises(ValueError, match="guard"):
-        brute_invariant_dimension(a, 8, guard=10)
+        brute_invariant_dimension(a, 8)
 
 
 def test_incremental_matches_stacked():
@@ -320,6 +322,16 @@ def test_lemma_inv2():
         lemma_inv2_check(ring, ring.var("x"), "x", 4)
 
 
+def test_lemma_inv2_fails_over_F3():
+    # x -> x + a has order 3 over F_3, and (x+a)(x+2a) != x(x+a)
+    ring = PolyRing(["y", "x"], modulus=3)
+    report = lemma_inv2_check(ring, ring.var("y"), "x", 6)
+    assert not report.passed
+    assert report.claimed == ["u"]
+    assert report.label == "Z/2 on F3[y,x]"
+    assert report.failure == "generator u is not invariant under sigma"
+
+
 def test_lemma_inv2_pointwise():
     # (x+a)(x+a+a) = x(x+a) and x itself moves by a
     ring = PolyRing(["a", "x"])
@@ -332,6 +344,7 @@ def test_lemma_inv2_pointwise():
 
 
 def test_verify_guard_trips_before_any_work(monkeypatch):
+    import modp.exactalg
     import modp.invariants
     calls = []
 
@@ -340,10 +353,11 @@ def test_verify_guard_trips_before_any_work(monkeypatch):
         return brute_invariant_dimension(*args, **kwargs)
 
     monkeypatch.setattr(modp.invariants, "brute_invariant_dimension", counting)
+    monkeypatch.setattr(modp.exactalg, "MONOMIAL_GUARD", 20)
     a = spin_action(7)
     # degree 5 of F_2[x1, x2, A] has 21 monomials
     with pytest.raises(ValueError, match="degree 5 needs 21 monomials"):
-        verify_presentation(a, spin_claimed(a, 7), 10, guard=20)
+        verify_presentation(a, spin_claimed(a, 7), 10)
     assert calls == []
-    assert verify_presentation(a, spin_claimed(a, 7), 4, guard=20).passed
+    assert verify_presentation(a, spin_claimed(a, 7), 4).passed
     assert len(calls) == 4

@@ -1,6 +1,7 @@
 """The packed-monomial polynomial core against a schoolbook reference on
 exponent-tuple dicts that lives here, plus the basis walk against a
-filtered itertools.product and the exponent-overflow guard."""
+filtered itertools.product and its count table, and the exponent-overflow
+guard."""
 
 import itertools
 import random
@@ -9,6 +10,7 @@ import pytest
 
 from modp.charclass import Derivation
 from modp.exactalg import PolyRing, SubstHom, partial_derivative
+from modp.quillen import quillen_presentation
 
 NAMES = ("x", "y", "z", "w")
 WEIGHTS = (1, 2, 1, 3)
@@ -114,21 +116,35 @@ def test_substitution_and_derivation_match_schoolbook(p):
         assert dict(Derivation(ring, polys)(f).terms) == want
 
 
-@pytest.mark.parametrize("skip", [frozenset(), frozenset({"y"}), frozenset({"x", "w"})])
-def test_basis_walk_matches_filtered_product(skip):
-    ring = PolyRing(NAMES, WEIGHTS, 2)
+# unit weights, weights with gaps and an odd prime; the ids stay stable so
+# that runs of this test can be compared over time
+BASIS_RINGS = [(NAMES, WEIGHTS, 2), (("a", "b"), (2, 3), 2), (("u", "v", "t"), (1, 1, 2), 3)]
+
+
+@pytest.mark.parametrize("names, weights, p", BASIS_RINGS, ids=["skip0", "skip1", "skip2"])
+def test_basis_walk_matches_filtered_product(names, weights, p):
+    ring = PolyRing(names, weights, p)
     for d in range(-1, 13):
-        ranges = [range(1) if name in skip else range(max(d, 0) // w + 1)
-                  for name, w in zip(NAMES, WEIGHTS)]
+        ranges = [range(max(d, 0) // w + 1) for w in weights]
         want = sorted((e for e in itertools.product(*ranges)
-                       if sum(a * w for a, w in zip(e, WEIGHTS)) == d), reverse=True)
-        basis = ring.monomials_of_degree(d, skip=skip)
+                       if sum(a * w for a, w in zip(e, weights)) == d), reverse=True)
+        basis = ring.monomials_of_degree(d)
         assert [ring.exponents(m) for m in basis] == want
         assert basis == sorted(basis, reverse=True)
-        assert all(m >> (8 * len(NAMES)) == d for m in basis)
+        assert all(m >> (8 * len(names)) == d for m in basis)
     # weights with gaps: no degree 1 or 5 beside the multiples of 2 and 3
     gaps = PolyRing(["a", "b"], (2, 3))
     assert [len(gaps.monomials_of_degree(d)) for d in range(8)] == [1, 0, 1, 1, 1, 1, 2, 1]
+
+
+@pytest.mark.parametrize("ring", [
+    PolyRing(["a", "b"], (2, 3)),
+    quillen_presentation(11).ambient.ring,
+], ids=["gaps", "spin11"])
+def test_count_table_counts_the_basis(ring):
+    counts = ring._count_table(40)[0]
+    assert [counts[d] for d in range(41)] == [
+        len(ring.monomials_of_degree(d)) for d in range(41)]
 
 
 def test_exponent_overflow_raises_instead_of_carrying():

@@ -108,6 +108,19 @@ def test_quillen_dims():
     assert quillen_dim(11, 32) == 26
 
 
+def test_dim_degree_over_the_guard_never_walks(monkeypatch):
+    from modp.exactalg import PolyRing
+
+    def never(self, d):
+        raise AssertionError(f"basis of degree {d} walked before the monomial guard")
+
+    monkeypatch.setattr(PolyRing, "_enumerate", never)
+    with pytest.raises(ValueError, match=r"^degree 120 needs 2902117 monomials \(> guard 2"):
+        quillen_dim(11, 120)
+    with pytest.raises(ValueError, match="degree 400 needs 763628 monomials"):
+        spin11_lower_bound_ring().dim_degree(400)
+
+
 def test_quillen_regularity_to_34():
     for n in (10, 11):
         for d in range(35):
