@@ -54,9 +54,10 @@ def source_digest() -> str:
 
 
 class ResultCache:
-    """Content-addressed JSON store keyed on (operation, parameters,
-    library version, source digest); a hit is served only when the stored
-    entry carries the same version and source digest."""
+    """JSON store with one entry per (operation, parameters).  A hit is
+    served only when the stored entry carries the library version and
+    source digest of the running code; any other entry is stale and is
+    recomputed and overwritten in place, so no entry is left behind."""
 
     def __init__(self, directory: Path, policy: str = "use"):
         self.directory = directory
@@ -64,7 +65,7 @@ class ResultCache:
         self._warned = False
 
     def _key(self, op: str, params: dict) -> str:
-        blob = json.dumps([op, params, __version__, source_digest()], sort_keys=True)
+        blob = json.dumps([op, params], sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def roundtrip(self, op: str, params: dict, compute):

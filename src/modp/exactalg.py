@@ -1,16 +1,16 @@
 """Exact sparse multivariate polynomials over F_p or Z, substitution
-homomorphisms, determinants, bit-packed linear algebra over small prime
-fields, and graded components as coordinate spaces for ranks and
-kernels."""
+homomorphisms, determinants, packed linear algebra over prime fields,
+and graded components as coordinate spaces for ranks and kernels."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 # Each exponent lives in one byte of a packed monomial.  The top bit of
 # every byte is a guard bit, so the largest exponent is 127 and a sum of
@@ -436,13 +436,6 @@ class Poly:
         shift = self.ring._shift
         return Poly(self.ring, {m: c for m, c in self.coeffs.items() if m >> shift == d})
 
-    def homogeneous_components(self) -> dict:
-        out: dict = {}
-        shift = self.ring._shift
-        for m, c in self.coeffs.items():
-            out.setdefault(m >> shift, {})[m] = c
-        return {d: Poly(self.ring, t) for d, t in sorted(out.items())}
-
     # -- text / JSON forms --------------------------------------------
 
     def __str__(self):
@@ -562,15 +555,6 @@ class SubstHom:
     def __call__(self, f: Poly) -> Poly:
         return self.apply(f)
 
-    def then(self, other: "SubstHom") -> "SubstHom":
-        """Composition: first self, then other."""
-        other.source.check_same(self.target)
-        return SubstHom(self.source, other.target,
-                        {n: other.apply(img) for n, img in self.images.items()})
-
-    def is_identity_on(self, names: Iterable[str]) -> bool:
-        return all(self.apply(self.source.var(n)) == self.target.var(n) for n in names)
-
     def __eq__(self, other):
         return (isinstance(other, SubstHom) and self.source == other.source
                 and self.target == other.target and self.images == other.images)
@@ -578,10 +562,6 @@ class SubstHom:
     def __repr__(self):
         ims = ", ".join(f"{n} -> {v}" for n, v in self.images.items())
         return f"SubstHom({ims})"
-
-
-def identity_hom(ring: PolyRing) -> SubstHom:
-    return SubstHom(ring, ring, {n: ring.var(n) for n in ring.names})
 
 
 def elementary_symmetric(ring: PolyRing, a: int, names: Sequence[str] | None = None) -> Poly:
@@ -713,232 +693,239 @@ def exact_divide(f: Poly, g: Poly) -> Poly:
     return Poly(ring, q)
 
 
-# -- linear algebra over F_2 and F_p ---------------------------------
+# -- packed linear algebra over F_p ----------------------------------
+
+class PackedField:
+    """The one vector format over F_p: coordinate i of a vector is the
+    field of `bits` bits at bit offset `bits * i` of one Python int, and
+    holds a value in 0..p-1.  Over F_2 a field is one bit and addition is
+    XOR.  Over odd p a field has p.bit_length() + 1 bits, one more than a
+    coordinate needs, so the sum of two coordinates never carries into
+    the next field (FpMatrix reduces it).
+
+    A matrix is a list of packed rows, and its kernel is the space of row
+    combinations that vanish; `matrix(rows, cols)` is the F2Matrix or
+    FpMatrix of rows over this field."""
+
+    def __init__(self, p: int):
+        self.p = p
+        self.bits = 1 if p == 2 else p.bit_length() + 1
+        self.matrix = F2Matrix if p == 2 else functools.partial(FpMatrix, p=p)
+
+    def pack(self, coords: Iterable[tuple[int, int]]) -> int:
+        """The vector with the given (position, coefficient) pairs, each
+        position once and each coefficient in 0..p-1."""
+        b, v = self.bits, 0
+        for i, c in coords:
+            v |= c << (i * b)
+        return v
+
+    def unpack(self, v: int) -> Iterator[tuple[int, int]]:
+        """The (position, coefficient) pairs of the nonzero coordinates of
+        v, highest position first."""
+        b = self.bits
+        while v:
+            i = (v.bit_length() - 1) // b
+            c = v >> (i * b)
+            yield i, c
+            v ^= c << (i * b)
+
+
+def _tagged(rows: list[int], tags: Sequence[int] | None, bits: int) -> tuple[list[int], int]:
+    """Each row shifted above its tag and joined to it, and the number of
+    fields the tags take.  Tag i defaults to the unit vector at position
+    i, so the tag part of a combination of rows holds its coefficients."""
+    if tags is None:
+        tags = [1 << (i * bits) for i in range(len(rows))]
+    low = -(-max((t.bit_length() for t in tags), default=0) // bits)
+    return [(r << (low * bits)) | t for r, t in zip(rows, tags, strict=True)], low
+
+
+def _transpose(field: PackedField, rows: Sequence[int], cols: int) -> list[int]:
+    """The columns of packed rows, packed as rows."""
+    out = [0] * cols
+    for i, row in enumerate(rows):
+        for j, c in field.unpack(row):
+            out[j] |= c << (i * field.bits)
+    return out
+
 
 class F2Matrix:
-    """Rows bit-packed into Python ints; bit j of a row is column j."""
+    """Packed rows over F_2: bit j of a row is column j."""
 
     def __init__(self, rows: Iterable[int], cols: int):
         self.rows = list(rows)
         self.cols = cols
 
     def rank(self) -> int:
-        return len(_f2_pivot_rows(self.rows))
+        return len(_f2_pivot_rows(self.rows)[0])
 
     def rank_by_columns(self) -> int:
         """Rank of the transpose; must agree with rank()."""
-        return self.transpose().rank()
-
-    def transpose(self) -> "F2Matrix":
-        out = [0] * self.cols
-        for i, row in enumerate(self.rows):
-            r = row
-            while r:
-                j = r.bit_length() - 1
-                out[j] |= 1 << i
-                r ^= 1 << j
-        return F2Matrix(out, len(self.rows))
+        return F2Matrix(_transpose(PackedField(2), self.rows, self.cols), len(self.rows)).rank()
 
     def kernel_dimension(self) -> int:
-        return self.cols - self.rank()
+        return len(self.rows) - self.rank()
 
-    def kernel_basis(self) -> list[int]:
-        return f2_kernel_basis(self.rows, self.cols)
+    def kernel_basis(self, tags: Sequence[int] | None = None) -> list[int]:
+        return f2_kernel_basis(self.rows, tags=tags)
 
 
-def _f2_pivot_rows(rows: Iterable[int]) -> dict:
-    """Forward elimination; returns {pivot column: reduced row}."""
+def _f2_pivot_rows(rows: Iterable[int], low: int = 0) -> tuple[dict, list[int]]:
+    """Forward elimination over F_2 on the bits from `low` up: returns
+    ({pivot bit: row}, [every other row, reduced until its bits from
+    `low` up cancel])."""
     pivots: dict[int, int] = {}
+    rest = []
     for row in rows:
-        while row:
-            lead = row.bit_length() - 1
-            if lead in pivots:
-                row ^= pivots[lead]
-            else:
+        lead = row.bit_length() - 1
+        while lead >= low:
+            pivot = pivots.get(lead)
+            if pivot is None:
                 pivots[lead] = row
                 break
-    return pivots
+            row ^= pivot
+            lead = row.bit_length() - 1
+        else:
+            rest.append(row)
+    return pivots, rest
 
 
-def f2_kernel_basis(rows: Iterable[int], cols: int) -> list[int]:
-    """Basis of {v : M v = 0} as bitmasks over the column index."""
-    pivots = _f2_pivot_rows(rows)
-    # back-substitute to reduced echelon form
-    for lead in sorted(pivots, reverse=True):
-        row = pivots[lead]
-        for other in pivots:
-            if other != lead and (pivots[other] >> lead) & 1:
-                pivots[other] ^= row
-    pivot_cols = set(pivots)
-    basis = []
-    for free in range(cols):
-        if free in pivot_cols:
-            continue
-        v = 1 << free
-        for lead, row in pivots.items():
-            if (row >> free) & 1:
-                v |= 1 << lead
-        basis.append(v)
-    return basis
+def f2_kernel_basis(rows: Iterable[int], tags: Sequence[int] | None = None) -> list[int]:
+    """A basis of the combinations of the rows that vanish over F_2: bit i
+    of a combination is the coefficient of row i.  Given `tags`, each
+    combination is returned as the same combination of the tags, which
+    is again a basis when the tags are independent."""
+    rows, low = _tagged(list(rows), tags, 1)
+    return _f2_pivot_rows(rows, low)[1]
 
 
 class FpMatrix:
-    """Dense rows with entries mod an odd prime p (p = 2 also works but
-    F2Matrix is the packed fast path)."""
+    """Packed rows over an odd prime p in the format of PackedField(p):
+    field j of a row is column j.  Row operations act on whole rows at
+    once (SWAR).  An addition adds the two ints, then subtracts p from
+    every field that reached p: adding 2^(b-1) - p to each field sets its
+    spare top bit exactly there.  Scaling by c is double-and-add."""
 
-    def __init__(self, rows: Sequence[Sequence[int]], cols: int, p: int):
-        self.rows = [list(r) for r in rows]
+    def __init__(self, rows: Iterable[int], cols: int, p: int):
+        self.rows = list(rows)
         self.cols = cols
         self.p = p
+        self.field = PackedField(p)
 
     def rank(self) -> int:
-        return self.cols - len(self.kernel_basis())
+        return len(self._eliminate(self.rows, 0)[0])
 
     def rank_by_columns(self) -> int:
-        t = [[self.rows[i][j] for i in range(len(self.rows))] for j in range(self.cols)]
-        return FpMatrix(t, len(self.rows), self.p).rank()
+        """Rank of the transpose; must agree with rank()."""
+        return FpMatrix(_transpose(self.field, self.rows, self.cols), len(self.rows),
+                        self.p).rank()
 
     def kernel_dimension(self) -> int:
-        return len(self.kernel_basis())
+        return len(self.rows) - self.rank()
 
-    def kernel_basis(self) -> list[list[int]]:
-        p = self.p
-        m = [row[:] for row in self.rows]
-        pivots: dict[int, list[int]] = {}
-        for row in m:
-            for col in range(self.cols):
-                if row[col] % p == 0:
-                    continue
-                if col in pivots:
-                    piv = pivots[col]
-                    f = (row[col] * pow(piv[col], -1, p)) % p
-                    for j in range(col, self.cols):
-                        row[j] = (row[j] - f * piv[j]) % p
-                else:
-                    inv = pow(row[col], -1, p)
-                    row[:] = [(v * inv) % p for v in row]
-                    pivots[col] = row
+    def kernel_basis(self, tags: Sequence[int] | None = None) -> list[int]:
+        """As f2_kernel_basis: field i of a combination is the coefficient
+        of row i, or, given `tags`, the combination is returned on them."""
+        return self._eliminate(*_tagged(self.rows, tags, self.field.bits))[1]
+
+    def _eliminate(self, rows: list[int], low: int) -> tuple[dict, list[int]]:
+        """Forward elimination on the fields from `low` up: returns
+        ({pivot field: row scaled to lead with 1}, [every other row,
+        reduced until its fields from `low` up cancel])."""
+        p, b = self.p, self.field.bits
+        fields = max((r.bit_length() for r in rows), default=0) // b + 1
+        ones = ((1 << (b * fields)) - 1) // ((1 << b) - 1)  # 1 in every field
+        top, bias = ones << (b - 1), ones * ((1 << (b - 1)) - p)
+
+        def add(u, v):
+            s = u + v
+            return s - (((s + bias) & top) >> (b - 1)) * p
+
+        def scale(v, c):
+            out = v  # the leading bit of c, then one doubling per further bit
+            for bit in bin(c)[3:]:
+                out = add(out, out)
+                if bit == "1":
+                    out = add(out, v)
+            return out
+
+        pivots: dict[int, int] = {}
+        rest = []
+        for row in rows:
+            while row >> (low * b):
+                lead = (row.bit_length() - 1) // b
+                c = row >> (lead * b)
+                pivot = pivots.get(lead)
+                if pivot is None:
+                    pivots[lead] = scale(row, pow(c, -1, p))
                     break
-        for col in sorted(pivots, reverse=True):
-            piv = pivots[col]
-            for other, orow in pivots.items():
-                if other != col and orow[col] % p:
-                    f = orow[col]
-                    for j in range(self.cols):
-                        orow[j] = (orow[j] - f * piv[j]) % p
-        basis = []
-        for free in range(self.cols):
-            if free in pivots:
-                continue
-            v = [0] * self.cols
-            v[free] = 1
-            for col, row in pivots.items():
-                v[col] = (-row[free]) % p
-            basis.append(v)
-        return basis
+                row = add(row, scale(pivot, p - c))
+            else:
+                rest.append(row)
+        return pivots, rest
 
 
 class GradedComponent:
     """The weighted-degree-d component of a polynomial ring over F_p as a
-    coordinate space on its monomial basis.
-
-    This is the one place that knows how component vectors are stored:
-    over F_2 a vector is a bitmask (bit i is basis[i]), over odd p a dense
-    coefficient list."""
+    coordinate space on its monomial basis: a vector is packed in the
+    format of PackedField(p), with coordinate i on basis[i]."""
 
     def __init__(self, ring: PolyRing, d: int):
         if not ring.modulus:
             raise ValueError(f"graded components need a prime field, not {ring}")
         self.ring = ring
-        self.modulus = ring.modulus
+        self.field = PackedField(ring.modulus)
         self.basis = ring.monomials_of_degree(d)
         self.index = {m: i for i, m in enumerate(self.basis)}
 
-    def vector(self, f: Poly, shift: int = 0):
+    def vector(self, f: Poly, shift: int = 0) -> int:
         """Coordinates of f, or of f times the packed monomial `shift`."""
-        index = self.index
-        if self.modulus == 2:
-            mask = 0
-            for m in f.coeffs:
-                mask |= 1 << index[m + shift]
-            return mask
-        v = [0] * len(self.basis)
+        # PackedField.pack inlined: this builds every row of dim_degree
+        index, b, v = self.index, self.field.bits, 0
         for m, c in f.coeffs.items():
-            v[index[m + shift]] = c
+            v |= c << (index[m + shift] * b)
         return v
 
-    def poly(self, v) -> Poly:
+    def poly(self, v: int) -> Poly:
         """The polynomial with coordinates v."""
         basis = self.basis
-        if self.modulus == 2:
-            terms = {}
-            while v:
-                i = v.bit_length() - 1
-                terms[basis[i]] = 1
-                v ^= 1 << i
-            return Poly(self.ring, terms)
-        return Poly(self.ring, {basis[i]: c for i, c in enumerate(v) if c})
+        return Poly(self.ring, {basis[i]: c for i, c in self.field.unpack(v)})
 
-    def indicator(self, positions: Iterable[int]):
+    def indicator(self, positions: Iterable[int]) -> int:
         """The sum of the basis monomials at the given positions."""
-        if self.modulus == 2:
-            mask = 0
-            for i in positions:
-                mask |= 1 << i
-            return mask
-        v = [0] * len(self.basis)
-        for i in positions:
-            v[i] = 1
-        return v
+        return self.field.pack((i, 1) for i in positions)
 
-    def rank(self, vectors: Sequence) -> int:
+    def rank(self, vectors: Sequence[int]) -> int:
         """Dimension of the span of the vectors."""
-        if self.modulus == 2:
-            return F2Matrix(vectors, len(self.basis)).rank()
-        return FpMatrix(vectors, len(self.basis), self.modulus).rank() if vectors else 0
+        return self.field.matrix(vectors, len(self.basis)).rank()
 
-    def fixed_combinations(self, vecs: Sequence, hom: SubstHom) -> list:
-        """A basis of the vectors in the span of `vecs` that hom fixes:
-        the kernel of (hom - 1) on the span, written back in coordinates."""
-        n, p = len(self.basis), self.modulus
-        images = [self.vector(hom(self.poly(v))) for v in vecs]
-        out = []
-        if p == 2:
-            rows: dict[int, int] = {}
-            for col, (v, w) in enumerate(zip(vecs, images)):
-                w ^= v
-                while w:
-                    j = w.bit_length() - 1
-                    rows[j] = rows.get(j, 0) | (1 << col)
-                    w ^= 1 << j
-            for combo in f2_kernel_basis(list(rows.values()), len(vecs)):
-                m = 0
-                while combo:
-                    c = combo.bit_length() - 1
-                    m ^= vecs[c]
-                    combo ^= 1 << c
-                out.append(m)
-            return out
-        rows = [[(w[i] - v[i]) % p for v, w in zip(vecs, images)] for i in range(n)]
-        for combo in FpMatrix(rows, len(vecs), p).kernel_basis():
-            v = [0] * n
-            for c, vec in zip(combo, vecs):
-                if c:
-                    for i in range(n):
-                        v[i] = (v[i] + c * vec[i]) % p
-            out.append(v)
-        return out
+    def fixed_combinations(self, vecs: Sequence[int], hom: SubstHom) -> list[int]:
+        """A basis of the vectors in the span of the independent `vecs`
+        that hom fixes.  The rows hom(v) - v are eliminated with v as
+        their tags, so each combination that vanishes comes back as the
+        fixed vector itself."""
+        diffs = []
+        for v in vecs:
+            f = self.poly(v)
+            diffs.append(self.vector(hom(f) - f))
+        return self.field.matrix(diffs, len(self.basis)).kernel_basis(tags=vecs)
 
 
-def f2_kernel_dimension_exhaustive(rows: Sequence[int], cols: int) -> int:
-    """Brute-force kernel size by enumerating all 2^cols vectors (tiny
-    matrices only; the independent oracle for the elimination code)."""
-    if cols > 20:
-        raise ValueError("exhaustive enumeration guard: cols > 20")
-    count = 0
-    for v in range(1 << cols):
-        if all((row & v).bit_count() % 2 == 0 for row in rows):
-            count += 1
-    dim = count.bit_length() - 1
-    assert 1 << dim == count
+def kernel_dimension_exhaustive(rows: Sequence[int], p: int) -> int:
+    """Brute-force dimension of the vanishing combinations of packed rows
+    over F_p, counted over all p^len(rows) combinations (tiny matrices
+    only; the independent oracle that needs no elimination)."""
+    if p ** len(rows) > 1 << 20:
+        raise ValueError("exhaustive enumeration guard: p^rows > 2^20")
+    field = PackedField(p)
+    entries = [dict(field.unpack(r)) for r in rows]
+    cols = set().union(*entries)
+    count = sum(
+        all(sum(c * e.get(j, 0) for c, e in zip(combo, entries)) % p == 0 for j in cols)
+        for combo in itertools.product(range(p), repeat=len(rows)))
+    dim = 0
+    while p ** dim < count:
+        dim += 1
+    assert p ** dim == count
     return dim

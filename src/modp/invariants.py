@@ -9,9 +9,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from .exactalg import (
-    F2Matrix,
-    FpMatrix,
     GradedComponent,
+    PackedField,
     Poly,
     PolyRing,
     SubstHom,
@@ -256,41 +255,24 @@ def brute_invariant_dimension(action: WeylAction, d: int) -> int:
 
 
 def brute_invariant_dimension_stacked(action: WeylAction, d: int) -> int:
-    """Reference implementation: stack the (g - 1) matrices for every
-    generator of the full list and take one kernel.  Used to cross-check
-    the incremental path, which applies only the minimal generators, at
-    small sizes."""
+    """Reference implementation: one packed row per degree-d monomial m,
+    the images (g - 1)(m) under every generator of the full list side by
+    side.  The invariants are the combinations of rows that vanish, so
+    their dimension is the number of monomials minus the rank.  Used to
+    cross-check the incremental path, which applies only the minimal
+    generators, at small sizes."""
     ring = action.ring
     basis = ring.monomials_of_degree(d)
-    if not basis:
-        return 0
     index = {m: i for i, m in enumerate(basis)}
-    p = ring.modulus
     n = len(basis)
-    if p == 2:
-        rows: dict[tuple[int, int], int] = {}
-        for gi, (name, hom) in enumerate(action.generators):
-            for col, mono in enumerate(basis):
-                g = hom(Poly(ring, {mono: 1}))
-                w = 0
-                for m in g.coeffs:
-                    w |= 1 << index[m]
-                w ^= 1 << col
-                while w:
-                    j = w.bit_length() - 1
-                    rows[(gi, j)] = rows.get((gi, j), 0) | (1 << col)
-                    w ^= 1 << j
-        return F2Matrix(list(rows.values()), n).kernel_dimension()
-    stacked = []
-    for name, hom in action.generators:
-        block = [[0] * n for _ in range(n)]
-        for col, mono in enumerate(basis):
-            g = hom(Poly(ring, {mono: 1}))
-            for m, c in g.coeffs.items():
-                block[index[m]][col] = (block[index[m]][col] + c) % p
-            block[col][col] = (block[col][col] - 1) % p
-        stacked.extend(block)
-    return FpMatrix(stacked, n, p).kernel_dimension()
+    field = PackedField(ring.modulus)
+    rows = []
+    for mono in basis:
+        m = Poly(ring, {mono: 1})
+        rows.append(field.pack((k * n + index[t], c)
+                               for k, (_, hom) in enumerate(action.generators)
+                               for t, c in (hom(m) - m).coeffs.items()))
+    return field.matrix(rows, n * len(action.generators)).kernel_dimension()
 
 
 # -- claimed presentations and verification ---------------------------
@@ -436,7 +418,11 @@ def verify_presentation(action: WeylAction, cp: ClaimedPresentation,
 def lemma_inv2_check(ring: PolyRing, a: Poly, x: str, dmax: int) -> VerifyReport:
     """Check degreewise that the invariants of x -> x + a on R[x] are
     exactly R[u] for u = x(x + a): verify the claim k[<the variables of
-    R>, u] under the one generator x -> x + a."""
+    R>, u] under the one generator x -> x + a.  The lemma is about
+    characteristic 2, where that generator has order 2; another modulus
+    raises ValueError."""
+    if ring.modulus != 2:
+        raise ValueError(f"lemma inv2 is a statement in characteristic 2, not over {ring}")
     ring.check_same(a.ring)
     xi = ring.var_index(x)
     if a.is_zero():

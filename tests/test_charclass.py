@@ -190,9 +190,12 @@ def test_restriction_to_K_images():
 
 def test_restriction_to_K_factors_through_bo2r():
     for n in (7, 9, 11):
-        r = n // 2
-        composite = restriction_bso_to_bo2r(n).hom.then(collapse_to_K(r))
-        assert composite == restriction_to_K(n).hom, n
+        to_bo2r, collapse = restriction_bso_to_bo2r(n).hom, collapse_to_K(n // 2)
+        to_K = restriction_to_K(n).hom
+        assert to_bo2r.source == to_K.source and collapse.target == to_K.target
+        for name in to_K.source.names:
+            u = to_K.source.var(name)
+            assert collapse(to_bo2r(u)) == to_K(u), (n, name)
 
 
 def test_bockstein_basics():

@@ -260,7 +260,7 @@ def test_cache_misses_when_the_source_changes(capsys, tmp_path, monkeypatch):
     assert run_cli(capsys, *argv) == (0, cold)
     assert calls == []  # warm: served from the entry
     monkeypatch.setattr(modp.cli, "source_digest", lambda: "0" * 64)
-    # an entry under the new key that was written by other code is stale
+    # the entry under the command's key, written by other code, is stale
     key = modp.cli.ResultCache(tmp_path)._key("quillen", {"n": 11, "dims": list(range(9))})
     new_path = tmp_path / f"{key}.json"
     new_path.write_text(old_entry.read_text())
@@ -269,3 +269,4 @@ def test_cache_misses_when_the_source_changes(capsys, tmp_path, monkeypatch):
     assert json.loads(new_path.read_text())["source"] == "0" * 64
     assert run_cli(capsys, *argv) == (0, cold)
     assert calls == [11]
+    assert len(list(tmp_path.glob("*.json"))) == 1  # the stale entry was overwritten
