@@ -345,12 +345,12 @@ def cmd_quillen(args) -> int:
     params = {"n": args.n, "dims": dims}
 
     def compute() -> dict:
-        qp = quillen.quillen_presentation(args.n)
+        pres = quillen.quillen_presentation(args.n)
         # every requested component is counted before any is computed
-        check_monomial_guard(quillen._ideal_presentation(args.n).ring, dims)
-        return {"n": args.n, "h": qp.h,
-                "theta_degrees": [t.degree() for t in qp.thetas],
-                "extra_degree": qp.extra_degree,
+        check_monomial_guard(pres.ring, dims)
+        return {"n": args.n, "h": quillen.h_value(args.n),
+                "theta_degrees": [r.degree() for r in pres.relations],
+                "extra_degree": pres.generator("z").degree,
                 "dims": [{"degree": d, "dim": quillen.quillen_dim(args.n, d)}
                          for d in dims]}
 

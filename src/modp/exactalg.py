@@ -7,7 +7,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import re
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Sequence
@@ -239,8 +238,6 @@ class PolyRing:
             raise RingMismatchError(f"ring mismatch: {self} vs {other}")
 
     # -- parsing -----------------------------------------------------
-
-    _TOKEN = re.compile(r"\s*([+-]|\d+|[A-Za-z_][A-Za-z_0-9]*(?:\^\d+)?)")
 
     def poly_from_json(self, terms: list) -> "Poly":
         """Inverse of Poly.to_json."""
@@ -524,7 +521,8 @@ class SubstHom:
 
     def _power(self, i: int, k: int) -> Poly:
         """The image of variable i raised to the power k >= 1, memoised
-        per (i, k).  Each entry is written once with its final value, so
+        per (i, k) and built from the power k - 1 (at most EXPONENT_LIMIT
+        calls deep).  Each entry is written once with its final value, so
         threads sharing the hom can at worst compute a power twice."""
         power = self._powers.get((i, k))
         if power is None:
@@ -532,14 +530,8 @@ class SubstHom:
             if name not in self.images:
                 raise MissingImageError(f"no image for variable {name!r}")
             image = self.images[name]
-            j = k
-            while j > 1 and (i, j - 1) not in self._powers:
-                j -= 1
-            power = image if j == 1 else self._powers[(i, j - 1)] * image
-            self._powers[(i, j)] = power
-            for m in range(j + 1, k + 1):
-                power = power * image
-                self._powers[(i, m)] = power
+            power = image if k == 1 else self._power(i, k - 1) * image
+            self._powers[(i, k)] = power
         return power
 
     def apply(self, f: Poly) -> Poly:

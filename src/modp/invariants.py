@@ -6,7 +6,7 @@ against a brute-force kernel oracle."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .exactalg import (
     GradedComponent,
@@ -280,11 +280,10 @@ def brute_invariant_dimension_stacked(action: WeylAction, d: int) -> int:
 @dataclass
 class ClaimedPresentation:
     """Named generators with degrees and their values inside an action's
-    ring; relations stay empty for the polynomial-ring claims in scope."""
+    ring: a claimed polynomial ring, with no relations."""
 
     names: list[str]
     values: list[Poly]
-    relations: list[Poly] = field(default_factory=list)
 
     def __post_init__(self):
         self.degrees = []
@@ -295,9 +294,7 @@ class ClaimedPresentation:
 
 
 def presentation_hilbert(cp: ClaimedPresentation) -> Series:
-    """Hilbert series of the claimed ring; polynomial-ring claims only."""
-    if cp.relations:
-        raise ValueError("relations present: certify the quotient with charclass.dim_degree")
+    """Hilbert series of the claimed polynomial ring."""
     return Series([1], tuple(cp.degrees))
 
 
@@ -392,24 +389,13 @@ def verify_presentation(action: WeylAction, cp: ClaimedPresentation,
                 return VerifyReport(label, cp.names, [],
                                     failure=f"generator {gname} is not invariant under {hname}")
     coeffs = presentation_hilbert(cp).coefficients(dmax)
-    products = PolyRing(cp.names, cp.degrees)
-    powers = [[ring.one(), v] for v in cp.values]
-
-    def value_power(i, k):
-        while len(powers[i]) <= k:
-            powers[i].append(powers[i][-1] * cp.values[i])
-        return powers[i][k]
-
+    products = PolyRing(cp.names, cp.degrees, ring.modulus)
+    span = SubstHom(products, ring, dict(zip(cp.names, cp.values)))
     rows = []
     for d in range(1, dmax + 1):
         comp = GradedComponent(ring, d)
-        vectors = []
-        for expo in products.monomials_of_degree(d):
-            f = ring.one()
-            for i, k in enumerate(products.exponents(expo)):
-                if k:
-                    f = f * value_power(i, k)
-            vectors.append(comp.vector(f))
+        vectors = [comp.vector(span(Poly(products, {m: 1})))
+                   for m in products.monomials_of_degree(d)]
         rows.append(DegreeRow(d, brute_invariant_dimension(action, d),
                               comp.rank(vectors), coeffs[d]))
     return VerifyReport(label, cp.names, rows)

@@ -9,7 +9,6 @@ from functools import lru_cache
 
 from .charclass import Generator, GradedPresentation, _transport
 from .exactalg import Poly, PolyRing, SubstHom, sum_of_products
-from .groupdata import Series, _conv, one_minus_q_power
 
 
 def binom_mod2(m: int, k: int) -> int:
@@ -101,45 +100,21 @@ def theta_sequence(n: int, sw: SWRing | None = None) -> list[Poly]:
     return thetas
 
 
-@dataclass
-class QuillenPresentation:
-    n: int
-    h: int
-    ambient: SWRing
-    thetas: list[Poly]
-    extra_degree: int
-
-    def series(self, truncation: int = 40) -> Series:
-        num = [1]
-        for t in self.thetas:
-            num = _conv(num, one_minus_q_power(t.degree()))
-        den = tuple(range(2, self.n + 1)) + (self.extra_degree,)
-        return Series(num, den, truncation)
-
-
 # The memos below are bounded; each holds far more entries (one per n, or
 # per (n, degree)) than a sweep over every degree of interest fills.
 @lru_cache(maxsize=32)
-def quillen_presentation(n: int) -> QuillenPresentation:
+def quillen_presentation(n: int) -> GradedPresentation:
     """H*(BSpin(n); F_2) = k[w_2..w_n]/J tensor k[w_{2^h}], J generated by
-    the iterated squares of w_2."""
+    the iterated squares of w_2: k[w_2..w_n, z]/(theta_0..theta_{h-1}),
+    z standing for the extra generator of degree 2^h.  The thetas are
+    computed on SWRing(n) and transported; the quotient is that ring when
+    they form a regular sequence."""
     if n < 6:
         raise ValueError("need n >= 6")
     sw = SWRing(n, so=True)
-    h = h_value(n)
-    return QuillenPresentation(n, h, sw, theta_sequence(n, sw), 1 << h)
-
-
-@lru_cache(maxsize=32)
-def _ideal_presentation(n: int) -> GradedPresentation:
-    """k[w_2..w_n, z]/(theta_i), z standing for the extra generator: the
-    same ring as H*(BSpin(n); F_2) when the thetas form a regular
-    sequence."""
-    qp = quillen_presentation(n)
-    ambient = qp.ambient.ring
-    gens = [Generator(name, w) for name, w in zip(ambient.names, ambient.weights)]
-    pres = GradedPresentation(gens + [Generator("z", qp.extra_degree)])
-    pres.relations = [_transport(t, pres.ring) for t in qp.thetas]
+    gens = [Generator(name, w) for name, w in zip(sw.ring.names, sw.ring.weights)]
+    pres = GradedPresentation(gens + [Generator("z", 1 << h_value(n))])
+    pres.relations = [_transport(t, pres.ring) for t in theta_sequence(n, sw)]
     return pres
 
 
@@ -148,8 +123,9 @@ def quillen_dim(n: int, d: int) -> int:
     """Coefficient of q^d, computed both from the complete-intersection
     series and by exact linear algebra on the ideal component; a mismatch
     would falsify regularity at desk scale and raises."""
-    from_series = quillen_presentation(n).series().coefficient(d)
-    from_linear_algebra = _ideal_presentation(n).dim_degree(d)
+    pres = quillen_presentation(n)
+    from_series = pres.series().coefficient(d)
+    from_linear_algebra = pres.dim_degree(d)
     if from_series != from_linear_algebra:
         raise RuntimeError(
             f"regularity check failed for n={n}, d={d}: series {from_series} "

@@ -248,9 +248,6 @@ def test_presentation_hilbert():
     cp11 = spin_claimed(a11, 11)
     expected = len(PolyRing(cp11.names, cp11.degrees).monomials_of_degree(16))
     assert presentation_hilbert(cp11).coefficient(16) == expected
-    cp_rel = ClaimedPresentation(["c2"], [cp.values[0]], relations=[cp.values[0]])
-    with pytest.raises(ValueError, match="dim_degree"):
-        presentation_hilbert(cp_rel)
 
 
 def test_verify_spin7():
@@ -276,6 +273,22 @@ def test_verify_flags_wrong_but_invariant_claim():
     assert not report.passed
     bad_rows = [r for r in report.rows if not r.ok]
     assert bad_rows and bad_rows[0].degree == 3
+
+
+def test_span_rank_of_dependent_claimed_products():
+    # a repeated generator adds nothing to the span, but the series counts its products twice
+    a = spin_action(7)
+    cp = spin_claimed(a, 7)
+    c2 = cp.values[cp.names.index("c2")]
+    report = verify_presentation(a, ClaimedPresentation(cp.names + ["c2b"], cp.values + [c2]), 6)
+    assert [(r.invariant_dim, r.span_rank, r.series_coeff) for r in report.rows] == [
+        (0, 0, 0), (1, 1, 2), (1, 1, 1), (2, 2, 4), (1, 1, 2), (3, 3, 7)]
+    b3 = classical_action("B", 3, 3)
+    cp = classical_claimed(b3, "B", 3, 3)
+    d2 = cp.values[cp.names.index("d2")]
+    report = verify_presentation(b3, ClaimedPresentation(cp.names + ["d2b"], cp.values + [d2]), 6)
+    assert [(r.invariant_dim, r.span_rank, r.series_coeff) for r in report.rows] == [
+        (0, 0, 0), (1, 1, 2), (0, 0, 0), (2, 2, 4), (0, 0, 0), (3, 3, 7)]
 
 
 def test_nakajima_small_ranks():

@@ -10,7 +10,7 @@ import pytest
 
 from modp.charclass import Derivation
 from modp.exactalg import PolyRing, SubstHom, partial_derivative
-from modp.quillen import quillen_presentation
+from modp.quillen import SWRing
 
 NAMES = ("x", "y", "z", "w")
 WEIGHTS = (1, 2, 1, 3)
@@ -139,7 +139,7 @@ def test_basis_walk_matches_filtered_product(names, weights, p):
 
 @pytest.mark.parametrize("ring", [
     PolyRing(["a", "b"], (2, 3)),
-    quillen_presentation(11).ambient.ring,
+    SWRing(11).ring,
 ], ids=["gaps", "spin11"])
 def test_count_table_counts_the_basis(ring):
     counts = ring._count_table(40)[0]

@@ -96,10 +96,10 @@ def test_theta_sequence():
 
 def test_quillen_presentation_degrees():
     qp = quillen_presentation(11)
-    assert qp.extra_degree == 64
+    assert qp.generator("z").degree == 64
     assert sorted(qp.series().denominator) == sorted(list(range(2, 12)) + [64])
     qp10 = quillen_presentation(10)
-    assert qp10.extra_degree == 32
+    assert qp10.generator("z").degree == 32
 
 
 def test_quillen_dims():
@@ -125,6 +125,33 @@ def test_quillen_regularity_to_34():
     for n in (10, 11):
         for d in range(35):
             quillen_dim(n, d)  # raises on series / linear-algebra mismatch
+
+
+def test_regularity_check_fails_on_a_non_regular_sequence(monkeypatch, capsys, tmp_path):
+    import modp.quillen
+    from modp.charclass import GradedPresentation
+    from modp.cli import main
+
+    good = quillen_presentation(11)
+    w2, w7 = good.ring.var("w2"), good.ring.var("w7")
+    # same degree as theta_3, so the series is unchanged, but a multiple of theta_0
+    relations = good.relations[:3] + [w2 * w7] + good.relations[4:]
+    broken = GradedPresentation(good.generators, relations)
+    monkeypatch.setattr(modp.quillen, "quillen_presentation", lambda n: broken)
+    monkeypatch.setenv("MODP_CACHE_DIR", str(tmp_path))
+    quillen_dim.cache_clear()
+    try:
+        with pytest.raises(RuntimeError) as err:
+            quillen_dim(11, 9)
+        assert str(err.value) == ("regularity check failed for n=11, d=9: "
+                                  "series 0 != linear algebra 1")
+        assert main(["quillen", "--n", "11", "--dims", "9", "--no-cache"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("modp: quillen failed: regularity check failed for "
+                                "n=11, d=9: series 0 != linear algebra 1\n")
+    finally:
+        quillen_dim.cache_clear()
 
 
 def test_spin11_lower_bound_ring_dimensions():
