@@ -56,6 +56,7 @@ class GradedPresentation:
                 raise ValueError(f"relation {rel} is not homogeneous")
             self.relations.append(rel)
         self.renamed = renamed or []
+        self._minimal: GradedPresentation | None = None
 
     def generator(self, name: str) -> Generator:
         for g in self.generators:
@@ -70,7 +71,37 @@ class GradedPresentation:
             if not rel.is_homogeneous():
                 raise ValueError(f"relation {text!r} is not homogeneous")
             self.relations.append(rel)
+        self._minimal = None
         return self
+
+    def minimal(self) -> "GradedPresentation":
+        """The same graded ring on fewer generators, memoised: while some
+        relation r has a term c*g with g a generator that is not square-zero
+        (deg g = deg r, so no other term of r holds g), drop g and send
+        every relation through g -> -(r - c*g)/c, keeping the images that
+        are not zero (r goes to zero).  The series is not consulted, so a
+        dim_degree of the result checks series() independently."""
+        if self._minimal is None:
+            pres = self
+            while True:
+                units = pres.ring._unit_index
+                found = [(rel, units[m], c) for rel in pres.relations
+                         for m, c in rel.coeffs.items()
+                         if m in units and not pres.generators[units[m]].square_zero]
+                if not found:
+                    break
+                rel, i, c = found[0]
+                name = pres.generators[i].name
+                out = GradedPresentation(pres.generators[:i] + pres.generators[i + 1:],
+                                         modulus=pres.modulus)
+                images = dict(zip(out.ring.names, out.ring.gens()), **{name: out.ring.zero()})
+                rest = SubstHom(pres.ring, out.ring, images)(rel)
+                images[name] = rest * -pow(c, -1, pres.modulus)
+                hom = SubstHom(pres.ring, out.ring, images)
+                out.relations = [f for f in map(hom, pres.relations) if f]
+                pres = out
+            self._minimal = pres
+        return self._minimal
 
     # -- series and exact degreewise dimensions ------------------------
 

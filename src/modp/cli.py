@@ -346,8 +346,9 @@ def cmd_quillen(args) -> int:
 
     def compute() -> dict:
         pres = quillen.quillen_presentation(args.n)
-        # every requested component is counted before any is computed
-        check_monomial_guard(pres.ring, dims)
+        # every requested component of the ring the linear algebra walks
+        # is counted before any is computed
+        check_monomial_guard(pres.minimal().ring, dims)
         return {"n": args.n, "h": quillen.h_value(args.n),
                 "theta_degrees": [r.degree() for r in pres.relations],
                 "extra_degree": pres.generator("z").degree,
@@ -355,6 +356,12 @@ def cmd_quillen(args) -> int:
                          for d in dims]}
 
     payload = _cache(args).roundtrip("quillen", params, compute)
+    if args.verbose:
+        pres = quillen.quillen_presentation(args.n)
+        small = pres.minimal()
+        print(f"modp: minimal presentation {len(pres.generators)} generators / "
+              f"{len(pres.relations)} relations -> {len(small.generators)} generators, "
+              f"relation degrees {[r.degree() for r in small.relations]}", file=sys.stderr)
     lines = [f"h = {payload['h']}, ideal degrees {payload['theta_degrees']}, "
              f"extra generator degree {payload['extra_degree']}"]
     lines += [f"dim H^{row['degree']} = {row['dim']}" for row in payload["dims"]]
@@ -510,12 +517,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Exit 0 on success, 1 when a verification fails (a failed report, or
-    a RuntimeError from two routes that disagree), 2 on a usage or
-    precondition error; every error is one line on stderr."""
+    a RuntimeError from two routes that disagree) or the output could not
+    be written, 2 on a usage or precondition error; every error is one
+    line on stderr, and a closed stdout prints nothing."""
     args = build_parser().parse_args(argv)
     t0 = time.time()
     try:
         code = args.fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (`modp ... | head`): point stdout at devnull
+        # so that the flush at exit cannot raise again, and say nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        except (AttributeError, OSError):
+            pass  # not a file descriptor, so nothing is left to flush
+        finally:
+            os.close(devnull)
+        return 1
     except ValueError as err:
         print(f"modp: error: {err}", file=sys.stderr)
         sys.exit(2)

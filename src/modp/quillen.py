@@ -121,11 +121,12 @@ def quillen_presentation(n: int) -> GradedPresentation:
 @lru_cache(maxsize=1024)
 def quillen_dim(n: int, d: int) -> int:
     """Coefficient of q^d, computed both from the complete-intersection
-    series and by exact linear algebra on the ideal component; a mismatch
-    would falsify regularity at desk scale and raises."""
+    series of quillen_presentation(n) and by exact linear algebra on the
+    ideal component of its minimal presentation; a mismatch would falsify
+    regularity at desk scale and raises."""
     pres = quillen_presentation(n)
     from_series = pres.series().coefficient(d)
-    from_linear_algebra = pres.dim_degree(d)
+    from_linear_algebra = pres.minimal().dim_degree(d)
     if from_series != from_linear_algebra:
         raise RuntimeError(
             f"regularity check failed for n={n}, d={d}: series {from_series} "

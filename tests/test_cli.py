@@ -164,9 +164,11 @@ def test_precondition_errors_exit_2(argv, capsys, tmp_path, monkeypatch):
     assert not list(tmp_path.glob("*.json"))
 
 
+# sizes from the count table of the minimal presentation of Spin(11), on
+# which the linear algebra runs: degree 282 is the first over the guard
 @pytest.mark.parametrize("dims, degree, size", [
-    ("120", 120, 2902117),
-    ("0..120", 82, 207624),
+    ("300", 300, 282223),
+    ("0..300", 282, 205620),
 ])
 def test_quillen_guard_trips_before_any_basis_walk(dims, degree, size, capsys, tmp_path,
                                                    monkeypatch):
@@ -183,6 +185,50 @@ def test_quillen_guard_trips_before_any_basis_walk(dims, degree, size, capsys, t
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"modp: error: degree {degree} needs {size} monomials (> guard 200000)\n"
+
+
+def test_quillen_to_120_matches_the_series(capsys, tmp_path, monkeypatch):
+    from modp.quillen import quillen_presentation
+
+    monkeypatch.setenv("MODP_CACHE_DIR", str(tmp_path))
+    code, out = run_cli(capsys, "quillen", "--n", "11", "--dims", "0..120", "--no-cache",
+                        "--json")
+    assert code == 0
+    series = quillen_presentation(11).series().coefficients(120)
+    assert [(row["degree"], row["dim"]) for row in json.loads(out)["result"]["dims"]] == \
+        list(enumerate(series))
+
+
+def test_quillen_verbose_reports_the_minimal_presentation(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("MODP_CACHE_DIR", str(tmp_path))
+    argv = ["quillen", "--n", "11", "--dims", "0..20", "--json"]
+    code, quiet = run_cli(capsys, *argv, "--no-cache")
+    assert code == 0
+    line = ("modp: minimal presentation 11 generators / 6 relations -> 7 generators, "
+            "relation degrees [17, 33]\n")
+    for _ in ("cold", "cache hit"):
+        assert main(argv + ["--verbose"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == quiet
+        assert captured.err.startswith(line)
+        assert captured.err.count("\n") == 2  # and the "finished in" line
+    assert len(list(tmp_path.glob("*.json"))) == 1
+
+
+def test_closed_stdout_exits_1_without_a_traceback(capsys, tmp_path, monkeypatch):
+    import io
+
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setenv("MODP_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(sys, "stdout", Closed())
+    assert main(["quillen", "--n", "11", "--dims", "0..34", "--no-cache"]) == 1
+    monkeypatch.undo()
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == ""
 
 
 def test_selftest_passes(capsys):

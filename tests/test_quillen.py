@@ -115,8 +115,8 @@ def test_dim_degree_over_the_guard_never_walks(monkeypatch):
         raise AssertionError(f"basis of degree {d} walked before the monomial guard")
 
     monkeypatch.setattr(PolyRing, "_enumerate", never)
-    with pytest.raises(ValueError, match=r"^degree 120 needs 2902117 monomials \(> guard 2"):
-        quillen_dim(11, 120)
+    with pytest.raises(ValueError, match=r"^degree 282 needs 205620 monomials \(> guard 2"):
+        quillen_dim(11, 282)
     with pytest.raises(ValueError, match="degree 400 needs 763628 monomials"):
         spin11_lower_bound_ring().dim_degree(400)
 
@@ -152,6 +152,59 @@ def test_regularity_check_fails_on_a_non_regular_sequence(monkeypatch, capsys, t
                                 "n=11, d=9: series 0 != linear algebra 1\n")
     finally:
         quillen_dim.cache_clear()
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12, 13, 14, 16])
+def test_minimal_presentation_matches_the_series_to_90(n):
+    pres = quillen_presentation(n)
+    series = pres.series().coefficients(90)
+    small = pres.minimal()
+    assert small is pres.minimal()  # memoised
+    for d in range(91):
+        assert small.dim_degree(d) == series[d], (n, d)
+
+
+def test_minimal_presentation_matches_the_explicit_spin11_to_120():
+    small = quillen_presentation(11).minimal()
+    explicit = spin11_explicit_presentation()
+    for d in range(121):
+        assert small.dim_degree(d) == explicit.dim_degree(d), d
+
+
+def test_minimal_presentation_shape_for_spin11():
+    small = quillen_presentation(11).minimal()
+    assert " ".join(g.name for g in small.generators) == "w4 w6 w7 w8 w10 w11 z"
+    assert [r.degree() for r in small.relations] == [17, 33]
+    assert str(small.relations[0]) == str(spin11_explicit_presentation().relations[0])
+
+
+def test_minimal_presentation_at_p3_divides_by_the_coefficient():
+    from modp.charclass import Generator, GradedPresentation
+
+    pres = GradedPresentation([Generator("x", 1), Generator("y", 1), Generator("c", 2)],
+                              modulus=3).with_relations("2*c + x*y", "c*x + y^3")
+    small = pres.minimal()
+    # c = -(x*y)/2 = x*y over F_3
+    assert [g.name for g in small.generators] == ["x", "y"]
+    assert small.relations == [small.ring.poly("x^2*y + y^3")]
+    for d in range(13):
+        assert small.dim_degree(d) == pres.dim_degree(d), d
+
+
+def test_minimal_presentation_keeps_square_zero_generators():
+    from modp.charclass import Generator, GradedPresentation
+
+    gens = [Generator("v", 1, square_zero=True), Generator("s", 1), Generator("c", 2)]
+    pres = GradedPresentation(gens).with_relations("v + s")
+    small = pres.minimal()
+    assert [g.name for g in small.generators] == ["v", "c"]
+    assert small.generator("v").square_zero
+    assert small.relations == []
+    for d in range(9):
+        assert small.dim_degree(d) == pres.dim_degree(d), d
+    only_v = GradedPresentation(gens[:1]).with_relations("v").minimal()
+    assert [g.name for g in only_v.generators] == ["v"]
+    assert only_v.relations == [only_v.ring.var("v")]
 
 
 def test_spin11_lower_bound_ring_dimensions():
