@@ -57,11 +57,15 @@ class ResultCache:
     """JSON store with one entry per (operation, parameters).  A hit is
     served only when the stored entry carries the library version and
     source digest of the running code; any other entry is stale and is
-    recomputed and overwritten in place, so no entry is left behind."""
+    recomputed and overwritten in place, so no entry is left behind.
+    `status` is what the last roundtrip did: "hit", "miss" (no entry, or
+    the cache was refreshed), "stale" (an entry that could not be served)
+    or "off"; None before any roundtrip."""
 
     def __init__(self, directory: Path, policy: str = "use"):
         self.directory = directory
         self.policy = policy
+        self.status = None
         self._warned = False
 
     def _key(self, op: str, params: dict) -> str:
@@ -70,14 +74,18 @@ class ResultCache:
 
     def roundtrip(self, op: str, params: dict, compute):
         if self.policy == "off":
+            self.status = "off"
             return compute()
         key = self._key(op, params)
         path = self.directory / f"{key}.json"
+        self.status = "miss"
         if self.policy == "use" and path.exists():
+            self.status = "stale"
             try:
                 entry = json.loads(path.read_text())
                 if (entry.get("version") == __version__
                         and entry.get("source") == source_digest()):
+                    self.status = "hit"
                     return entry["payload"]
             except (ValueError, KeyError):
                 pass  # corrupted entry: recompute and overwrite
@@ -155,12 +163,20 @@ def cmd_primes(args) -> int:
 def cmd_weyl(args) -> int:
     g = _group_from_args(args)
     lengths = weyl_length_series(g)
+    expected = flag_poincare(g).as_polynomial()
+    if lengths != expected:
+        raise RuntimeError(f"BFS length series {lengths} != flag Poincare polynomial "
+                           f"{expected}")
     payload = {"family": g.family, "rank": g.rank,
                "order": sum(lengths), "length_series": lengths}
     try:
         payload["elements"] = len(weyl_elements(g))
     except ValueError:
         pass
+    else:
+        if payload["elements"] != payload["order"]:
+            raise RuntimeError(f"{payload['elements']} signed permutations != BFS order "
+                               f"{payload['order']}")
     emit(args, "weyl", {"family": g.family, "rank": g.rank}, payload,
          [f"order {payload['order']}",
           "length series " + " ".join(map(str, lengths))])
@@ -237,7 +253,7 @@ def cmd_invariants(args) -> int:
         check_monomial_guard(action.ring, range(dmax + 1))
         return _report_payload(invariants.verify_presentation(action, claim(), dmax))
 
-    payload = _cache(args).roundtrip("invariants", params, compute)
+    payload = args.cache.roundtrip("invariants", params, compute)
     emit(args, "invariants", params, payload, _report_lines(payload),
          csv_rows=_report_csv(payload))
     return 0 if payload["passed"] else 1
@@ -355,7 +371,7 @@ def cmd_quillen(args) -> int:
                 "dims": [{"degree": d, "dim": quillen.quillen_dim(args.n, d)}
                          for d in dims]}
 
-    payload = _cache(args).roundtrip("quillen", params, compute)
+    payload = args.cache.roundtrip("quillen", params, compute)
     if args.verbose:
         pres = quillen.quillen_presentation(args.n)
         small = pres.minimal()
@@ -375,7 +391,7 @@ def cmd_spin_compare(args) -> int:
     def compute() -> dict:
         return quillen.spin11_compare().to_dict()
 
-    payload = _cache(args).roundtrip("spin-compare", {}, compute)
+    payload = args.cache.roundtrip("spin-compare", {}, compute)
     emit(args, "spin-compare", {}, payload,
          [f"D_top       = {payload['D_top']}",
           f"D_low       = {payload['D_low']}",
@@ -424,11 +440,6 @@ def cmd_selftest(args) -> int:
 
 
 # -- parser ------------------------------------------------------------
-
-def _cache(args) -> ResultCache:
-    policy = "off" if args.no_cache else ("refresh" if args.refresh_cache else "use")
-    return ResultCache(default_cache_dir(), policy)
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -519,8 +530,11 @@ def main(argv=None) -> int:
     """Exit 0 on success, 1 when a verification fails (a failed report, or
     a RuntimeError from two routes that disagree) or the output could not
     be written, 2 on a usage or precondition error; every error is one
-    line on stderr, and a closed stdout prints nothing."""
+    line on stderr, and a closed stdout prints nothing.  Under --verbose,
+    a command that used the cache reports its status on stderr."""
     args = build_parser().parse_args(argv)
+    policy = "off" if args.no_cache else ("refresh" if args.refresh_cache else "use")
+    args.cache = ResultCache(default_cache_dir(), policy)
     t0 = time.time()
     try:
         code = args.fn(args)
@@ -542,7 +556,9 @@ def main(argv=None) -> int:
     except RuntimeError as err:
         print(f"modp: {args.command} failed: {err}", file=sys.stderr)
         return 1
-    if getattr(args, "verbose", False):
+    if args.verbose:
+        if args.cache.status is not None:
+            print(f"modp: cache {args.cache.status}", file=sys.stderr)
         print(f"modp: {args.command} finished in {time.time() - t0:.2f}s",
               file=sys.stderr)
     return code

@@ -264,7 +264,12 @@ def cartan_matrix(family: str, rank: int) -> list[list[int]]:
 def weyl_length_series(g: GroupSpec) -> list[int]:
     """Coefficients of sum_W q^{l(w)}, where the length is the BFS
     distance from the identity in the simple-reflection Cayley graph.
-    This is the independent oracle for flag_poincare."""
+    This is the independent oracle for flag_poincare.
+
+    Each w is stored as w(rho) in fundamental-weight coordinates; rho =
+    (1, ..., 1) is regular, so w -> w(rho) is a bijection.  The edge from
+    w to s_i w maps c to c - c_i * (column i of the Cartan matrix), which
+    touches only the nodes joined to i in the Dynkin diagram."""
     fam, n = g.family, g.rank
     if fam in ("SO", "O", "Spin"):
         fam, n = ("B" if n % 2 else "D"), n // 2
@@ -276,30 +281,24 @@ def weyl_length_series(g: GroupSpec) -> list[int]:
         raise ValueError("BFS enumeration is desk scale: rank <= 6")
     a = cartan_matrix(fam, n)
     rank = len(a)
-    gens = []
-    for i in range(rank):
-        # s_i maps basis vector alpha_j to alpha_j - a[i][j] alpha_i
-        m = [[1 if r == c else 0 for c in range(rank)] for r in range(rank)]
-        for j in range(rank):
-            m[i][j] -= a[i][j]
-        gens.append(tuple(tuple(row) for row in m))
-
-    def mul(x, y):
-        return tuple(tuple(sum(x[r][k] * y[k][c] for k in range(rank))
-                           for c in range(rank)) for r in range(rank))
-
-    ident = tuple(tuple(1 if r == c else 0 for c in range(rank)) for r in range(rank))
-    seen = {ident}
-    frontier = [ident]
+    # alpha_i in fundamental-weight coordinates, as its nonzero entries
+    columns = [[(k, a[k][i]) for k in range(rank) if a[k][i]] for i in range(rank)]
+    rho = (1,) * rank
+    seen = {rho}
+    frontier = [rho]
     counts = [1]
     while frontier:
         nxt = []
-        for w in frontier:
-            for s in gens:
-                ws = mul(w, s)
-                if ws not in seen:
-                    seen.add(ws)
-                    nxt.append(ws)
+        for c in frontier:
+            for i, column in enumerate(columns):
+                ci = c[i]
+                sc = list(c)
+                for k, aki in column:
+                    sc[k] -= ci * aki
+                sc = tuple(sc)
+                if sc not in seen:
+                    seen.add(sc)
+                    nxt.append(sc)
         if nxt:
             counts.append(len(nxt))
         frontier = nxt

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from modp.cli import main
+from modp.groupdata import Series
 
 
 def run_cli(capsys, *argv):
@@ -206,12 +207,12 @@ def test_quillen_verbose_reports_the_minimal_presentation(capsys, tmp_path, monk
     assert code == 0
     line = ("modp: minimal presentation 11 generators / 6 relations -> 7 generators, "
             "relation degrees [17, 33]\n")
-    for _ in ("cold", "cache hit"):
+    for status in ("miss", "hit"):
         assert main(argv + ["--verbose"]) == 0
         captured = capsys.readouterr()
         assert captured.out == quiet
-        assert captured.err.startswith(line)
-        assert captured.err.count("\n") == 2  # and the "finished in" line
+        assert captured.err.startswith(line + f"modp: cache {status}\n")
+        assert captured.err.count("\n") == 3  # and the "finished in" line
     assert len(list(tmp_path.glob("*.json"))) == 1
 
 
@@ -256,9 +257,10 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_json_golden.json").re
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"][:3]))
 def test_json_bytes_match_golden(case, capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("MODP_CACHE_DIR", str(tmp_path))
-    code, out = run_cli(capsys, *case["argv"])
-    assert code == 0
-    assert out == case["stdout"]
+    for verbose in ([], ["--verbose"]):
+        code, out = run_cli(capsys, *case["argv"], *verbose)
+        assert code == 0
+        assert out == case["stdout"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -316,3 +318,58 @@ def test_cache_misses_when_the_source_changes(capsys, tmp_path, monkeypatch):
     assert run_cli(capsys, *argv) == (0, cold)
     assert calls == [11]
     assert len(list(tmp_path.glob("*.json"))) == 1  # the stale entry was overwritten
+
+
+def test_verbose_reports_each_cache_status(capsys, tmp_path, monkeypatch):
+    (case,) = [c for c in GOLDEN if c["argv"][0] == "quillen"]
+    argv = [a for a in case["argv"] if a != "--no-cache"]
+    monkeypatch.setenv("MODP_CACHE_DIR", str(tmp_path))
+
+    def status_of(*extra):
+        assert main(argv + list(extra)) == 0
+        captured = capsys.readouterr()
+        assert captured.out == case["stdout"]
+        if "--verbose" not in extra:
+            assert captured.err == ""
+            return None
+        (status,) = [line for line in captured.err.splitlines()
+                     if line.startswith("modp: cache ")]
+        return status.removeprefix("modp: cache ")
+
+    assert status_of() is None
+    assert status_of("--verbose") == "hit"
+    (entry,) = tmp_path.glob("*.json")
+    entry.unlink()
+    assert status_of("--verbose") == "miss"
+    doc = json.loads(entry.read_text())
+    entry.write_text(json.dumps(dict(doc, version="0.0.0")))
+    assert status_of("--verbose") == "stale"
+    assert status_of("--verbose") == "hit"
+    assert status_of("--verbose", "--no-cache") == "off"
+    assert status_of("--no-cache") is None
+
+
+def test_commands_without_a_cache_report_no_status(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("MODP_CACHE_DIR", str(tmp_path))
+    assert main(["weyl", "--family", "B", "--rank", "3", "--verbose"]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("modp: weyl finished in ")
+    assert "modp: cache" not in err
+
+
+@pytest.mark.parametrize("target, wrong, message", [
+    ("flag_poincare", lambda g: Series([1, 3, 5, 6, 5, 3, 1]),
+     "BFS length series [1, 3, 5, 7, 8, 8, 7, 5, 3, 1] != flag Poincare polynomial "
+     "[1, 3, 5, 6, 5, 3, 1]"),
+    ("weyl_elements", lambda g: [None] * 47, "47 signed permutations != BFS order 48"),
+], ids=["series", "elements"])
+def test_weyl_route_mismatch_exits_1(target, wrong, message, capsys, tmp_path, monkeypatch):
+    import modp.cli
+
+    monkeypatch.setenv("MODP_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(modp.cli, target, wrong)
+    assert main(["weyl", "--family", "B", "--rank", "3", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"modp: weyl failed: {message}\n"
+    assert "Traceback" not in captured.err

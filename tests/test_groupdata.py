@@ -105,8 +105,22 @@ def test_flag_poincare_palindromic_and_order():
 def test_bfs_lengths_match_flag_poincare():
     for g in (GroupSpec("A", 2), GroupSpec("B", 2), GroupSpec("B", 3),
               GroupSpec("C", 3), GroupSpec("D", 4), GroupSpec("G2", 2),
-              GroupSpec("F4", 4), GroupSpec("A", 4)):
+              GroupSpec("F4", 4), GroupSpec("A", 4), GroupSpec("A", 5),
+              GroupSpec("B", 5), GroupSpec("C", 5), GroupSpec("D", 5),
+              GroupSpec("D", 6), GroupSpec("A", 6), GroupSpec("SO", 11),
+              GroupSpec("Sp", 10), GroupSpec("GL", 6), GroupSpec("Spin", 10)):
         assert weyl_length_series(g) == flag_poincare(g).as_polynomial(), str(g)
+
+
+def test_bfs_guard_trips_before_any_enumeration(monkeypatch):
+    import modp.groupdata
+
+    def never(*args):
+        raise AssertionError("Cartan matrix built before the rank guard")
+
+    monkeypatch.setattr(modp.groupdata, "cartan_matrix", never)
+    with pytest.raises(ValueError, match="rank <= 6"):
+        weyl_length_series(GroupSpec("B", 7))
 
 
 def test_isotropic_grassmannian():
