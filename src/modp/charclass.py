@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .exactalg import (
     GradedComponent,
@@ -39,23 +40,33 @@ class Generator:
                 f"bidegree {self.bidegree} of {self.name} must add up to {self.degree}")
 
 
+def generator_ring(generators: Sequence[Generator], modulus: int = 2) -> PolyRing:
+    """The polynomial ring on the generators, each weighted by its degree:
+    the ring a GradedPresentation on them is built over."""
+    return PolyRing([g.name for g in generators], [g.degree for g in generators], modulus)
+
+
 class GradedPresentation:
     """Generators with degrees (optionally Hodge bidegrees and exterior
-    square-zero flags) plus homogeneous relation polynomials."""
+    square-zero flags) plus homogeneous relation polynomials, each given
+    as a Poly over an equal ring or as text parsed in the presentation's
+    ring.  Generators and relations are tuples, fixed at construction."""
 
-    def __init__(self, generators: list[Generator], relations: list[Poly] | None = None,
-                 modulus: int = 2, renamed: list[tuple[str, str]] | None = None):
-        self.generators = list(generators)
+    def __init__(self, generators: Sequence[Generator], relations: Sequence[Poly | str] = (),
+                 modulus: int = 2, renamed: Sequence[tuple[str, str]] = ()):
+        self.generators = tuple(generators)
         self.modulus = modulus
-        self.ring = PolyRing([g.name for g in self.generators],
-                             [g.degree for g in self.generators], modulus)
-        self.relations = []
-        for rel in (relations or []):
+        self.ring = generator_ring(self.generators, modulus)
+        rels = []
+        for rel in relations:
+            if isinstance(rel, str):
+                rel = self.ring.poly(rel)
             self.ring.check_same(rel.ring)
             if not rel.is_homogeneous():
                 raise ValueError(f"relation {rel} is not homogeneous")
-            self.relations.append(rel)
-        self.renamed = renamed or []
+            rels.append(Poly(self.ring, rel.coeffs))
+        self.relations = tuple(rels)
+        self.renamed = tuple(renamed)
         self._minimal: GradedPresentation | None = None
 
     def generator(self, name: str) -> Generator:
@@ -63,16 +74,6 @@ class GradedPresentation:
             if g.name == name:
                 return g
         raise KeyError(name)
-
-    def with_relations(self, *texts: str) -> "GradedPresentation":
-        """Parse and install homogeneous relations; returns self."""
-        for text in texts:
-            rel = self.ring.poly(text)
-            if not rel.is_homogeneous():
-                raise ValueError(f"relation {text!r} is not homogeneous")
-            self.relations.append(rel)
-        self._minimal = None
-        return self
 
     def minimal(self) -> "GradedPresentation":
         """The same graded ring on fewer generators, memoised: while some
@@ -92,14 +93,14 @@ class GradedPresentation:
                     break
                 rel, i, c = found[0]
                 name = pres.generators[i].name
-                out = GradedPresentation(pres.generators[:i] + pres.generators[i + 1:],
-                                         modulus=pres.modulus)
-                images = dict(zip(out.ring.names, out.ring.gens()), **{name: out.ring.zero()})
-                rest = SubstHom(pres.ring, out.ring, images)(rel)
+                gens = pres.generators[:i] + pres.generators[i + 1:]
+                ring = generator_ring(gens, pres.modulus)
+                images = dict(zip(ring.names, ring.gens()), **{name: ring.zero()})
+                rest = SubstHom(pres.ring, ring, images)(rel)
                 images[name] = rest * -pow(c, -1, pres.modulus)
-                hom = SubstHom(pres.ring, out.ring, images)
-                out.relations = [f for f in map(hom, pres.relations) if f]
-                pres = out
+                hom = SubstHom(pres.ring, ring, images)
+                pres = GradedPresentation(gens, [f for f in map(hom, pres.relations) if f],
+                                          pres.modulus)
             self._minimal = pres
         return self._minimal
 
@@ -217,14 +218,10 @@ def kunneth(a: GradedPresentation, b: GradedPresentation) -> GradedPresentation:
     gens = list(a.generators) + [
         Generator(mapping[g.name], g.degree, g.bidegree, g.square_zero)
         for g in b.generators]
-    out = GradedPresentation(gens, modulus=a.modulus, renamed=renamed)
-    relations = []
-    for rel in a.relations:
-        relations.append(_transport(rel, out.ring))
-    for rel in b.relations:
-        relations.append(_transport(rel, out.ring, mapping))
-    out.relations = relations
-    return out
+    ring = generator_ring(gens, a.modulus)
+    relations = ([_transport(rel, ring) for rel in a.relations]
+                 + [_transport(rel, ring, mapping) for rel in b.relations])
+    return GradedPresentation(gens, relations, a.modulus, renamed)
 
 
 def _transport(f: Poly, target: PolyRing, mapping: dict | None = None) -> Poly:

@@ -291,22 +291,35 @@ def cmd_ring(args) -> int:
     return 0
 
 
-def _uclass_from_json(doc: dict) -> charclass.UClass:
-    ring_doc = doc["ring"]
-    pres = charclass.GradedPresentation(
-        [charclass.Generator(n, w) for n, w in
-         zip(ring_doc["vars"], ring_doc["weights"])])
-    comps = [pres.ring.poly(text) for text in doc["components"]]
-    return charclass.UClass(pres, comps)
+_UCLASS_SHAPE = '{"ring": {"vars": [str], "weights": [int]}, "components": [str]}'
+
+
+def _list_of(value, kind) -> bool:
+    return isinstance(value, list) and all(type(v) is kind for v in value)
+
+
+def _uclass_from_json(doc, presentation=None) -> charclass.UClass:
+    """A u-class from a document of shape _UCLASS_SHAPE; without "ring",
+    the components are read in `presentation`.  Any other shape is a
+    ValueError."""
+    if not isinstance(doc, dict) or not _list_of(doc.get("components"), str):
+        raise ValueError(f"a u-class is {_UCLASS_SHAPE}")
+    if "ring" in doc or presentation is None:
+        ring_doc = doc.get("ring")
+        if not (isinstance(ring_doc, dict) and _list_of(ring_doc.get("vars"), str)
+                and _list_of(ring_doc.get("weights"), int)
+                and len(ring_doc["vars"]) == len(ring_doc["weights"])):
+            raise ValueError(f"a u-class is {_UCLASS_SHAPE}")
+        presentation = charclass.GradedPresentation(
+            [charclass.Generator(n, w) for n, w in zip(ring_doc["vars"], ring_doc["weights"])])
+    return charclass.UClass(presentation,
+                            [presentation.ring.poly(text) for text in doc["components"]])
 
 
 def cmd_whitney(args) -> int:
     try:
         e = _uclass_from_json(json.loads(args.e))
-        f_doc = json.loads(args.f)
-        f = charclass.UClass(e.presentation,
-                             [e.presentation.ring.poly(t) for t in f_doc["components"]]) \
-            if "ring" not in f_doc else _uclass_from_json(f_doc)
+        f = _uclass_from_json(json.loads(args.f), e.presentation)
         total = charclass.whitney_sum(e, f)
     except (ValueError, KeyError) as err:
         raise ValueError(f"bad u-class input: {err}") from None
@@ -441,6 +454,7 @@ def cmd_selftest(args) -> int:
 
 # -- parser ------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modp",

@@ -208,18 +208,24 @@ def isotropic_grassmannian_poincare(n: int) -> Series:
 
 # -- explicit Weyl groups at small rank --------------------------------
 
+def _root_system(g: GroupSpec) -> tuple[str, int]:
+    """The (family, Lie rank) of the root system of g: SO/O/Spin(n) give
+    B or D of rank n // 2, Sp(2n) gives C_n and GL(n) gives A_{n-1}; a
+    simple family is its own."""
+    fam, n = g.family, g.rank
+    if fam in ("SO", "O", "Spin"):
+        return ("B" if n % 2 else "D"), n // 2
+    if fam == "Sp":
+        return "C", n // 2
+    if fam == "GL":
+        return "A", n - 1
+    return fam, n
+
+
 def weyl_elements(g: GroupSpec) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Explicit enumeration of W as signed permutations (perm, signs),
     for the classical families at rank <= 5."""
-    fam, n = g.family, g.rank
-    if fam in ("SO", "O", "Spin"):
-        fam = "B" if n % 2 else "D"
-        n //= 2
-    if fam == "Sp":
-        fam, n = "C", n // 2
-    if fam == "GL":
-        fam = "A"
-        n -= 1
+    fam, n = _root_system(g)
     if fam not in ("A", "B", "C", "D"):
         raise ValueError(f"explicit enumeration is for classical families, not {g}")
     if n > 5:
@@ -270,13 +276,7 @@ def weyl_length_series(g: GroupSpec) -> list[int]:
     (1, ..., 1) is regular, so w -> w(rho) is a bijection.  The edge from
     w to s_i w maps c to c - c_i * (column i of the Cartan matrix), which
     touches only the nodes joined to i in the Dynkin diagram."""
-    fam, n = g.family, g.rank
-    if fam in ("SO", "O", "Spin"):
-        fam, n = ("B" if n % 2 else "D"), n // 2
-    if fam == "Sp":
-        fam, n = "C", n // 2
-    if fam == "GL":
-        fam, n = "A", n - 1
+    fam, n = _root_system(g)
     if fam in _CHAIN_FAMILIES and n > 6:
         raise ValueError("BFS enumeration is desk scale: rank <= 6")
     a = cartan_matrix(fam, n)

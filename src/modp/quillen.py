@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .charclass import Generator, GradedPresentation, _transport
+from .charclass import Generator, GradedPresentation, _transport, generator_ring
 from .exactalg import Poly, PolyRing, SubstHom, sum_of_products
 
 
@@ -113,9 +113,9 @@ def quillen_presentation(n: int) -> GradedPresentation:
         raise ValueError("need n >= 6")
     sw = SWRing(n, so=True)
     gens = [Generator(name, w) for name, w in zip(sw.ring.names, sw.ring.weights)]
-    pres = GradedPresentation(gens + [Generator("z", 1 << h_value(n))])
-    pres.relations = [_transport(t, pres.ring) for t in theta_sequence(n, sw)]
-    return pres
+    gens.append(Generator("z", 1 << h_value(n)))
+    ring = generator_ring(gens)
+    return GradedPresentation(gens, [_transport(t, ring) for t in theta_sequence(n, sw)])
 
 
 @lru_cache(maxsize=1024)
@@ -141,17 +141,15 @@ def spin11_explicit_presentation() -> GradedPresentation:
     relation in that degree modulo multiples of the first)."""
     gens = [Generator(f"w{i}", i) for i in (4, 6, 7, 8, 10, 11)]
     gens.append(Generator("w64", 64))
-    return GradedPresentation(gens).with_relations(
-        "w11*w6 + w10*w7",
-        "w11^3 + w11^2*w7*w4 + w11*w8*w7^2")
+    return GradedPresentation(gens, ["w11*w6 + w10*w7",
+                                     "w11^3 + w11^2*w7*w4 + w11*w8*w7^2"])
 
 
 def spin11_lower_bound_ring() -> GradedPresentation:
     """The image of restriction to the rank-5 diagonal subgroup:
     k[u_4,u_6,u_7,u_8,u_10,u_11]/(u_11 u_6 + u_10 u_7)."""
-    return GradedPresentation(
-        [Generator(f"u{i}", i) for i in (4, 6, 7, 8, 10, 11)]
-    ).with_relations("u11*u6 + u10*u7")
+    return GradedPresentation([Generator(f"u{i}", i) for i in (4, 6, 7, 8, 10, 11)],
+                              ["u11*u6 + u10*u7"])
 
 
 @dataclass

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from modp import cli
 from modp.cli import main
 from modp.groupdata import Series
 
@@ -51,6 +52,20 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
         main(["invariants", "--group", "spin", "--max-degree", "4"])
     assert err.value.code == 2
     capsys.readouterr()
+
+
+def test_one_parser_serves_every_call(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("MODP_CACHE_DIR", str(tmp_path))
+    parser = cli.build_parser()
+    used = []
+    parse_args = parser.parse_args
+    monkeypatch.setattr(parser, "parse_args", lambda argv: used.append(parser) or parse_args(argv))
+    with pytest.raises(SystemExit) as err:
+        main(["degrees", "--family"])
+    assert err.value.code == 2
+    assert main(["degrees", "--family", "B", "--rank", "3"]) == 0
+    assert capsys.readouterr().out == "2 4 6\n"
+    assert used == [parser, parser]
 
 
 def test_json_determinism(capsys, tmp_path, monkeypatch):
@@ -151,6 +166,9 @@ def test_console_script_entry_point(tmp_path):
     "weyl --family B --rank 9",
     "degrees --family E8 --rank 3",
     "primes --family X --rank 2",
+    "whitney --e [] --f {}",
+    'whitney --e {"ring":{"vars":["a"],"weights":["x"]},"components":["1"]} --f {}',
+    'whitney --e {"ring":{"vars":["a"],"weights":[1]},"components":[1]} --f {}',
 ])
 def test_precondition_errors_exit_2(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("MODP_CACHE_DIR", str(tmp_path))

@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 import threading
@@ -16,7 +17,6 @@ from modp.exactalg import (
     determinant,
     elementary_symmetric,
     elementary_symmetric_of,
-    exact_divide,
     kernel_dimension_exhaustive,
     partial_derivative,
 )
@@ -212,26 +212,39 @@ def test_determinant_r3_vandermonde():
     assert determinant(m) == (t1 + t2) * (t1 + t3) * (t2 + t3)
 
 
-def test_bareiss_matches_cofactor():
-    rng = random.Random(13)
-    r = PolyRing(["x"], modulus=0)
-    for n in (7, 8):
-        rows = [[r.const(rng.randrange(-4, 5)) for _ in range(n)] for _ in range(n)]
-        small = [row[: n - 2] for row in rows[: n - 2]]
-        via_bareiss = determinant(rows)
-        # cross-check Bareiss against cofactor on a trimmed 5x5/6x6 block
-        from modp.exactalg import _det_cofactor
-        assert _det_cofactor(small, r) == determinant(small)
-        assert via_bareiss.is_homogeneous()
+def leibniz_determinant(rows, ring):
+    """The reference: the sum over permutations of the signed products."""
+    n = len(rows)
+    total = ring.zero()
+    for perm in itertools.permutations(range(n)):
+        factors = [rows[i][j] for i, j in enumerate(perm)]
+        if not all(factors):
+            continue
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = ring.const(-1 if inversions % 2 else 1)
+        for f in factors:
+            term = term * f
+        total = total + term
+    return total
 
 
-def test_exact_divide():
-    r = PolyRing(["x", "y"])
-    x, y = r.gens()
-    f = (x + y) * (x * x + y)
-    assert exact_divide(f, x + y) == x * x + y
-    with pytest.raises(ValueError):
-        exact_divide(x * x + x * y + y * y, x + y)
+@pytest.mark.parametrize("modulus", [0, 2, 3])
+def test_determinant_matches_the_leibniz_sum(modulus):
+    rng = random.Random(13 + modulus)
+    ring = PolyRing(["x", "y"], modulus=modulus)
+
+    def entry(terms):
+        return ring.from_terms({(rng.randrange(2), rng.randrange(2)): rng.choice((1, -1))
+                                for _ in range(terms)})
+
+    for n in range(1, 8):
+        dense = [[entry(1) for _ in range(n)] for _ in range(n)]
+        # mostly zero entries, but nonzero on one random permutation
+        perm = rng.sample(range(n), n)
+        sparse = [[entry(rng.randrange(1, 4)) if j == perm[i] or rng.random() < 0.25
+                   else ring.zero() for j in range(n)] for i in range(n)]
+        for rows in (dense, sparse):
+            assert determinant(rows) == leibniz_determinant(rows, ring), (n, rows)
 
 
 def test_graded_component_basis():

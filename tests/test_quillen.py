@@ -135,7 +135,7 @@ def test_regularity_check_fails_on_a_non_regular_sequence(monkeypatch, capsys, t
     good = quillen_presentation(11)
     w2, w7 = good.ring.var("w2"), good.ring.var("w7")
     # same degree as theta_3, so the series is unchanged, but a multiple of theta_0
-    relations = good.relations[:3] + [w2 * w7] + good.relations[4:]
+    relations = good.relations[:3] + (w2 * w7,) + good.relations[4:]
     broken = GradedPresentation(good.generators, relations)
     monkeypatch.setattr(modp.quillen, "quillen_presentation", lambda n: broken)
     monkeypatch.setenv("MODP_CACHE_DIR", str(tmp_path))
@@ -182,29 +182,45 @@ def test_minimal_presentation_at_p3_divides_by_the_coefficient():
     from modp.charclass import Generator, GradedPresentation
 
     pres = GradedPresentation([Generator("x", 1), Generator("y", 1), Generator("c", 2)],
-                              modulus=3).with_relations("2*c + x*y", "c*x + y^3")
+                              ["2*c + x*y", "c*x + y^3"], modulus=3)
     small = pres.minimal()
     # c = -(x*y)/2 = x*y over F_3
     assert [g.name for g in small.generators] == ["x", "y"]
-    assert small.relations == [small.ring.poly("x^2*y + y^3")]
+    assert small.relations == (small.ring.poly("x^2*y + y^3"),)
     for d in range(13):
         assert small.dim_degree(d) == pres.dim_degree(d), d
+
+
+def test_presentation_is_fixed_at_construction():
+    from modp.charclass import Generator, GradedPresentation
+    from modp.exactalg import PolyRing
+
+    # k[a,b,c]/(a+b): the memoised minimal() answers for these relations,
+    # so they cannot be appended to
+    outside = PolyRing(["a", "b", "c"]).poly("a + b")
+    pres = GradedPresentation([Generator(n, 1) for n in "abc"], [outside])
+    small = pres.minimal()
+    assert pres.relations[0].ring is pres.ring
+    assert isinstance(pres.generators, tuple)
+    with pytest.raises(AttributeError):
+        pres.relations.append(pres.ring.poly("b + c"))
+    assert small.dim_degree(1) == pres.dim_degree(1) == pres.series().coefficient(1) == 2
 
 
 def test_minimal_presentation_keeps_square_zero_generators():
     from modp.charclass import Generator, GradedPresentation
 
     gens = [Generator("v", 1, square_zero=True), Generator("s", 1), Generator("c", 2)]
-    pres = GradedPresentation(gens).with_relations("v + s")
+    pres = GradedPresentation(gens, ["v + s"])
     small = pres.minimal()
     assert [g.name for g in small.generators] == ["v", "c"]
     assert small.generator("v").square_zero
-    assert small.relations == []
+    assert small.relations == ()
     for d in range(9):
         assert small.dim_degree(d) == pres.dim_degree(d), d
-    only_v = GradedPresentation(gens[:1]).with_relations("v").minimal()
+    only_v = GradedPresentation(gens[:1], ["v"]).minimal()
     assert [g.name for g in only_v.generators] == ["v"]
-    assert only_v.relations == [only_v.ring.var("v")]
+    assert only_v.relations == (only_v.ring.var("v"),)
 
 
 def test_spin11_lower_bound_ring_dimensions():
