@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Sequence
 
 from .exactalg import (
@@ -250,7 +251,7 @@ class UClass:
             ring.check_same(f.ring)
             if f and (not f.is_homogeneous() or f.degree() != m):
                 raise ValueError(f"component {m} is not homogeneous of degree {m}")
-        self.components = list(components)
+        self.components = tuple(components)
 
     @property
     def truncation(self) -> int:
@@ -403,11 +404,10 @@ class Derivation:
 
     def __init__(self, ring: PolyRing, images: dict):
         self.ring = ring
-        self.images = {}
         for name, img in images.items():
             ring.var_index(name)
             ring.check_same(img.ring)
-            self.images[name] = img
+        self.images = MappingProxyType(dict(images))
 
     def __call__(self, f: Poly) -> Poly:
         """D(f) = sum_i (df/dx_i) D(x_i), summed in one accumulator."""

@@ -429,10 +429,6 @@ class Poly:
         shift = self.ring._shift
         return min(self.coeffs) >> shift == max(self.coeffs) >> shift
 
-    def homogeneous_component(self, d: int) -> "Poly":
-        shift = self.ring._shift
-        return Poly(self.ring, {m: c for m, c in self.coeffs.items() if m >> shift == d})
-
     # -- text / JSON forms --------------------------------------------
 
     def __str__(self):
@@ -505,18 +501,18 @@ def sum_of_products(ring: PolyRing, products: Iterable[Iterable[Poly]]) -> Poly:
 
 
 class SubstHom:
-    """A ring homomorphism determined by variable images in a target ring."""
+    """A ring homomorphism determined by variable images in a target ring;
+    `images` is read-only, since the power memo is built from it."""
 
     def __init__(self, source: PolyRing, target: PolyRing, images: dict):
         self.source = source
         self.target = target
-        self.images = {}
+        images = {name: target.const(img) if isinstance(img, int) else img
+                  for name, img in images.items()}
         for name, img in images.items():
             source.var_index(name)
-            if isinstance(img, int):
-                img = target.const(img)
             target.check_same(img.ring)
-            self.images[name] = img
+        self.images = MappingProxyType(images)
         self._powers: dict = {}
 
     def _power(self, i: int, k: int) -> Poly:

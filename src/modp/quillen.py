@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .charclass import Generator, GradedPresentation, _transport, generator_ring
-from .exactalg import Poly, PolyRing, SubstHom, sum_of_products
+from .exactalg import FIELD_BITS, Poly, PolyRing, sum_of_products
 
 
 def binom_mod2(m: int, k: int) -> int:
@@ -33,7 +33,7 @@ class SWRing:
         lo = 2 if so else 1
         self.ring = PolyRing([f"w{i}" for i in range(lo, n + 1)],
                              list(range(lo, n + 1)), 2)
-        self._square: SubstHom | None = None
+        self._sq: dict[tuple[int, int], Poly] = {}
 
     def w(self, m: int) -> Poly:
         """w_m as an element: w_0 = 1, and w_m = 0 above n (or m = 1 in
@@ -51,29 +51,35 @@ class SWRing:
         return sum_of_products(self.ring, [(self.w(l), self.w(i + j - l)) for l in range(i + 1)
                                            if binom_mod2(j - l - 1, i - l)])
 
-    def total_sq(self, f: Poly) -> Poly:
-        """The total square Sq = sum_i Sq^i, a ring endomorphism by the
-        Cartan formula: the substitution w_j -> sum_i Sq^i w_j.  The
-        substitution and its memo of powers are built on first use and
-        written once."""
-        self.ring.check_same(f.ring)
-        if self._square is None:
-            self._square = SubstHom(self.ring, self.ring, {
-                name: sum_of_products(self.ring, [
-                    (self.sq_on_generator(i, j),) for i in range(j + 1)])
-                for name, j in zip(self.ring.names, self.ring.weights)})
-        return self._square.apply(f)
+    def total_sq(self, m: int, i: int) -> Poly:
+        """The degree deg m + i part of the total square of the packed
+        monomial m, that is Sq^i m, memoised per (m, i) with each entry
+        written once: Wu's formula on a generator, otherwise the Cartan
+        formula Sq^i(w_j m') = sum_k Sq^k(w_j) Sq^(i-k)(m') on the last
+        variable w_j of m (its lowest nonzero byte)."""
+        sq = self._sq.get((m, i))
+        if sq is None:
+            ring, deg = self.ring, m >> self.ring._shift
+            if i == 0 or i > deg:
+                sq = Poly(ring, {m: 1} if i == 0 else {})
+            else:
+                v = len(ring.names) - 1 - ((m & -m).bit_length() - 1) // FIELD_BITS
+                unit, j = ring._units[v], ring.weights[v]
+                sq = self.sq_on_generator(i, j) if m == unit else sum_of_products(ring, [
+                    (self.total_sq(unit, k), self.total_sq(m - unit, i - k))
+                    for k in range(max(0, i - deg + j), min(i, j) + 1)])
+            self._sq[(m, i)] = sq
+        return sq
 
     def sq(self, i: int, f: Poly) -> Poly:
-        """Sq^i f for homogeneous f (degree component deg f + i of the
-        total square)."""
+        """Sq^i f for homogeneous f in this ring, summed over its
+        monomials."""
         if i < 0:
             raise ValueError("negative Steenrod index")
         if not f.is_homogeneous():
             raise ValueError("Sq^i needs a homogeneous argument")
-        if f.is_zero():
-            return f
-        return self.total_sq(f).homogeneous_component(f.degree() + i)
+        self.ring.check_same(f.ring)
+        return sum_of_products(self.ring, [(self.total_sq(m, i),) for m in f.coeffs])
 
 
 def h_value(n: int) -> int:
@@ -87,15 +93,12 @@ def h_value(n: int) -> int:
     return 4 * l + offset
 
 
-def theta_sequence(n: int, sw: SWRing | None = None) -> list[Poly]:
-    """theta_0 = w_2 and theta_{i+1} = Sq^{2^i} theta_i, of length h(n);
-    the degrees are 2, 3, 5, ..., 2^{h-1} + 1."""
-    sw = sw or SWRing(n, so=True)
-    if not sw.so:
-        raise ValueError("theta sequence lives in the SO ring (w_1 = 0)")
-    h = h_value(n)
+def theta_sequence(n: int) -> list[Poly]:
+    """theta_0 = w_2 and theta_{i+1} = Sq^{2^i} theta_i in SWRing(n), of
+    length h(n); the degrees are 2, 3, 5, ..., 2^{h-1} + 1."""
+    sw = SWRing(n, so=True)
     thetas = [sw.w(2)]
-    for i in range(h - 1):
+    for i in range(h_value(n) - 1):
         thetas.append(sw.sq(1 << i, thetas[-1]))
     return thetas
 
@@ -109,13 +112,15 @@ def quillen_presentation(n: int) -> GradedPresentation:
     z standing for the extra generator of degree 2^h.  The thetas are
     computed on SWRing(n) and transported; the quotient is that ring when
     they form a regular sequence."""
-    if n < 6:
-        raise ValueError("need n >= 6")
-    sw = SWRing(n, so=True)
-    gens = [Generator(name, w) for name, w in zip(sw.ring.names, sw.ring.weights)]
+    if not 6 <= n <= 17:  # the thetas of n = 18 alone take seconds and about 200 MB
+        raise ValueError("need n >= 6" if n < 6 else
+                         f"need n <= 17: the theta sequence of n = {n} is too large to build")
+    thetas = theta_sequence(n)
+    source = thetas[0].ring
+    gens = [Generator(name, w) for name, w in zip(source.names, source.weights)]
     gens.append(Generator("z", 1 << h_value(n)))
     ring = generator_ring(gens)
-    return GradedPresentation(gens, [_transport(t, ring) for t in theta_sequence(n, sw)])
+    return GradedPresentation(gens, [_transport(t, ring) for t in thetas])
 
 
 @lru_cache(maxsize=1024)

@@ -22,7 +22,7 @@ from modp.charclass import (
     unit_uclass,
     whitney_sum,
 )
-from modp.exactalg import elementary_symmetric
+from modp.exactalg import PolyRing, SubstHom, elementary_symmetric
 
 
 def test_bso_presentation():
@@ -158,6 +158,26 @@ def test_whitney_rejects_bad_unit():
     ring = pres.ring
     with pytest.raises(ValueError, match="u_0"):
         UClass(pres, [ring.zero(), ring.var("a")])
+
+
+def test_images_and_components_are_read_only():
+    # x^2 is memoised from the image of x, so a new image of x would mix
+    # into x^3 with the old one; a u-class longer than its construction
+    # would skip the homogeneity check
+    r = PolyRing(["x", "y", "z"])
+    x, y, z = r.gens()
+    h = SubstHom(r, r, {"x": y, "y": y, "z": z})
+    assert h(x * x) == y * y
+    with pytest.raises(TypeError):
+        h.images["x"] = z
+    assert h(x * x * x) == y * y * y
+    beta = bockstein(2)
+    with pytest.raises(TypeError):
+        beta.images["s1"] = beta.ring.zero()
+    u = unit_uclass(bso_presentation(3), 2)
+    with pytest.raises(AttributeError):
+        u.components.append(u[2])
+    assert u.truncation == 2
 
 
 def test_restriction_even_source():

@@ -1,7 +1,9 @@
 import random
+import time
 
 import pytest
 
+from modp.exactalg import SubstHom, sum_of_products
 from modp.quillen import (
     SWRing,
     binom_mod2,
@@ -68,6 +70,81 @@ def test_cartan_formula_randomized():
             for a in range(i + 1):
                 total = total + sw.sq(a, fa) * sw.sq(i - a, fb)
             assert sw.sq(i, fa * fb) == total, (i, da, db)
+
+
+def total_square_oracle(sw):
+    """Sq^i by the total square: the ring endomorphism w_j -> sum_k Sq^k w_j
+    (Wu's formula on each generator), then the component of degree
+    deg f + i of the image."""
+    ring = sw.ring
+    square = SubstHom(ring, ring, {
+        name: sum_of_products(ring, [(sw.sq_on_generator(k, j),) for k in range(j + 1)])
+        for name, j in zip(ring.names, ring.weights)})
+
+    def sq(i, f):
+        d = f.degree() + i
+        return ring.from_terms({e: c for e, c in square(f).terms.items()
+                                if sum(a * w for a, w in zip(e, ring.weights)) == d})
+    return sq
+
+
+@pytest.mark.parametrize("n", range(6, 17))
+def test_thetas_match_the_total_square_oracle(n):
+    sw = SWRing(n, so=True)
+    sq = total_square_oracle(sw)
+    expected = [sw.w(2)]
+    for i in range(h_value(n) - 1):
+        expected.append(sq(1 << i, expected[-1]))
+    assert theta_sequence(n) == expected
+
+
+@pytest.mark.parametrize("so", [True, False])
+def test_sq_matches_the_total_square_oracle(so):
+    sw = SWRing(9, so=so)
+    sq = total_square_oracle(sw)
+    rng = random.Random(11)
+    for _ in range(20):
+        d = rng.randrange(13)
+        f = sw.ring.from_terms({sw.ring.exponents(m): 1 for m in sw.ring.monomials_of_degree(d)
+                                if rng.random() < 0.5})
+        for i in range(d + 2):
+            assert sw.sq(i, f) == sq(i, f), (so, d, i)
+
+
+def test_sq_rejects_a_polynomial_of_another_ring():
+    from modp.exactalg import RingMismatchError
+
+    with pytest.raises(RingMismatchError):
+        SWRing(9, so=True).sq(1, SWRing(9, so=False).w(2))
+
+
+def test_spin17_thetas_and_dimensions():
+    thetas = theta_sequence(17)
+    assert [t.degree() for t in thetas] == [2, 3, 5, 9, 17, 33, 65, 129]
+    assert len(thetas[-1].coeffs) == 17541
+    # each degree is checked against the series inside quillen_dim
+    assert [quillen_dim(17, d) for d in (0, 2, 8, 32, 66, 80)] == [1, 0, 2, 66, 2126, 6463]
+
+
+@pytest.mark.parametrize("n", [18, 10**6])
+def test_quillen_refuses_n_above_17_before_any_square(n, capsys, tmp_path, monkeypatch):
+    import modp.quillen
+    from modp.cli import main
+
+    def never(*args, **kwargs):
+        raise AssertionError("SWRing built above the bound")
+
+    monkeypatch.setattr(modp.quillen, "SWRing", never)
+    monkeypatch.setenv("MODP_CACHE_DIR", str(tmp_path))
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as err:
+        main(["quillen", "--n", str(n), "--dims", "0..4"])
+    assert time.perf_counter() - start < 1
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"modp: error: need n <= 17: the theta sequence of n = {n} "
+                            "is too large to build\n")
 
 
 def test_sq_rejects_inhomogeneous():
