@@ -23,7 +23,7 @@ from .exactalg import (
     partial_derivative,
     sum_of_products,
 )
-from .groupdata import Series, _conv, one_minus_q_power
+from .groupdata import Series, _times_binomial
 
 
 @dataclass(frozen=True)
@@ -113,10 +113,10 @@ class GradedPresentation:
         dim_degree is the exact cross-check."""
         num = [1]
         for rel in self.relations:
-            num = _conv(num, one_minus_q_power(rel.degree()))
+            num = _times_binomial(num, rel.degree(), -1)
         for g in self.generators:
             if g.square_zero:
-                num = _conv(num, one_minus_q_power(2 * g.degree))
+                num = _times_binomial(num, 2 * g.degree, -1)
         return Series(num, tuple(g.degree for g in self.generators), truncation)
 
     def _all_relations(self) -> list[Poly]:
@@ -240,10 +240,13 @@ def _transport(f: Poly, target: PolyRing, mapping: dict | None = None) -> Poly:
 
 class UClass:
     """A truncated total class: components[m] is homogeneous of degree m
-    and components[0] = 1."""
+    and components[0] = 1.  `presentation` and `components` are read-only,
+    since the constructor checked one against the other."""
+
+    __slots__ = ("_presentation", "_components")
 
     def __init__(self, presentation: GradedPresentation, components: list[Poly]):
-        self.presentation = presentation
+        self._presentation = presentation
         ring = presentation.ring
         if not components or components[0] != ring.one():
             raise ValueError("u_0 must equal 1")
@@ -251,25 +254,28 @@ class UClass:
             ring.check_same(f.ring)
             if f and (not f.is_homogeneous() or f.degree() != m):
                 raise ValueError(f"component {m} is not homogeneous of degree {m}")
-        self.components = tuple(components)
+        self._components = tuple(components)
+
+    presentation = property(lambda self: self._presentation)
+    components = property(lambda self: self._components)
 
     @property
     def truncation(self) -> int:
-        return len(self.components) - 1
+        return len(self._components) - 1
 
     def __getitem__(self, m: int) -> Poly:
-        return self.components[m]
+        return self._components[m]
 
     def __eq__(self, other):
         return (isinstance(other, UClass)
-                and self.presentation.ring == other.presentation.ring
-                and self.components == other.components)
+                and self._presentation.ring == other._presentation.ring
+                and self._components == other._components)
 
     def even_part(self) -> "UClass":
-        ring = self.presentation.ring
+        ring = self._presentation.ring
         comps = [f if m % 2 == 0 else ring.zero()
-                 for m, f in enumerate(self.components)]
-        return UClass(self.presentation, comps)
+                 for m, f in enumerate(self._components)]
+        return UClass(self._presentation, comps)
 
 
 def unit_uclass(presentation: GradedPresentation, truncation: int) -> UClass:
@@ -325,6 +331,17 @@ class RestrictionHom:
         return self.hom(self.source.ring.var(name))
 
 
+# The symmetric functions of a restriction double in cost with each step
+# of 2 in n: about a second and 45 MB at n = 28.
+RESTRICTION_MAX_N = 28
+
+
+def _check_restriction_size(n: int) -> None:
+    if n > RESTRICTION_MAX_N:
+        raise ValueError(f"need n <= {RESTRICTION_MAX_N}: the restriction of n = {n} "
+                         "is too large to build")
+
+
 def restriction_bso_to_bo2r(n: int) -> RestrictionHom:
     """Restriction to the diagonal BO(2)^r, r = floor(n/2).  Even classes
     go to elementary symmetric functions of the t_i.  Odd classes carry
@@ -332,6 +349,7 @@ def restriction_bso_to_bo2r(n: int) -> RestrictionHom:
     full orthogonal group (even n)."""
     if n < 2:
         raise ValueError("need n >= 2")
+    _check_restriction_size(n)
     r = n // 2
     target = bo2_power_ring(r)
     ts = [f"t{i}" for i in range(1, r + 1)]
@@ -382,6 +400,7 @@ def restriction_to_K(n: int) -> RestrictionHom:
     u_2a+1 to a*s*e_a(t), i.e. s*e_a for odd a and zero for even a."""
     if n % 2 == 0 or n < 7:
         raise ValueError("need odd n >= 7")
+    _check_restriction_size(n)
     r = n // 2
     source = bso_presentation(n)
     target = k_target_ring(r)

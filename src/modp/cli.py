@@ -358,15 +358,22 @@ def cmd_jacobian(args) -> int:
     return 0 if report.ok else 1
 
 
+# Every degree from 512 on is refused anyway, by the monomial guard or by
+# the exponent limit on w4; this bound keeps the list of degrees small.
+DIMS_MAX_DEGREE = 1000
+
+
 def _parse_dims(spec: str) -> list[int]:
     lo, sep, hi = spec.partition("..")
     try:
-        dims = list(range(int(lo), int(hi if sep else lo) + 1))
+        lo, hi = int(lo), int(hi if sep else lo)
     except ValueError:
         raise ValueError(f"--dims takes a degree or a range lo..hi, not {spec!r}") from None
-    if dims and dims[0] < 0:
+    if lo < 0:
         raise ValueError(f"--dims must not be negative, got {spec!r}")
-    return dims
+    if hi > DIMS_MAX_DEGREE:
+        raise ValueError(f"--dims goes up to degree {DIMS_MAX_DEGREE}, got {spec!r}")
+    return list(range(lo, hi + 1))
 
 
 def cmd_quillen(args) -> int:

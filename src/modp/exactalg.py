@@ -502,18 +502,25 @@ def sum_of_products(ring: PolyRing, products: Iterable[Iterable[Poly]]) -> Poly:
 
 class SubstHom:
     """A ring homomorphism determined by variable images in a target ring;
-    `images` is read-only, since the power memo is built from it."""
+    `source`, `target` and `images` are read-only, since the power memo is
+    built from them."""
+
+    __slots__ = ("_source", "_target", "_images", "_powers")
 
     def __init__(self, source: PolyRing, target: PolyRing, images: dict):
-        self.source = source
-        self.target = target
+        self._source = source
+        self._target = target
         images = {name: target.const(img) if isinstance(img, int) else img
                   for name, img in images.items()}
         for name, img in images.items():
             source.var_index(name)
             target.check_same(img.ring)
-        self.images = MappingProxyType(images)
+        self._images = MappingProxyType(images)
         self._powers: dict = {}
+
+    source = property(lambda self: self._source)
+    target = property(lambda self: self._target)
+    images = property(lambda self: self._images)
 
     def _power(self, i: int, k: int) -> Poly:
         """The image of variable i raised to the power k >= 1, memoised
@@ -522,10 +529,10 @@ class SubstHom:
         threads sharing the hom can at worst compute a power twice."""
         power = self._powers.get((i, k))
         if power is None:
-            name = self.source.names[i]
-            if name not in self.images:
+            name = self._source.names[i]
+            if name not in self._images:
                 raise MissingImageError(f"no image for variable {name!r}")
-            image = self.images[name]
+            image = self._images[name]
             power = image if k == 1 else self._power(i, k - 1) * image
             self._powers[(i, k)] = power
         return power
@@ -533,9 +540,9 @@ class SubstHom:
     def apply(self, f: Poly) -> Poly:
         """The image of f: each term c*m goes to c times the product of
         the memoised image powers of m, summed in one accumulator."""
-        self.source.check_same(f.ring)
-        exps, const = self.source.exponents, self.target.const
-        return sum_of_products(self.target, [
+        self._source.check_same(f.ring)
+        exps, const = self._source.exponents, self._target.const
+        return sum_of_products(self._target, [
             [self._power(i, e) for i, e in enumerate(exps(mono)) if e]
             + ([] if c == 1 else [const(c)])
             for mono, c in f.coeffs.items()])
@@ -544,11 +551,11 @@ class SubstHom:
         return self.apply(f)
 
     def __eq__(self, other):
-        return (isinstance(other, SubstHom) and self.source == other.source
-                and self.target == other.target and self.images == other.images)
+        return (isinstance(other, SubstHom) and self._source == other._source
+                and self._target == other._target and self._images == other._images)
 
     def __repr__(self):
-        ims = ", ".join(f"{n} -> {v}" for n, v in self.images.items())
+        ims = ", ".join(f"{n} -> {v}" for n, v in self._images.items())
         return f"SubstHom({ims})"
 
 

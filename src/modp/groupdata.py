@@ -40,6 +40,8 @@ class GroupSpec:
             raise ValueError(f"{fam} requires rank >= {minimum[fam]}, got {n}")
         if fam == "Sp" and n % 2:
             raise ValueError("Sp takes an even matrix size 2n")
+        if _root_system(self)[1] > 120:  # flag_poincare takes about 0.3 s at 120
+            raise ValueError(f"{self} has Lie rank {_root_system(self)[1]}: need <= 120")
 
     def __str__(self):
         return f"{self.family}{self.rank}"
@@ -111,12 +113,13 @@ def torsion_primes(g: GroupSpec) -> frozenset[int]:
 
 # -- Hilbert/Poincare series ------------------------------------------
 
-def _conv(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
+def _times_binomial(a: list[int], d: int, c: int) -> list[int]:
+    """a(q) * (1 + c*q^d) for d >= 1, in one pass over a: every
+    numerator is built from such steps."""
+    out = a + [0] * d
+    for k, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
+            out[k + d] += c * x
     return out
 
 
@@ -142,28 +145,25 @@ class Series:
         return self.coefficients(d)[d]
 
     def __mul__(self, other: "Series") -> "Series":
-        return Series(_conv(list(self.numerator), list(other.numerator)),
-                      self.denominator + other.denominator,
+        a, b = self.numerator, other.numerator
+        num = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                num[i + j] += x * y
+        return Series(num, self.denominator + other.denominator,
                       max(self.truncation, other.truncation))
 
     def as_polynomial(self) -> list[int]:
-        """Exact quotient as a coefficient list; raises if the denominator
-        does not divide the numerator."""
-        f = list(self.numerator)
-        for d in self.denominator:
-            deg = len(f) - 1
-            if deg < d:
-                raise ValueError("denominator does not divide numerator")
-            g = [0] * (deg - d + 1)
-            for k in range(len(g)):
-                g[k] = f[k] + (g[k - d] if k >= d else 0)
-            for k in range(len(g), deg + 1):
-                if f[k] != (-g[k - d] if k - d < len(g) else 0):
-                    raise ValueError("denominator does not divide numerator")
-            f = g
-        while len(f) > 1 and f[-1] == 0:
-            f.pop()
-        return f
+        """Exact quotient as a coefficient list, read off the expansion c:
+        with e = deg N - sum(den) it is P = c_0..c_e when c_{e+1}..c_{deg N}
+        vanish, since N - D*P then has degree <= deg N and vanishes to order
+        deg N + 1.  Raises if the denominator does not divide the numerator."""
+        top = max((k for k, x in enumerate(self.numerator) if x), default=0)
+        e = top - sum(self.denominator)
+        c = self.coefficients(top)
+        if e < 0 or any(c[e + 1:]):
+            raise ValueError("denominator does not divide numerator")
+        return c[:e + 1]
 
     def value_at_one(self) -> int:
         return sum(self.as_polynomial())
@@ -176,19 +176,13 @@ class Series:
         return f"Series(num={list(self.numerator)}, den={list(self.denominator)})"
 
 
-def one_minus_q_power(d: int) -> list[int]:
-    out = [0] * (d + 1)
-    out[0], out[d] = 1, -1
-    return out
-
-
 def flag_poincare(g: GroupSpec) -> Series:
     """Poincare polynomial of the full flag variety: the length generating
     function of W, prod (1-q^{d_i}) / (1-q)^rank."""
     degrees = fundamental_degrees(g)
     num = [1]
     for d in degrees:
-        num = _conv(num, one_minus_q_power(d))
+        num = _times_binomial(num, d, -1)
     return Series(num, (1,) * len(degrees), truncation=sum(degrees))
 
 
@@ -200,9 +194,7 @@ def isotropic_grassmannian_poincare(n: int) -> Series:
     s = (n - 1) // 2
     num = [1]
     for i in range(1, s + 1):
-        factor = [0] * (i + 1)
-        factor[0] = factor[i] = 1
-        num = _conv(num, factor)
+        num = _times_binomial(num, i, 1)
     return Series(num, (), truncation=s * (s + 1) // 2)
 
 

@@ -96,6 +96,8 @@ def h_value(n: int) -> int:
 def theta_sequence(n: int) -> list[Poly]:
     """theta_0 = w_2 and theta_{i+1} = Sq^{2^i} theta_i in SWRing(n), of
     length h(n); the degrees are 2, 3, 5, ..., 2^{h-1} + 1."""
+    if n > 17:  # the thetas of n = 18 alone take seconds and about 200 MB
+        raise ValueError(f"need n <= 17: the theta sequence of n = {n} is too large to build")
     sw = SWRing(n, so=True)
     thetas = [sw.w(2)]
     for i in range(h_value(n) - 1):
@@ -112,9 +114,8 @@ def quillen_presentation(n: int) -> GradedPresentation:
     z standing for the extra generator of degree 2^h.  The thetas are
     computed on SWRing(n) and transported; the quotient is that ring when
     they form a regular sequence."""
-    if not 6 <= n <= 17:  # the thetas of n = 18 alone take seconds and about 200 MB
-        raise ValueError("need n >= 6" if n < 6 else
-                         f"need n <= 17: the theta sequence of n = {n} is too large to build")
+    if n < 6:
+        raise ValueError("need n >= 6")
     thetas = theta_sequence(n)
     source = thetas[0].ring
     gens = [Generator(name, w) for name, w in zip(source.names, source.weights)]

@@ -180,6 +180,25 @@ def test_images_and_components_are_read_only():
     assert u.truncation == 2
 
 
+def test_rebinding_is_refused():
+    # the power memo of a SubstHom is built from its source, target and
+    # images, and a u-class was checked against its presentation
+    r = PolyRing(["x", "y", "z"])
+    x, y, z = r.gens()
+    h = SubstHom(r, r, {"x": y, "y": y, "z": z})
+    assert h(x * x) == y * y
+    for attr, value in (("source", r), ("target", r), ("images", {"x": z, "y": y, "z": z})):
+        with pytest.raises(AttributeError):
+            setattr(h, attr, value)
+    assert h(x * x * x) == y * y * y
+    u = unit_uclass(bso_presentation(3), 2)
+    for attr, value in (("components", u.components + (u[1],)),
+                        ("presentation", bso_presentation(5))):
+        with pytest.raises(AttributeError):
+            setattr(u, attr, value)
+    assert u.truncation == 2 and u.presentation.ring == bso_presentation(3).ring
+
+
 def test_restriction_even_source():
     rest = restriction_bso_to_bo2r(6)
     t = rest.hom.target

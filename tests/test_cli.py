@@ -154,6 +154,9 @@ def test_console_script_entry_point(tmp_path):
     "quillen --n 11 --dims 3..x",
     "quillen --n 11 --dims 3..",
     "quillen --n 11 --dims -1",
+    "quillen --n 11 --dims 0..1000000000",
+    "quillen --n 11 --dims=-1000000000..0",
+    "quillen --n 1000000000",
     "invariants --n 4",
     "invariants --n 9 --p 3",
     "invariants --group classical --family B --rank 3 --p 4",
@@ -162,9 +165,16 @@ def test_console_script_entry_point(tmp_path):
     "invariants --group nakajima --r 8 --max-degree 40",
     "jacobian --r 9",
     "restrict --n 8 --target K",
+    "restrict --n 30",
+    "restrict --n 1000000001 --target K",
     "ring --name bso --n 1",
     "weyl --family B --rank 9",
     "degrees --family E8 --rank 3",
+    "degrees --family A --rank 1000000000",
+    "flag-poincare --family A --rank 121",
+    "flag-poincare --family Spin --rank 1000000000",
+    "weyl --family GL --rank 1000000000",
+    "primes --family Sp --rank 1000000000",
     "primes --family X --rank 2",
     "whitney --e [] --f {}",
     'whitney --e {"ring":{"vars":["a"],"weights":["x"]},"components":["1"]} --f {}',

@@ -1,8 +1,17 @@
 import math
+import random
 
 import pytest
 
+from modp.charclass import (
+    bmu_p_presentation,
+    bo_presentation,
+    bso_presentation,
+    bz2_presentation,
+)
 from modp.groupdata import (
+    MATRIX_FAMILIES,
+    SIMPLE_FAMILIES,
     GroupSpec,
     flag_poincare,
     fundamental_degrees,
@@ -13,6 +22,7 @@ from modp.groupdata import (
     weyl_length_series,
     Series,
 )
+from modp.quillen import quillen_presentation
 
 
 def test_degree_table():
@@ -160,3 +170,66 @@ def test_series_multiply_commutes_with_truncation():
     ca, cb = a.coefficients(n), b.coefficients(n)
     direct = [sum(ca[i] * cb[k - i] for i in range(k + 1)) for k in range(n + 1)]
     assert product == direct
+
+
+def _dense_product(num, factors):
+    """num(q) * prod (1 + c*q^d) over the (d, c) in factors, by dense
+    convolution with the full coefficient list of each factor: the oracle
+    for the sparse binomial steps that build every numerator."""
+    num = list(num)
+    for d, c in factors:
+        factor = [1] + [0] * (d - 1) + [c]
+        out = [0] * (len(num) + d)
+        for i, x in enumerate(num):
+            for j, y in enumerate(factor):
+                out[i + j] += x * y
+        num = out
+    return num
+
+
+def test_flag_and_grassmannian_numerators_match_dense_oracle():
+    for family in SIMPLE_FAMILIES + MATRIX_FAMILIES:
+        for rank in range(1, 9):
+            try:
+                g = GroupSpec(family, rank)
+                degrees = fundamental_degrees(g)
+            except ValueError:
+                continue  # not in the catalog, or O(1) with its empty root system
+            series = flag_poincare(g)
+            assert series.numerator == tuple(_dense_product([1], [(d, -1) for d in degrees]))
+            assert series.denominator == (1,) * len(degrees)
+    for n in range(2, 20):
+        s = (n - 1) // 2
+        assert isotropic_grassmannian_poincare(n).numerator == \
+            tuple(_dense_product([1], [(i, 1) for i in range(1, s + 1)]))
+
+
+def test_presentation_numerators_match_dense_oracle():
+    presentations = [bso_presentation(n) for n in range(2, 12)]
+    presentations += [bo_presentation(n) for n in range(1, 12)]
+    presentations += [bmu_p_presentation(), bz2_presentation()]
+    presentations += [quillen_presentation(n) for n in range(6, 18)]
+    for pres in presentations:
+        factors = [(rel.degree(), -1) for rel in pres.relations]
+        factors += [(2 * g.degree, -1) for g in pres.generators if g.square_zero]
+        series = pres.series()
+        assert series.numerator == tuple(_dense_product([1], factors))
+        assert series.denominator == tuple(sorted(g.degree for g in pres.generators))
+
+
+def test_as_polynomial_recovers_random_exact_quotients():
+    rng = random.Random(12)
+    for _ in range(300):
+        p = [rng.randint(-4, 4) for _ in range(rng.randint(0, 10))]
+        p += [rng.choice((-3, -1, 2))]
+        p[rng.randrange(len(p))] = -rng.randint(1, 4)
+        dens = [rng.randint(1, 6) for _ in range(rng.randint(1, 5))]
+        num = _dense_product(p, [(d, -1) for d in dens])
+        assert Series(num, dens).as_polynomial() == p
+        assert Series(num + [0, 0], dens).as_polynomial() == p
+        k = rng.randrange(len(num))
+        bumped = num[:k] + [num[k] + 1] + num[k + 1:]
+        with pytest.raises(ValueError):
+            Series(bumped, dens).as_polynomial()
+        with pytest.raises(ValueError):
+            Series(num[:sum(dens)], dens).as_polynomial()

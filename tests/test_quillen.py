@@ -147,6 +147,20 @@ def test_quillen_refuses_n_above_17_before_any_square(n, capsys, tmp_path, monke
                             "is too large to build\n")
 
 
+@pytest.mark.parametrize("n", [18, 10**6])
+def test_theta_sequence_refuses_n_above_17_before_any_square(n, monkeypatch):
+    import modp.quillen
+
+    def never(*args, **kwargs):
+        raise AssertionError("SWRing built above the bound")
+
+    monkeypatch.setattr(modp.quillen, "SWRing", never)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="need n <= 17"):
+        theta_sequence(n)
+    assert time.perf_counter() - start < 1
+
+
 def test_sq_rejects_inhomogeneous():
     sw = SWRing(5)
     with pytest.raises(ValueError, match="homogeneous"):
