@@ -147,7 +147,7 @@ def cmd_degrees(args) -> int:
     g = _group_from_args(args)
     payload = group_payload(g)
     emit(args, "degrees", {"family": g.family, "rank": g.rank}, payload,
-         [" ".join(str(d) for d in payload["degrees"])])
+         [" ".join(str(d) for d in payload["degrees"]) or "-"])
     return 0
 
 

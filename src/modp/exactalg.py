@@ -7,7 +7,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from operator import itemgetter
+from operator import mul
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -15,6 +15,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 # every byte is a guard bit, so the largest exponent is 127 and a sum of
 # two valid exponents never carries into the neighbouring field.
 FIELD_BITS = 8
+FIELD_MASK = (1 << FIELD_BITS) - 1
 EXPONENT_LIMIT = 1 << (FIELD_BITS - 1)
 
 # The largest graded component any basis walk may build.
@@ -138,23 +139,33 @@ class PolyRing:
     def relabeling(self, target: "PolyRing", index_map: dict) -> Callable[[int], int]:
         """The map on packed monomials that renames every variable i of
         this ring to the variable index_map[i] of `target`, of the same
-        weight; target variables left out get exponent 0."""
-        if sorted(index_map) != list(range(len(self.names))):
-            raise ValueError(f"a relabeling of {self} must map each of its variables once")
+        weight; target variables left out get exponent 0.  The fields that
+        keep their bit offset (the degree field among them) are copied in
+        one mask, and the others are moved in one mask per distance."""
+        images = set(index_map.values())
+        if (sorted(index_map) != list(range(len(self.names))) or len(images) < len(index_map)
+                or not images <= set(range(len(target.names)))):
+            raise ValueError(f"a relabeling of {self} must map its variables one to one "
+                             f"into {target}")
         for i, j in index_map.items():
             if self.weights[i] != target.weights[j]:
                 raise ValueError(f"{self.names[i]} and {target.names[j]} differ in weight")
-        n, low, shift, tshift = len(self.names), self._low, self._shift, target._shift
-        source_of = [n] * len(target.names)  # byte n of the source is a zero pad
+        shifts = {target._shift - self._shift: ~self._low}
         for i, j in index_map.items():
-            source_of[j] = i
-        pick = itemgetter(*source_of) if source_of else (lambda b: ())
-        single = len(source_of) == 1
+            src = self._offsets[i]
+            d = target._offsets[j] - src
+            shifts[d] = shifts.get(d, 0) | FIELD_MASK << src
+        keep = shifts.pop(0, 0)
+        left = [(mask, d) for d, mask in shifts.items() if d > 0]
+        right = [(mask, -d) for d, mask in shifts.items() if d < 0]
 
         def move(m: int) -> int:
-            picked = pick((m & low).to_bytes(n, "big") + b"\0")
-            return ((m >> shift) << tshift) | int.from_bytes(
-                bytes((picked,) if single else picked), "big")
+            out = m & keep
+            for mask, d in left:
+                out |= (m & mask) << d
+            for mask, d in right:
+                out |= (m & mask) >> d
+            return out
         return move
 
     # -- grading -----------------------------------------------------
@@ -500,23 +511,41 @@ def sum_of_products(ring: PolyRing, products: Iterable[Iterable[Poly]]) -> Poly:
     return Poly(ring, _reduced(ring, acc))
 
 
+_ONE = {0: 1}  # the coefficient dict of the polynomial 1
+
+
 class SubstHom:
     """A ring homomorphism determined by variable images in a target ring;
-    `source`, `target` and `images` are read-only, since the power memo is
-    built from them."""
+    `source`, `target` and `images` are read-only, since the plan and the
+    power memo are built from them.
 
-    __slots__ = ("_source", "_target", "_images", "_powers")
+    The plan, built once here, sorts the variables.  One whose image is a
+    single term c*t ("still") sends x^e to c^e * t^e: it keeps its packed
+    t (its head) and, when c != 1, its (index, c).  Every other one
+    ("moving": an image of several terms, zero, or missing) keeps its byte
+    in a mask.  The terms of f that agree on that mask form one group,
+    whose image is the group with every term replaced by its head, times
+    one product of memoised powers of the moving images."""
+
+    __slots__ = ("_source", "_target", "_images", "_powers", "_plan")
 
     def __init__(self, source: PolyRing, target: PolyRing, images: dict):
         self._source = source
         self._target = target
         images = {name: target.const(img) if isinstance(img, int) else img
                   for name, img in images.items()}
+        heads, scaled, moving = [0] * len(source.names), [], source._low
         for name, img in images.items():
-            source.var_index(name)
+            i = source.var_index(name)
             target.check_same(img.ring)
+            if len(img.coeffs) == 1:
+                ((heads[i], c),) = img.coeffs.items()
+                moving ^= FIELD_MASK << source._offsets[i]
+                if c != 1:
+                    scaled.append((i, c))
         self._images = MappingProxyType(images)
         self._powers: dict = {}
+        self._plan = (tuple(heads), tuple(scaled), moving, source._low ^ moving)
 
     source = property(lambda self: self._source)
     target = property(lambda self: self._target)
@@ -537,15 +566,50 @@ class SubstHom:
             self._powers[(i, k)] = power
         return power
 
+    def _checked_head(self, exps: bytes) -> int:
+        """The head of a term built one monomial addition at a time, so
+        that an exponent over the limit raises instead of carrying."""
+        target, head = self._target, 0
+        for e, t in zip(exps, self._plan[0]):
+            for _ in range(e):
+                head += t
+                if head & target._guard:
+                    target._check_fields((head,))
+        return head
+
     def apply(self, f: Poly) -> Poly:
-        """The image of f: each term c*m goes to c times the product of
-        the memoised image powers of m, summed in one accumulator."""
-        self._source.check_same(f.ring)
-        exps, const = self._source.exponents, self._target.const
-        return sum_of_products(self._target, [
-            [self._power(i, e) for i, e in enumerate(exps(mono)) if e]
-            + ([] if c == 1 else [const(c)])
-            for mono, c in f.coeffs.items()])
+        """The image of f: its terms grouped by their moving exponents,
+        each group's heads times the memoised moving powers, summed in one
+        accumulator."""
+        source, target = self._source, self._target
+        source.check_same(f.ring)
+        heads, scaled, moving, still = self._plan  # still, moving: byte masks
+        n, low, safe, p = len(source.names), source._low, target._safe, target.modulus
+        groups: dict[int, dict] = {}
+        merged = False  # two terms of one group with the same head
+        for m, c in f.coeffs.items():
+            head = 0
+            if m & still:
+                exps = (m & low).to_bytes(n, "big")
+                head = sum(map(mul, exps, heads))
+                if head >= safe:  # an exponent may have passed the limit
+                    head = self._checked_head(exps)
+                for i, a in scaled:
+                    c = c * pow(a, exps[i], p) % p if p else c * a ** exps[i]
+            group = groups.get(m & moving)
+            if group is None:
+                groups[m & moving] = {head: c}
+            elif head in group:
+                merged = True
+                group[head] += c
+            else:
+                group[head] = c
+        power = self._power
+        # a group that maps to 1 adds no factor
+        return sum_of_products(target, [
+            ([] if group == _ONE else [Poly(target, _reduced(target, group) if merged else group)])
+            + [power(i, e) for i, e in enumerate(key.to_bytes(n, "big")) if e]
+            for key, group in groups.items()])
 
     def __call__(self, f: Poly) -> Poly:
         return self.apply(f)

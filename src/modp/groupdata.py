@@ -66,7 +66,7 @@ def fundamental_degrees(g: GroupSpec) -> list[int]:
     if fam in ("SO", "O", "Spin"):
         r = n // 2
         if n % 2:
-            return fundamental_degrees(GroupSpec("B", r))
+            return fundamental_degrees(GroupSpec("B", r)) if r else []  # O(1) has no roots
         return fundamental_degrees(GroupSpec("D", r)) if r >= 3 else \
             sorted([2 * i for i in range(1, r)] + [r])
     raise ValueError(f"no degree data for {g}")

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
 from .exactalg import (
     GradedComponent,
@@ -19,32 +20,46 @@ from .exactalg import (
 )
 from .groupdata import Series
 
+# The claimed invariants grow as 2^size: eta/mu is a product of up to
+# 2^(r-1) factors, and each e_i of r values a sum of C(r, i) products.
+# `modp invariants ... --max-degree 2` takes about 1.0-1.4 s at each
+# bound, and the cost more than doubles with each step above it.
+SPIN_MAX_N = 13
+QUOTIENT_MAX_R = 13
+CLASSICAL_MAX_RANK = 14
+
+
+def _check_size(what: str, value: int, bound: int, group: str) -> None:
+    if value > bound:
+        raise ValueError(f"need {what} <= {bound}: the claimed invariants of {group} "
+                         "are too large to build")
+
 
 class WeylAction:
-    """A finite list of grading-preserving ring endomorphism generators.
+    """A finite tuple of grading-preserving ring endomorphism generators.
 
     `xs` are the values of the torus coordinates x_1..x_r inside the ring
     (the last one may be the eliminated variable, rewritten through the
     linear relation x_1 + ... + x_r = 0), and `A` is the extra spin weight
     when present.
 
-    `generators` is the full public list.  `minimal_generators` is a
-    sublist, sharing its (name, hom) pairs, that generates the same group;
+    `generators` is the full public tuple.  `minimal_generators` is a
+    subtuple, sharing its (name, hom) pairs, that generates the same group;
     the incremental invariant oracle and the invariance check of
     `verify_presentation` apply only these.  It defaults to every
     generator."""
 
-    def __init__(self, ring: PolyRing, generators: list[tuple[str, SubstHom]],
-                 xs: list[Poly], A: Poly | None = None, label: str = "",
-                 minimal_generators: list[tuple[str, SubstHom]] | None = None):
+    def __init__(self, ring: PolyRing, generators: Sequence[tuple[str, SubstHom]],
+                 xs: Sequence[Poly], A: Poly | None = None, label: str = "",
+                 minimal_generators: Sequence[tuple[str, SubstHom]] | None = None):
         self.ring = ring
-        self.generators = generators
+        self.generators = tuple(generators)
         if minimal_generators is None:
             minimal_generators = generators
         elif not {id(g) for g in minimal_generators} <= {id(g) for g in generators}:
             raise ValueError("minimal_generators must be taken from generators")
-        self.minimal_generators = minimal_generators
-        self.xs = xs
+        self.minimal_generators = tuple(minimal_generators)
+        self.xs = tuple(xs)
         self.A = A
         self.label = label
 
@@ -104,6 +119,7 @@ def spin_action(n: int, p: int = 2) -> WeylAction:
         raise ValueError("the x/A model of the spin character lattice is defined mod 2 only")
     if n < 6:
         raise ValueError("need n >= 6 (smaller spin groups have symplectic factors)")
+    _check_size("n", n, SPIN_MAX_N, f"Spin({n})")
     r = n // 2
     ring, xs = _quotient_ring_xs(r, 2, extra=("A",))
     A = ring.var("A")
@@ -128,6 +144,7 @@ def classical_action(family: str, rank: int, p: int) -> WeylAction:
     (the sign part is trivial when p = 2)."""
     if family not in ("B", "C", "D"):
         raise ValueError(f"classical_action takes B, C or D, not {family!r}")
+    _check_size("rank", rank, CLASSICAL_MAX_RANK, f"{family}{rank}")
     ring = PolyRing([f"x{i}" for i in range(1, rank + 1)], modulus=p)
     xs = [ring.var(f"x{i}") for i in range(1, rank + 1)]
     gens = []
@@ -152,6 +169,7 @@ def symmetric_quotient_action(r: int, p: int = 2) -> WeylAction:
     """S_r acting on F_p[x_1..x_r]/(x_1+...+x_r) (the Nakajima setting)."""
     if r < 2:
         raise ValueError("need r >= 2")
+    _check_size("r", r, QUOTIENT_MAX_R, f"S{r}")
     ring, xs = _quotient_ring_xs(r, p)
     gens = [(f"s({i + 1},{j + 1})", _perm_hom(ring, xs, i, j))
             for i, j in itertools.combinations(range(r), 2)]
@@ -204,29 +222,29 @@ def _variable_permutation(hom: SubstHom) -> dict | None:
         if j is None:
             return None
         perm[i] = j
-    return perm
+    return perm if len(set(perm.values())) == len(perm) else None
 
 
 def _orbit_classes(component: GradedComponent, perms: list[dict]) -> list[list[int]]:
-    basis, index, ring = component.basis, component.index, component.ring
-    parent = list(range(len(basis)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for perm in perms:
-        move = ring.relabeling(ring, perm)
-        for i, mono in enumerate(basis):
-            ra, rb = find(i), find(index[move(mono)])
-            if ra != rb:
-                parent[ra] = rb
-    classes: dict[int, list[int]] = {}
-    for i in range(len(basis)):
-        classes.setdefault(find(i), []).append(i)
-    return list(classes.values())
+    """The basis indices of each orbit of the group the variable
+    permutations generate, each orbit closed by breadth-first search."""
+    ring, index = component.ring, component.index
+    moves = [ring.relabeling(ring, perm) for perm in perms]
+    seen: set[int] = set()
+    classes = []
+    for mono in component.basis:
+        if mono in seen:
+            continue
+        seen.add(mono)
+        orbit = [mono]
+        for m in orbit:  # grows while it is walked
+            for move in moves:
+                t = move(m)
+                if t not in seen:
+                    seen.add(t)
+                    orbit.append(t)
+        classes.append([index[m] for m in orbit])
+    return classes
 
 
 def brute_invariant_dimension(action: WeylAction, d: int) -> int:
@@ -424,5 +442,4 @@ def lemma_inv2_check(ring: PolyRing, a: Poly, x: str, dmax: int) -> VerifyReport
     base = [n for n in ring.names if n != x]
     claim = ClaimedPresentation(base + ["u"], [ring.var(n) for n in base] + [xvar * (xvar + a)])
     report = verify_presentation(action, claim, dmax)
-    report.claimed = ["u"]
-    return report
+    return VerifyReport(report.label, ["u"], report.rows, report.failure)

@@ -24,6 +24,16 @@ def test_degrees_text(capsys, tmp_path, monkeypatch):
     assert out.strip() == "2 4 6"
 
 
+def test_o1_degrees_are_empty(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("MODP_CACHE_DIR", str(tmp_path))
+    code, out = run_cli(capsys, "degrees", "--family", "O", "--rank", "1")
+    assert (code, out.strip()) == (0, "-")
+    code, out = run_cli(capsys, "flag-poincare", "--family", "O", "--rank", "1", "--json")
+    assert (code, json.loads(out)["result"]["coefficients"]) == (0, [1])
+    code, out = run_cli(capsys, "primes", "--family", "O", "--rank", "1", "--json")
+    assert (code, json.loads(out)["result"]["degrees"]) == (0, [])
+
+
 def test_primes_json_schema(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("MODP_CACHE_DIR", str(tmp_path))
     code, out = run_cli(capsys, "primes", "--family", "E8", "--json")
@@ -163,6 +173,11 @@ def test_console_script_entry_point(tmp_path):
     "invariants --group classical --family E --rank 3",
     "invariants --group nakajima --r 1",
     "invariants --group nakajima --r 8 --max-degree 40",
+    "invariants --group spin --n 14 --max-degree 2",
+    "invariants --group spin --n 200 --max-degree 2",
+    "invariants --group nakajima --r 14 --max-degree 2",
+    "invariants --group classical --family B --rank 15 --p 3 --max-degree 2",
+    "invariants --group classical --family D --rank 150 --max-degree 2",
     "jacobian --r 9",
     "restrict --n 8 --target K",
     "restrict --n 30",

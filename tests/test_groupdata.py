@@ -233,3 +233,12 @@ def test_as_polynomial_recovers_random_exact_quotients():
             Series(bumped, dens).as_polynomial()
         with pytest.raises(ValueError):
             Series(num[:sum(dens)], dens).as_polynomial()
+
+
+def test_o1_has_an_empty_root_system():
+    g = GroupSpec("O", 1)
+    assert fundamental_degrees(g) == []
+    assert flag_poincare(g).as_polynomial() == [1]
+    assert weyl_length_series(g) == [1]
+    assert torsion_primes(g) == frozenset()
+    assert [fundamental_degrees(GroupSpec(f, 3)) for f in ("O", "SO", "Spin")] == [[2]] * 3

@@ -1,6 +1,6 @@
 import pytest
 
-from modp.exactalg import PolyRing
+from modp.exactalg import GradedComponent, Poly, PolyRing
 from modp.groupdata import GroupSpec, fundamental_degrees
 from modp.invariants import (
     ClaimedPresentation,
@@ -18,6 +18,8 @@ from modp.invariants import (
     symmetric_quotient_action,
     verify_presentation,
     WeylAction,
+    _orbit_classes,
+    _variable_permutation,
 )
 
 
@@ -367,3 +369,83 @@ def test_verify_guard_trips_before_any_work(monkeypatch):
     assert calls == []
     assert verify_presentation(a, spin_claimed(a, 7), 4).passed
     assert len(calls) == 4
+
+
+def _closure_partition(ring, homs, d):
+    """The orbits of the degree-d monomials under the homs, each closed
+    by applying the homs to one monomial at a time."""
+    seen, orbits = set(), set()
+    for m in ring.monomials_of_degree(d):
+        if m in seen:
+            continue
+        orbit, todo = {m}, [m]
+        while todo:
+            f = Poly(ring, {todo.pop(): 1})
+            for h in homs:
+                (t,) = h(f).coeffs
+                if t not in orbit:
+                    orbit.add(t)
+                    todo.append(t)
+        seen |= orbit
+        orbits.add(frozenset(orbit))
+    return orbits
+
+
+@pytest.mark.parametrize("action", [spin_action(n) for n in range(7, 12)]
+                         + [classical_action("B", 4, 3), classical_action("D", 4, 3),
+                            symmetric_quotient_action(5)],
+                         ids=lambda a: a.label)
+def test_orbit_classes_match_the_closure_under_the_homs(action):
+    homs = [h for _, h in action.generators if _variable_permutation(h) is not None]
+    perms = [_variable_permutation(h) for h in homs]
+    for d in range(1, 7):
+        comp = GradedComponent(action.ring, d)
+        classes = _orbit_classes(comp, perms)
+        assert sorted(i for cls in classes for i in cls) == list(range(len(comp.basis)))
+        got = {frozenset(comp.basis[i] for i in cls) for cls in classes}
+        assert got == _closure_partition(action.ring, homs, d)
+
+
+def test_a_variable_map_that_is_not_one_to_one_is_no_permutation():
+    # x -> y, y -> y is an endomorphism, not a permutation: the oracle
+    # intersects its fixed space instead of folding orbits
+    ring = PolyRing(["x", "y"])
+    x, y = ring.gens()
+    from modp.exactalg import SubstHom
+    hom = SubstHom(ring, ring, {"x": y, "y": y})
+    assert _variable_permutation(hom) is None
+    action = WeylAction(ring, [("g", hom)], [x, y])
+    for d in range(1, 6):
+        assert brute_invariant_dimension(action, d) == \
+            brute_invariant_dimension_stacked(action, d) == 1
+
+
+def test_weyl_action_is_built_whole():
+    a = spin_action(7)
+    assert all(isinstance(seq, tuple) for seq in (a.generators, a.minimal_generators, a.xs))
+    with pytest.raises(AttributeError):
+        a.generators.append(a.generators[0])
+    with pytest.raises(AttributeError):
+        a.minimal_generators.append(a.generators[0])
+    ring = PolyRing(["y", "x"])
+    assert lemma_inv2_check(ring, ring.var("y"), "x", 4).claimed == ["u"]
+
+
+def test_size_bounds_trip_before_any_hom(monkeypatch):
+    import modp.invariants
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a hom was built before the size bound")
+    monkeypatch.setattr(modp.invariants, "SubstHom", refuse)
+    for build, match in [(lambda: spin_action(14), "n <= 13"),
+                         (lambda: spin_action(200), "n <= 13"),
+                         (lambda: classical_action("B", 15, 3), "rank <= 14"),
+                         (lambda: classical_action("D", 150, 2), "rank <= 14"),
+                         (lambda: symmetric_quotient_action(14), "r <= 13")]:
+        with pytest.raises(ValueError, match=match):
+            build()
+    monkeypatch.undo()
+    # at the bounds the actions are built
+    assert len(spin_action(13).xs) == 6
+    assert len(classical_action("C", 14, 3).xs) == 14
+    assert len(symmetric_quotient_action(13).xs) == 13

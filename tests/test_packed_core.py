@@ -1,15 +1,15 @@
 """The packed-monomial polynomial core against a schoolbook reference on
 exponent-tuple dicts that lives here, plus the basis walk against a
-filtered itertools.product and its count table, and the exponent-overflow
-guard."""
+filtered itertools.product and its count table, relabelings against
+exponent tuples, and the exponent-overflow guard."""
 
 import itertools
 import random
 
 import pytest
 
-from modp.charclass import Derivation
-from modp.exactalg import PolyRing, SubstHom, partial_derivative
+from modp.charclass import Derivation, _transport
+from modp.exactalg import MissingImageError, PolyRing, SubstHom, partial_derivative
 from modp.quillen import SWRing
 
 NAMES = ("x", "y", "z", "w")
@@ -114,6 +114,128 @@ def test_substitution_and_derivation_match_schoolbook(p):
         for i in range(n):
             want = ref_add(want, ref_mul(ref_partial(tf, i, p), imgs[i], p), p)
         assert dict(Derivation(ring, polys)(f).terms) == want
+
+
+def _several_terms(rng, p, n):
+    while True:
+        terms = rand_terms(rng, p, n=n, max_terms=3, max_exp=2)
+        if len(terms) > 1:
+            return terms
+
+
+def _image_shapes(rng, p):
+    """(target ring, image term dicts in NAMES order) for each way the
+    substitution plan can sort the variables: images of one term (with
+    coefficient 1 or not, constants among them) and of several terms."""
+    ring = PolyRing(NAMES, WEIGHTS, p)
+    n = len(NAMES)
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    wide = PolyRing(["u", "v", "s", "t", "r"], modulus=p)
+    narrow = PolyRing(["u"], modulus=p)
+    return {
+        "identity": (ring, [{unit[i]: 1} for i in range(n)]),
+        "permutation": (ring, [{unit[2]: 1}, {unit[1]: 1}, {unit[3]: 1}, {unit[0]: 1}]),
+        "one moving": (ring, [{unit[0]: 1}, _several_terms(rng, p, n), {unit[2]: 1},
+                              {unit[3]: 1}]),
+        "all moving": (ring, [_several_terms(rng, p, n) for _ in NAMES]),
+        "coefficients": (ring, [_reduce({unit[0]: -1}, p), _reduce({unit[2]: 2}, p),
+                                {(1, 1, 0, 0): 1}, _several_terms(rng, p, n)]),
+        "constants": (ring, [{}, {(0,) * n: 1}, _reduce({(0,) * n: 3}, p), {unit[3]: 1}]),
+        "wider target": (wide, [{(0, 0, 1, 0, 0): 1}, _several_terms(rng, p, 5),
+                                _reduce({(0, 2, 0, 0, 1): -1}, p), {(0,) * 5: 1}]),
+        "narrower target": (narrow, [{(1,): 1}, _reduce({(2,): 2}, p), {(1,): 1, (0,): 1},
+                                     {}]),
+    }
+
+
+@pytest.mark.parametrize("shape", ["identity", "permutation", "one moving", "all moving",
+                                   "coefficients", "constants", "wider target",
+                                   "narrower target"])
+@pytest.mark.parametrize("p", [2, 3, 5, 0])
+def test_grouped_substitution_matches_schoolbook(p, shape):
+    rng = random.Random(300 + p)
+    ring = PolyRing(NAMES, WEIGHTS, p)
+    target, imgs = _image_shapes(rng, p)[shape]
+    hom = SubstHom(ring, target, {name: target.from_terms(t) for name, t in zip(NAMES, imgs)})
+    for _ in range(25):
+        tf = rand_terms(rng, p, max_terms=10, max_exp=4)
+        f = ring.from_terms(tf)
+        assert dict(hom(f).terms) == ref_subst(tf, imgs, p, len(target.names))
+
+
+def test_missing_image_raises_only_where_the_variable_occurs():
+    ring = PolyRing(NAMES, WEIGHTS, 3)
+    x, y, z, w = ring.gens()
+    partial = SubstHom(ring, ring, {"x": x + y, "y": y, "z": -z})  # no image for w
+    assert partial(x * y + z ** 2) == (x + y) * y + z ** 2
+    for f in (w, x * w, z ** 2 + y * w ** 3):
+        with pytest.raises(MissingImageError):
+            partial(f)
+    still = SubstHom(ring, ring, {"x": y})  # every given image one term
+    assert still(x ** 3) == y ** 3
+    with pytest.raises(MissingImageError):
+        still(x + z)
+
+
+def test_single_term_images_raise_on_exponent_overflow():
+    ring = PolyRing(["x", "y"], modulus=3)
+    x, y = ring.gens()
+    square = SubstHom(ring, ring, {"x": y * y, "y": x})
+    assert square(x ** 63 * y ** 127) == x ** 127 * y ** 126
+    with pytest.raises(ValueError, match="y"):
+        square(x ** 64)
+    with pytest.raises(ValueError, match="y"):
+        square(x ** 100 + y)
+    # 90 * 3 = 270 would carry past the guard bit of y into x
+    cube = SubstHom(ring, ring, {"x": y ** 3, "y": x})
+    assert cube(x ** 42) == y ** 126
+    for f in (x ** 90, x ** 90 * y + y ** 2):
+        with pytest.raises(ValueError, match="y"):
+            cube(f)
+
+
+def _ref_relabel(ring, target, index_map, m):
+    exps = [0] * len(target.names)
+    for i, e in enumerate(ring.exponents(m)):
+        exps[index_map[i]] = e
+    return target.monomial(exps)
+
+
+@pytest.mark.parametrize("index_map", [{0: 1, 1: 0, 2: 2, 3: 3, 4: 4},
+                                       {0: 2, 1: 0, 2: 1, 3: 3, 4: 4},
+                                       {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}],
+                         ids=["transposition", "3-cycle", "identity"])
+def test_relabeling_matches_exponent_reference(index_map):
+    ring = PolyRing(["a", "b", "c", "d", "e"], (1, 1, 1, 2, 3))
+    move = ring.relabeling(ring, index_map)
+    for d in range(9):
+        for m in ring.monomials_of_degree(d):
+            assert move(m) == _ref_relabel(ring, ring, index_map, m)
+
+
+def test_transport_moves_each_variable_to_its_name():
+    rng = random.Random(7)
+    weight = {"a": 1, "b": 2, "c": 1, "d": 3, "e": 1}
+    source = PolyRing(["a", "b", "c"], [weight[n] for n in "abc"], 3)
+    fs = [source.from_terms(rand_terms(rng, 3, n=3, max_exp=5)) for _ in range(20)]
+    for names in ("abcde", "deabc", "cdbea", "bac"):
+        target = PolyRing(list(names), [weight[n] for n in names], 3)
+        index_map = {i: target.var_index(n) for i, n in enumerate(source.names)}
+        for f in fs:
+            want = {_ref_relabel(source, target, index_map, m): c for m, c in f.coeffs.items()}
+            assert _transport(f, target).coeffs == want
+    fewer = PolyRing(["a", "b"], (1, 2), 3)
+    with pytest.raises(KeyError):
+        _transport(source.var("c"), fewer)
+
+
+def test_relabeling_must_be_one_to_one():
+    ring = PolyRing(["a", "b", "c"])
+    for index_map in ({0: 0, 1: 0, 2: 2}, {0: 1, 1: 2}, {0: 0, 1: 1, 2: 3}):
+        with pytest.raises(ValueError, match="one to one"):
+            ring.relabeling(ring, index_map)
+    with pytest.raises(ValueError, match="one to one"):
+        ring.relabeling(PolyRing(["a", "b"]), {0: 0, 1: 1, 2: 2})
 
 
 # unit weights, weights with gaps and an odd prime; the ids stay stable so
