@@ -7,7 +7,7 @@ certificates."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Sequence
 
@@ -162,11 +162,22 @@ def _u_generators(n: int) -> list[Generator]:
     return [Generator(f"u{m}", m, (m - m // 2, m // 2)) for m in range(2, n + 1)]
 
 
+# `modp ring --name bso --n 1000 --series-to 10000` takes about 1.4 s;
+# n = 1,000,000 ran past 20 s.
+PRESENTATION_MAX_N = 1000
+
+
+def _check_size(n: int, bound: int, what: str) -> None:
+    if n > bound:
+        raise ValueError(f"need n <= {bound}: the {what} of n = {n} is too large to build")
+
+
 def bso_presentation(n: int) -> GradedPresentation:
     """k[u_2, ..., u_n] with u_2a in Hodge bidegree (a, a) and u_2a+1 in
     (a+1, a)."""
     if n < 2:
         raise ValueError("need n >= 2")
+    _check_size(n, PRESENTATION_MAX_N, "presentation")
     return GradedPresentation(_u_generators(n))
 
 
@@ -175,6 +186,7 @@ def bo_presentation(n: int) -> GradedPresentation:
     for odd n (O(2r+1) = SO(2r+1) x mu_2)."""
     if n < 1:
         raise ValueError("need n >= 1")
+    _check_size(n, PRESENTATION_MAX_N, "presentation")
     if n % 2 == 0:
         return GradedPresentation([Generator("u1", 1, (1, 0))] + _u_generators(n))
     return GradedPresentation([Generator("v1", 1, (0, 1), square_zero=True),
@@ -336,12 +348,6 @@ class RestrictionHom:
 RESTRICTION_MAX_N = 28
 
 
-def _check_restriction_size(n: int) -> None:
-    if n > RESTRICTION_MAX_N:
-        raise ValueError(f"need n <= {RESTRICTION_MAX_N}: the restriction of n = {n} "
-                         "is too large to build")
-
-
 def restriction_bso_to_bo2r(n: int) -> RestrictionHom:
     """Restriction to the diagonal BO(2)^r, r = floor(n/2).  Even classes
     go to elementary symmetric functions of the t_i.  Odd classes carry
@@ -349,7 +355,7 @@ def restriction_bso_to_bo2r(n: int) -> RestrictionHom:
     full orthogonal group (even n)."""
     if n < 2:
         raise ValueError("need n >= 2")
-    _check_restriction_size(n)
+    _check_size(n, RESTRICTION_MAX_N, "restriction")
     r = n // 2
     target = bo2_power_ring(r)
     ts = [f"t{i}" for i in range(1, r + 1)]
@@ -400,7 +406,7 @@ def restriction_to_K(n: int) -> RestrictionHom:
     u_2a+1 to a*s*e_a(t), i.e. s*e_a for odd a and zero for even a."""
     if n % 2 == 0 or n < 7:
         raise ValueError("need odd n >= 7")
-    _check_restriction_size(n)
+    _check_size(n, RESTRICTION_MAX_N, "restriction")
     r = n // 2
     source = bso_presentation(n)
     target = k_target_ring(r)
@@ -419,21 +425,27 @@ def restriction_to_K(n: int) -> RestrictionHom:
 
 class Derivation:
     """A derivation given by its values on variables, extended by the
-    Leibniz rule with exponent arithmetic in the coefficient field."""
+    Leibniz rule with exponent arithmetic in the coefficient field;
+    `ring` and `images` are read-only."""
+
+    __slots__ = ("_ring", "_images")
 
     def __init__(self, ring: PolyRing, images: dict):
-        self.ring = ring
+        self._ring = ring
         for name, img in images.items():
             ring.var_index(name)
             ring.check_same(img.ring)
-        self.images = MappingProxyType(dict(images))
+        self._images = MappingProxyType(dict(images))
+
+    ring = property(lambda self: self._ring)
+    images = property(lambda self: self._images)
 
     def __call__(self, f: Poly) -> Poly:
         """D(f) = sum_i (df/dx_i) D(x_i), summed in one accumulator."""
-        self.ring.check_same(f.ring)
-        return sum_of_products(self.ring, [
-            (part, self.images[name])
-            for name, part in zip(self.ring.names, gradient(f)) if part])
+        ring, images = self._ring, self._images
+        ring.check_same(f.ring)
+        return sum_of_products(ring, [(part, images[name])
+                                      for name, part in zip(ring.names, gradient(f)) if part])
 
 
 def bockstein(r: int) -> Derivation:
@@ -450,13 +462,13 @@ def bockstein(r: int) -> Derivation:
 
 # -- Jacobian injectivity certificates ---------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class JacobianReport:
     variant: str
     r: int
     determinant: Poly
     expected: Poly
-    row_factors: list[Poly] = field(default_factory=list)
+    row_factors: tuple[Poly, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -505,7 +517,7 @@ def jacobian_certificate(r: int, variant: str = "O") -> JacobianReport:
                for a in range(1, r)] for j in range(1, r)]
     det = determinant(matrix)
     # row j carries the factor (t_j + t_r); the cofactor is the smaller matrix E
-    row_factors = [ring.var(f"t{j}") + ring.var(f"t{r}") for j in range(1, r)]
+    row_factors = tuple(ring.var(f"t{j}") + ring.var(f"t{r}") for j in range(1, r))
     e_matrix = []
     for j in range(1, r):
         others = [f"t{i}" for i in range(1, r) if i != j]

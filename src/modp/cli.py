@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .exactalg import PolyRing, check_monomial_guard
+from .exactalg import MONOMIAL_GUARD, PolyRing, check_monomial_guard
 from .groupdata import (
     _EXCEPTIONAL_RANK,
     GroupSpec,
@@ -276,9 +276,16 @@ _RING_BUILDERS = {
 }
 
 
+# `modp ring --name bso --n 1000 --series-to 10000` takes about 1.4 s.
+SERIES_MAX_DEGREE = 10_000
+
+
 def cmd_ring(args) -> int:
     if args.name in ("bso", "bo") and args.n is None:
         raise ValueError(f"--name {args.name} needs --n")
+    if args.series_to > SERIES_MAX_DEGREE:
+        raise ValueError(f"--series-to goes up to degree {SERIES_MAX_DEGREE}, "
+                         f"got {args.series_to}")
     pres = _RING_BUILDERS[args.name](args)
     series = pres.series().coefficients(args.series_to)
     payload = dict(pres.to_json(), series=series)
@@ -383,8 +390,11 @@ def cmd_quillen(args) -> int:
     def compute() -> dict:
         pres = quillen.quillen_presentation(args.n)
         # every requested component of the ring the linear algebra walks
-        # is counted before any is computed
-        check_monomial_guard(pres.minimal().ring, dims)
+        # is counted before any is computed, and so is their sum
+        total = check_monomial_guard(pres.minimal().ring, dims)
+        if total > MONOMIAL_GUARD:
+            raise ValueError(f"--dims {args.dims} needs {total} monomials in all "
+                             f"(> guard {MONOMIAL_GUARD})")
         return {"n": args.n, "h": quillen.h_value(args.n),
                 "theta_degrees": [r.degree() for r in pres.relations],
                 "extra_degree": pres.generator("z").degree,

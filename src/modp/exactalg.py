@@ -21,6 +21,10 @@ EXPONENT_LIMIT = 1 << (FIELD_BITS - 1)
 # The largest graded component any basis walk may build.
 MONOMIAL_GUARD = 200_000
 
+# Primality is decided by trial division up to the square root: about
+# 5 ms below this bound, and a billion divisions at 10^18.
+MODULUS_LIMIT = 1 << 31
+
 
 class RingMismatchError(ValueError):
     pass
@@ -56,6 +60,8 @@ class PolyRing:
         weights = tuple(weights) if weights is not None else (1,) * len(names)
         if len(weights) != len(names) or any(w <= 0 for w in weights):
             raise ValueError("each variable needs one positive integer weight")
+        if modulus >= MODULUS_LIMIT:
+            raise ValueError(f"need modulus < 2^31, got {modulus}")
         if modulus != 0 and not _is_prime(modulus):
             raise ValueError(f"modulus must be 0 (integers) or a prime, not {modulus}")
         self.names = names
@@ -281,14 +287,18 @@ class PolyRing:
         return Poly(self, _reduced(self, acc))
 
 
-def check_monomial_guard(ring: PolyRing, degrees: Iterable[int]) -> None:
+def check_monomial_guard(ring: PolyRing, degrees: Iterable[int]) -> int:
     """Raise ValueError on the first of the degrees whose component of
     `ring` has more than MONOMIAL_GUARD monomials, counted from the count
-    table without building any basis."""
+    table without building any basis; return the number of monomials of
+    all the degrees together."""
+    total = 0
     for d in degrees:
         size = ring._count_table(d)[0][d] if d >= 0 else 0
         if size > MONOMIAL_GUARD:
             raise ValueError(f"degree {d} needs {size} monomials (> guard {MONOMIAL_GUARD})")
+        total += size
+    return total
 
 
 def _split_terms(text: str):
@@ -897,24 +907,21 @@ class GradedComponent:
         basis = self.basis
         return Poly(self.ring, {basis[i]: c for i, c in self.field.unpack(v)})
 
-    def indicator(self, positions: Iterable[int]) -> int:
-        """The sum of the basis monomials at the given positions."""
-        return self.field.pack((i, 1) for i in positions)
-
     def rank(self, vectors: Sequence[int]) -> int:
         """Dimension of the span of the vectors."""
         return self.field.matrix(vectors, len(self.basis)).rank()
 
-    def fixed_combinations(self, vecs: Sequence[int], hom: SubstHom) -> list[int]:
-        """A basis of the vectors in the span of the independent `vecs`
-        that hom fixes.  The rows hom(v) - v are eliminated with v as
-        their tags, so each combination that vanishes comes back as the
-        fixed vector itself."""
-        diffs = []
-        for v in vecs:
-            f = self.poly(v)
-            diffs.append(self.vector(hom(f) - f))
-        return self.field.matrix(diffs, len(self.basis)).kernel_basis(tags=vecs)
+    def fixed_combinations(self, fs: Sequence[Poly], hom: SubstHom) -> list[Poly]:
+        """A basis of the polynomials in the span of the independent `fs`
+        that hom fixes.  The rows hom(f) - f are eliminated with the
+        coordinates of f as their tags, so each combination that vanishes
+        comes back as the coordinates of a fixed polynomial, and only
+        these are unpacked."""
+        vector = self.vector
+        diffs = [vector(hom(f) - f) for f in fs]
+        fixed = self.field.matrix(diffs, len(self.basis)).kernel_basis(
+            tags=[vector(f) for f in fs])
+        return [self.poly(v) for v in fixed]
 
 
 def kernel_dimension_exhaustive(rows: Sequence[int], p: int) -> int:

@@ -90,7 +90,8 @@ def good_primes_excluded(g: GroupSpec) -> frozenset[int]:
 def torsion_primes(g: GroupSpec) -> frozenset[int]:
     """Torsion primes (where H*(BG_C; Z) has p-torsion).  Every torsion
     prime is bad, but not conversely: Sp(2n) at 2 and G2 at 3 are bad and
-    torsion-free.  Low ranks follow the type aliases B2=C2, D3=A3."""
+    torsion-free.  Low ranks follow the type aliases B2=C2, D3=A3, except
+    that O(n) has 2-torsion for every n >= 1, from its component group."""
     fam, n = g.family, g.rank
     if fam in ("A", "C", "GL", "Sp"):
         return frozenset()
@@ -106,8 +107,10 @@ def torsion_primes(g: GroupSpec) -> frozenset[int]:
         return frozenset({2, 3, 5})
     if fam == "Spin":
         return frozenset({2}) if n >= 7 else frozenset()
-    if fam in ("SO", "O"):
+    if fam == "SO":
         return frozenset({2}) if n >= 3 else frozenset()
+    if fam == "O":
+        return frozenset({2})  # beta(w_1) != 0 in H^2(BO(n); Z) for every n >= 1
     raise ValueError(f"no torsion data for {g}")
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .exactalg import (
     GradedComponent,
@@ -47,21 +47,38 @@ class WeylAction:
     subtuple, sharing its (name, hom) pairs, that generates the same group;
     the incremental invariant oracle and the invariance check of
     `verify_presentation` apply only these.  It defaults to every
-    generator."""
+    generator.  The minimal generators are sorted once, here: those that
+    permute the variables become the monomial moves the oracle folds into
+    orbits, the rest the homs it eliminates.  Every attribute is read-only,
+    so the two cannot go stale."""
+
+    __slots__ = ("_ring", "_generators", "_minimal", "_xs", "_A", "_label",
+                 "_moves", "_linear")
 
     def __init__(self, ring: PolyRing, generators: Sequence[tuple[str, SubstHom]],
                  xs: Sequence[Poly], A: Poly | None = None, label: str = "",
                  minimal_generators: Sequence[tuple[str, SubstHom]] | None = None):
-        self.ring = ring
-        self.generators = tuple(generators)
+        self._ring = ring
+        self._generators = tuple(generators)
         if minimal_generators is None:
             minimal_generators = generators
         elif not {id(g) for g in minimal_generators} <= {id(g) for g in generators}:
             raise ValueError("minimal_generators must be taken from generators")
-        self.minimal_generators = tuple(minimal_generators)
-        self.xs = tuple(xs)
-        self.A = A
-        self.label = label
+        self._minimal = tuple(minimal_generators)
+        self._xs = tuple(xs)
+        self._A = A
+        self._label = label
+        sorted_homs = [(hom, _variable_permutation(hom)) for _, hom in self._minimal]
+        self._moves = tuple(ring.relabeling(ring, perm) for _, perm in sorted_homs
+                            if perm is not None)
+        self._linear = tuple(hom for hom, perm in sorted_homs if perm is None)
+
+    ring = property(lambda self: self._ring)
+    generators = property(lambda self: self._generators)
+    minimal_generators = property(lambda self: self._minimal)
+    xs = property(lambda self: self._xs)
+    A = property(lambda self: self._A)
+    label = property(lambda self: self._label)
 
     def sub_action(self, names: list[str]) -> "WeylAction":
         """The subgroup generated by the named generators; all of them
@@ -73,15 +90,30 @@ class WeylAction:
         return f"WeylAction({self.label}, {len(self.generators)} generators)"
 
 
-def _sign_then_adjacent(gens: list[tuple[str, SubstHom]], sign: list[str],
-                        r: int) -> list[tuple[str, SubstHom]]:
-    """The named sign generators followed by the adjacent transpositions
-    s(1,2), ..., s(r-1,r).  The adjacent transpositions generate S_r, and
+def _weyl_action(ring: PolyRing, xs: list[Poly], sign: list[tuple[str, dict]],
+                 label: str, A: Poly | None = None) -> WeylAction:
+    """The action generated by the transpositions s(i,j) of x_i and x_j
+    (x_r may be the eliminated coordinate), then the sign generators, each
+    given by the images it changes; a generator fixes every variable it
+    does not change.  The minimal set is the first sign generator and the
+    adjacent transpositions s(1,2), ..., s(r-1,r).  These generate S_r, and
     S_r conjugates eps_1 (or eps_1 eps_2) to every eps_i (or eps_i eps_j),
-    so this generates the group of the full list (Humphreys, Reflection
-    Groups and Coxeter Groups, 1 and 2.10)."""
-    named = {gen[0]: gen for gen in gens}
-    return [named[n] for n in sign + [f"s({i},{i + 1})" for i in range(1, r)]]
+    so the minimal set generates the group of the full list (Humphreys,
+    Reflection Groups and Coxeter Groups, 1 and 2.10)."""
+    fixed = {name: ring.var(name) for name in ring.names}
+
+    def generator(name: str, changes: dict) -> tuple[str, SubstHom]:
+        return name, SubstHom(ring, ring, dict(fixed, **changes))
+
+    transpositions, adjacent = [], []
+    for i, j in itertools.combinations(range(len(xs)), 2):
+        swap = {f"x{k + 1}": xs[t] for k, t in ((i, j), (j, i)) if f"x{k + 1}" in fixed}
+        transpositions.append(generator(f"s({i + 1},{j + 1})", swap))
+        if j == i + 1:
+            adjacent.append(transpositions[-1])
+    signs = [generator(name, changes) for name, changes in sign]
+    return WeylAction(ring, transpositions + signs, xs, A, label,
+                      minimal_generators=signs[:1] + adjacent)
 
 
 def _quotient_ring_xs(r: int, p: int, extra: tuple[str, ...] = ()) -> tuple[PolyRing, list[Poly]]:
@@ -91,23 +123,6 @@ def _quotient_ring_xs(r: int, p: int, extra: tuple[str, ...] = ()) -> tuple[Poly
     ring = PolyRing(names, modulus=p)
     xs = [ring.var(f"x{i}") for i in range(1, r)]
     return ring, xs + [-elementary_symmetric_of(ring, 1, xs)]
-
-
-def _perm_hom(ring: PolyRing, xs: list[Poly], i: int, j: int,
-              fixed: tuple[str, ...] = ()) -> SubstHom:
-    """Transposition of x_{i+1} and x_{j+1} on a (possibly eliminated)
-    coordinate ring."""
-    images = {}
-    r = len(xs)
-    for k in range(r):
-        name = f"x{k + 1}"
-        if name not in ring._index:
-            continue
-        target = j if k == i else i if k == j else k
-        images[name] = xs[target]
-    for name in fixed:
-        images[name] = ring.var(name)
-    return SubstHom(ring, ring, images)
 
 
 def spin_action(n: int, p: int = 2) -> WeylAction:
@@ -123,20 +138,11 @@ def spin_action(n: int, p: int = 2) -> WeylAction:
     r = n // 2
     ring, xs = _quotient_ring_xs(r, 2, extra=("A",))
     A = ring.var("A")
-    gens: list[tuple[str, SubstHom]] = []
-    for i, j in itertools.combinations(range(r), 2):
-        gens.append((f"s({i + 1},{j + 1})", _perm_hom(ring, xs, i, j, fixed=("A",))))
-    fixed_x = {name: ring.var(name) for name in ring.names if name != "A"}
     if n % 2:
-        for i in range(r):
-            gens.append((f"eps{i + 1}", SubstHom(ring, ring, dict(fixed_x, A=A + xs[i]))))
+        sign = [(f"eps{i + 1}", {"A": A + xs[i]}) for i in range(r)]
     else:
-        for j in range(1, r):
-            gens.append((f"eps1*eps{j + 1}",
-                         SubstHom(ring, ring, dict(fixed_x, A=A + xs[0] + xs[j]))))
-    minimal = _sign_then_adjacent(gens, ["eps1" if n % 2 else "eps1*eps2"], r)
-    return WeylAction(ring, gens, xs, A, label=f"Spin({n}) mod {p}",
-                      minimal_generators=minimal)
+        sign = [(f"eps1*eps{j + 1}", {"A": A + xs[0] + xs[j]}) for j in range(1, r)]
+    return _weyl_action(ring, xs, sign, f"Spin({n}) mod {p}", A)
 
 
 def classical_action(family: str, rank: int, p: int) -> WeylAction:
@@ -146,23 +152,13 @@ def classical_action(family: str, rank: int, p: int) -> WeylAction:
         raise ValueError(f"classical_action takes B, C or D, not {family!r}")
     _check_size("rank", rank, CLASSICAL_MAX_RANK, f"{family}{rank}")
     ring = PolyRing([f"x{i}" for i in range(1, rank + 1)], modulus=p)
-    xs = [ring.var(f"x{i}") for i in range(1, rank + 1)]
-    gens = []
-    for i, j in itertools.combinations(range(rank), 2):
-        gens.append((f"s({i + 1},{j + 1})", _perm_hom(ring, xs, i, j)))
-    ident = {n: ring.var(n) for n in ring.names}
+    xs = list(ring.gens())
     if family in ("B", "C"):
-        for i in range(rank):
-            gens.append((f"eps{i + 1}",
-                         SubstHom(ring, ring, dict(ident, **{f"x{i + 1}": -xs[i]}))))
+        sign = [(f"eps{i + 1}", {f"x{i + 1}": -xs[i]}) for i in range(rank)]
     else:
-        for j in range(1, rank):
-            gens.append((f"eps1*eps{j + 1}",
-                         SubstHom(ring, ring, dict(ident, x1=-xs[0],
-                                                   **{f"x{j + 1}": -xs[j]}))))
-    sign = ["eps1"] if family in ("B", "C") else ["eps1*eps2"] if rank > 1 else []
-    return WeylAction(ring, gens, xs, label=f"{family}{rank} mod {p}",
-                      minimal_generators=_sign_then_adjacent(gens, sign, rank))
+        sign = [(f"eps1*eps{j + 1}", {"x1": -xs[0], f"x{j + 1}": -xs[j]})
+                for j in range(1, rank)]
+    return _weyl_action(ring, xs, sign, f"{family}{rank} mod {p}")
 
 
 def symmetric_quotient_action(r: int, p: int = 2) -> WeylAction:
@@ -171,10 +167,7 @@ def symmetric_quotient_action(r: int, p: int = 2) -> WeylAction:
         raise ValueError("need r >= 2")
     _check_size("r", r, QUOTIENT_MAX_R, f"S{r}")
     ring, xs = _quotient_ring_xs(r, p)
-    gens = [(f"s({i + 1},{j + 1})", _perm_hom(ring, xs, i, j))
-            for i, j in itertools.combinations(range(r), 2)]
-    return WeylAction(ring, gens, xs, label=f"S{r} on quotient mod {p}",
-                      minimal_generators=_sign_then_adjacent(gens, [], r))
+    return _weyl_action(ring, xs, [], f"S{r} on quotient mod {p}")
 
 
 def _subset_product(action: WeylAction, subsets) -> Poly:
@@ -225,14 +218,12 @@ def _variable_permutation(hom: SubstHom) -> dict | None:
     return perm if len(set(perm.values())) == len(perm) else None
 
 
-def _orbit_classes(component: GradedComponent, perms: list[dict]) -> list[list[int]]:
-    """The basis indices of each orbit of the group the variable
-    permutations generate, each orbit closed by breadth-first search."""
-    ring, index = component.ring, component.index
-    moves = [ring.relabeling(ring, perm) for perm in perms]
+def _orbit_classes(basis: Sequence[int], moves: Sequence[Callable[[int], int]]) -> list[list[int]]:
+    """The monomials of each orbit of the basis under the group the
+    monomial moves generate, each orbit closed by breadth-first search."""
     seen: set[int] = set()
     classes = []
-    for mono in component.basis:
+    for mono in basis:
         if mono in seen:
             continue
         seen.add(mono)
@@ -243,33 +234,26 @@ def _orbit_classes(component: GradedComponent, perms: list[dict]) -> list[list[i
                 if t not in seen:
                     seen.add(t)
                     orbit.append(t)
-        classes.append([index[m] for m in orbit])
+        classes.append(orbit)
     return classes
 
 
 def brute_invariant_dimension(action: WeylAction, d: int) -> int:
     """dim of the joint kernel of (g - 1) on the weighted-degree-d
-    component.  Only the action's minimal generators are applied:
+    component.  Only the action's minimal generators are applied: the
     variable permutations among them are folded into orbit sums first,
-    the rest are intersected by F_p elimination."""
-    comp = GradedComponent(action.ring, d)
-    if not comp.basis:
-        return 0
-    perm_maps, linear_gens = [], []
-    for name, hom in action.minimal_generators:
-        perm = _variable_permutation(hom)
-        if perm is not None:
-            perm_maps.append(perm)
-        else:
-            linear_gens.append(hom)
-    classes = (_orbit_classes(comp, perm_maps) if perm_maps
-               else [[i] for i in range(len(comp.basis))])
-    vecs = [comp.indicator(cls) for cls in classes]
-    for hom in linear_gens:
-        vecs = comp.fixed_combinations(vecs, hom)
-        if not vecs:
+    and the fixed orbit sums of the rest are found by F_p elimination."""
+    ring = action.ring
+    orbits = _orbit_classes(ring.monomials_of_degree(d), action._moves)
+    if not action._linear:
+        return len(orbits)
+    comp = GradedComponent(ring, d)
+    fixed = [Poly(ring, dict.fromkeys(orbit, 1)) for orbit in orbits]
+    for hom in action._linear:
+        fixed = comp.fixed_combinations(fixed, hom)
+        if not fixed:
             break
-    return len(vecs)
+    return len(fixed)
 
 
 def brute_invariant_dimension_stacked(action: WeylAction, d: int) -> int:
@@ -295,25 +279,30 @@ def brute_invariant_dimension_stacked(action: WeylAction, d: int) -> int:
 
 # -- claimed presentations and verification ---------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ClaimedPresentation:
     """Named generators with degrees and their values inside an action's
-    ring: a claimed polynomial ring, with no relations."""
+    ring: a claimed polynomial ring, with no relations.  Both sequences
+    are stored as tuples."""
 
-    names: list[str]
-    values: list[Poly]
+    names: tuple[str, ...]
+    values: tuple[Poly, ...]
 
     def __post_init__(self):
-        self.degrees = []
+        object.__setattr__(self, "names", tuple(self.names))
+        object.__setattr__(self, "values", tuple(self.values))
         for name, v in zip(self.names, self.values):
             if v.is_zero() or not v.is_homogeneous():
                 raise ValueError(f"generator {name} must be homogeneous and nonzero")
-            self.degrees.append(v.degree())
+
+    @property
+    def degrees(self) -> tuple[int, ...]:
+        return tuple(v.degree() for v in self.values)
 
 
 def presentation_hilbert(cp: ClaimedPresentation) -> Series:
     """Hilbert series of the claimed polynomial ring."""
-    return Series([1], tuple(cp.degrees))
+    return Series([1], cp.degrees)
 
 
 def spin_claimed(action: WeylAction, n: int) -> ClaimedPresentation:
@@ -366,7 +355,7 @@ def classical_claimed(action: WeylAction, family: str, rank: int, p: int) -> Cla
     return ClaimedPresentation(names, values)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DegreeRow:
     degree: int
     invariant_dim: int
@@ -378,11 +367,11 @@ class DegreeRow:
         return self.invariant_dim == self.span_rank == self.series_coeff
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerifyReport:
     label: str
-    claimed: list[str]
-    rows: list[DegreeRow]
+    claimed: tuple[str, ...]
+    rows: tuple[DegreeRow, ...]
     failure: str | None = None
 
     @property
@@ -404,7 +393,7 @@ def verify_presentation(action: WeylAction, cp: ClaimedPresentation,
     for gname, value in zip(cp.names, cp.values):
         for hname, hom in action.minimal_generators:
             if hom(value) != value:
-                return VerifyReport(label, cp.names, [],
+                return VerifyReport(label, cp.names, (),
                                     failure=f"generator {gname} is not invariant under {hname}")
     coeffs = presentation_hilbert(cp).coefficients(dmax)
     products = PolyRing(cp.names, cp.degrees, ring.modulus)
@@ -416,7 +405,7 @@ def verify_presentation(action: WeylAction, cp: ClaimedPresentation,
                    for m in products.monomials_of_degree(d)]
         rows.append(DegreeRow(d, brute_invariant_dimension(action, d),
                               comp.rank(vectors), coeffs[d]))
-    return VerifyReport(label, cp.names, rows)
+    return VerifyReport(label, cp.names, tuple(rows))
 
 
 def lemma_inv2_check(ring: PolyRing, a: Poly, x: str, dmax: int) -> VerifyReport:
@@ -442,4 +431,4 @@ def lemma_inv2_check(ring: PolyRing, a: Poly, x: str, dmax: int) -> VerifyReport
     base = [n for n in ring.names if n != x]
     claim = ClaimedPresentation(base + ["u"], [ring.var(n) for n in base] + [xvar * (xvar + a)])
     report = verify_presentation(action, claim, dmax)
-    return VerifyReport(report.label, ["u"], report.rows, report.failure)
+    return VerifyReport(report.label, ("u",), report.rows, report.failure)

@@ -158,7 +158,7 @@ def spin11_lower_bound_ring() -> GradedPresentation:
                               ["u11*u6 + u10*u7"])
 
 
-@dataclass
+@dataclass(frozen=True)
 class Spin11Report:
     D_top: int
     D_low: int

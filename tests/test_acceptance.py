@@ -178,11 +178,11 @@ def test_criterion_08_nakajima_checks():
     for r in (3, 4, 5):
         action = symmetric_quotient_action(r, 2)
         cp = nakajima_claimed(action)
-        ok = ok and cp.names == [f"c{i}" for i in range(2, r + 1)]
+        ok = ok and cp.names == tuple(f"c{i}" for i in range(2, r + 1))
         ok = ok and verify_presentation(action, cp, 12).passed
     action2 = symmetric_quotient_action(2, 2)
     cp2 = nakajima_claimed(action2)
-    ok = ok and cp2.names == ["x1"] and verify_presentation(action2, cp2, 12).passed
+    ok = ok and cp2.names == ("x1",) and verify_presentation(action2, cp2, 12).passed
     report(8, "S_r invariants of the quotient ring match k[c_2..c_r] "
               "(r = 3,4,5) and k[x_1] (r = 2) to degree 12", ok, t0)
 

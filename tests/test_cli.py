@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,15 @@ def test_o1_degrees_are_empty(capsys, tmp_path, monkeypatch):
     assert (code, json.loads(out)["result"]["coefficients"]) == (0, [1])
     code, out = run_cli(capsys, "primes", "--family", "O", "--rank", "1", "--json")
     assert (code, json.loads(out)["result"]["degrees"]) == (0, [])
+
+
+@pytest.mark.parametrize("family, rank, torsion", [("O", 1, "2"), ("O", 2, "2"), ("SO", 2, "-")])
+def test_torsion_of_the_small_orthogonal_groups(family, rank, torsion, capsys, tmp_path,
+                                                monkeypatch):
+    # beta(w_1) != 0 in H^2(BO(n); Z) for every n; BSO(2) = CP^infinity
+    monkeypatch.setenv("MODP_CACHE_DIR", str(tmp_path))
+    code, out = run_cli(capsys, "primes", "--family", family, "--rank", str(rank))
+    assert (code, out.splitlines()) == (0, ["bad: 2", f"torsion: {torsion}"])
 
 
 def test_primes_json_schema(capsys, tmp_path, monkeypatch):
@@ -183,6 +193,13 @@ def test_console_script_entry_point(tmp_path):
     "restrict --n 30",
     "restrict --n 1000000001 --target K",
     "ring --name bso --n 1",
+    "ring --name bso --n 1001",
+    "ring --name bo --n 1000000",
+    "ring --name bso --n 11 --series-to 10001",
+    "ring --name bmu --series-to 20000000",
+    "quillen --n 11 --dims 0..143",
+    "quillen --n 11 --dims 0..281",
+    "invariants --group classical --family B --rank 3 --p 2147483659",
     "weyl --family B --rank 9",
     "degrees --family E8 --rank 3",
     "degrees --family A --rank 1000000000",
@@ -206,6 +223,47 @@ def test_precondition_errors_exit_2(argv, capsys, tmp_path, monkeypatch):
     assert captured.err.startswith("modp: error: ")
     assert "Traceback" not in captured.err
     assert not list(tmp_path.glob("*.json"))
+
+
+# a prime, so that no check refuses it for being composite
+HUGE = "1000000000000000003"
+
+
+# whitney, spin-compare and selftest take no size argument
+@pytest.mark.parametrize("argv", [
+    f"degrees --family A --rank {HUGE}",
+    f"primes --family O --rank {HUGE}",
+    f"weyl --family B --rank {HUGE}",
+    f"flag-poincare --family Spin --rank {HUGE}",
+    f"invariants --group spin --n {HUGE}",
+    f"invariants --group spin --n 11 --max-degree {HUGE}",
+    f"invariants --group nakajima --r {HUGE}",
+    f"invariants --group nakajima --r 5 --max-degree {HUGE}",
+    f"invariants --group nakajima --r 5 --p {HUGE}",
+    f"invariants --group classical --family B --rank {HUGE} --p 3",
+    f"invariants --group classical --family C --rank 3 --p 3 --max-degree {HUGE}",
+    f"invariants --group classical --family D --rank 4 --p {HUGE}",
+    f"inv2-check --max-degree {HUGE}",
+    f"ring --name bso --n {HUGE}",
+    f"ring --name bo --n {HUGE}",
+    f"ring --name bz2 --series-to {HUGE}",
+    f"restrict --n {HUGE}",
+    f"restrict --n {HUGE} --target K",
+    f"jacobian --r {HUGE}",
+    f"quillen --n {HUGE}",
+    f"quillen --n 11 --dims {HUGE}",
+    f"quillen --n 11 --dims 0..{HUGE}",
+])
+def test_every_size_argument_is_refused_at_once(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("MODP_CACHE_DIR", str(tmp_path))
+    t0 = time.perf_counter()
+    with pytest.raises(SystemExit) as err:
+        main(argv.split())
+    assert time.perf_counter() - t0 < 1.5
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
 
 
 # sizes from the count table of the minimal presentation of Spin(11), on

@@ -58,6 +58,9 @@ def test_torsion_primes():
     assert torsion_primes(GroupSpec("Spin", 6)) == frozenset()
     assert torsion_primes(GroupSpec("B", 2)) == frozenset()
     assert torsion_primes(GroupSpec("D", 3)) == frozenset()
+    # H^2(BO(n); Z) holds beta(w_1) != 0 for every n >= 1; BSO(2) = CP^infinity
+    assert [torsion_primes(GroupSpec("O", n)) for n in (1, 2, 3)] == [{2}] * 3
+    assert torsion_primes(GroupSpec("SO", 2)) == frozenset()
 
 
 def test_torsion_subset_of_bad():
@@ -240,5 +243,5 @@ def test_o1_has_an_empty_root_system():
     assert fundamental_degrees(g) == []
     assert flag_poincare(g).as_polynomial() == [1]
     assert weyl_length_series(g) == [1]
-    assert torsion_primes(g) == frozenset()
+    assert torsion_primes(g) == {2}
     assert [fundamental_degrees(GroupSpec(f, 3)) for f in ("O", "SO", "Spin")] == [[2]] * 3

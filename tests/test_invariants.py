@@ -1,6 +1,6 @@
 import pytest
 
-from modp.exactalg import GradedComponent, Poly, PolyRing
+from modp.exactalg import Poly, PolyRing
 from modp.groupdata import GroupSpec, fundamental_degrees
 from modp.invariants import (
     ClaimedPresentation,
@@ -282,13 +282,13 @@ def test_span_rank_of_dependent_claimed_products():
     a = spin_action(7)
     cp = spin_claimed(a, 7)
     c2 = cp.values[cp.names.index("c2")]
-    report = verify_presentation(a, ClaimedPresentation(cp.names + ["c2b"], cp.values + [c2]), 6)
+    report = verify_presentation(a, ClaimedPresentation(cp.names + ("c2b",), cp.values + (c2,)), 6)
     assert [(r.invariant_dim, r.span_rank, r.series_coeff) for r in report.rows] == [
         (0, 0, 0), (1, 1, 2), (1, 1, 1), (2, 2, 4), (1, 1, 2), (3, 3, 7)]
     b3 = classical_action("B", 3, 3)
     cp = classical_claimed(b3, "B", 3, 3)
     d2 = cp.values[cp.names.index("d2")]
-    report = verify_presentation(b3, ClaimedPresentation(cp.names + ["d2b"], cp.values + [d2]), 6)
+    report = verify_presentation(b3, ClaimedPresentation(cp.names + ("d2b",), cp.values + (d2,)), 6)
     assert [(r.invariant_dim, r.span_rank, r.series_coeff) for r in report.rows] == [
         (0, 0, 0), (1, 1, 2), (0, 0, 0), (2, 2, 4), (0, 0, 0), (3, 3, 7)]
 
@@ -298,7 +298,7 @@ def test_nakajima_small_ranks():
         action = symmetric_quotient_action(r)
         report = verify_presentation(action, nakajima_claimed(action), 8)
         assert report.passed, r
-    assert nakajima_claimed(symmetric_quotient_action(2)).names == ["x1"]
+    assert nakajima_claimed(symmetric_quotient_action(2)).names == ("x1",)
 
 
 def test_classical_claims_match_fundamental_degrees():
@@ -317,7 +317,7 @@ def test_symplectic_char2_exception():
     # the characteristic-2 symplectic groups are the genuine exception.
     action = classical_action("C", 3, 2)
     cp = classical_claimed(action, "C", 3, 2)
-    assert cp.degrees == [1, 2, 3]
+    assert cp.degrees == (1, 2, 3)
     assert fundamental_degrees(GroupSpec("C", 3)) == [2, 4, 6]
     assert verify_presentation(action, cp, 7).passed
 
@@ -396,14 +396,18 @@ def _closure_partition(ring, homs, d):
                             symmetric_quotient_action(5)],
                          ids=lambda a: a.label)
 def test_orbit_classes_match_the_closure_under_the_homs(action):
+    # the moves of every permutation generator, and those the action
+    # sorted out of its minimal set, give the same orbits
+    ring = action.ring
     homs = [h for _, h in action.generators if _variable_permutation(h) is not None]
-    perms = [_variable_permutation(h) for h in homs]
+    moves = [ring.relabeling(ring, _variable_permutation(h)) for h in homs]
     for d in range(1, 7):
-        comp = GradedComponent(action.ring, d)
-        classes = _orbit_classes(comp, perms)
-        assert sorted(i for cls in classes for i in cls) == list(range(len(comp.basis)))
-        got = {frozenset(comp.basis[i] for i in cls) for cls in classes}
-        assert got == _closure_partition(action.ring, homs, d)
+        basis = ring.monomials_of_degree(d)
+        closure = _closure_partition(ring, homs, d)
+        for ms in (moves, action._moves):
+            classes = _orbit_classes(basis, ms)
+            assert sorted(m for cls in classes for m in cls) == sorted(basis)
+            assert {frozenset(cls) for cls in classes} == closure
 
 
 def test_a_variable_map_that_is_not_one_to_one_is_no_permutation():
@@ -428,7 +432,7 @@ def test_weyl_action_is_built_whole():
     with pytest.raises(AttributeError):
         a.minimal_generators.append(a.generators[0])
     ring = PolyRing(["y", "x"])
-    assert lemma_inv2_check(ring, ring.var("y"), "x", 4).claimed == ["u"]
+    assert lemma_inv2_check(ring, ring.var("y"), "x", 4).claimed == ("u",)
 
 
 def test_size_bounds_trip_before_any_hom(monkeypatch):
@@ -449,3 +453,130 @@ def test_size_bounds_trip_before_any_hom(monkeypatch):
     assert len(spin_action(13).xs) == 6
     assert len(classical_action("C", 14, 3).xs) == 14
     assert len(symmetric_quotient_action(13).xs) == 13
+
+
+ACTIONS = ([spin_action(n) for n in range(6, 14)]
+           + [classical_action(f, rank, p) for f in "BCD" for rank in range(1, 6) for p in (2, 3)]
+           + [symmetric_quotient_action(r) for r in range(2, 7)])
+
+
+def _defined_images(action, name) -> dict:
+    """The image of every ring variable under the generator `name`, read
+    off its definition: s(i,j) swaps x_i and x_j (x_r = -(x_1 + ... +
+    x_{r-1}) when x_r is eliminated) and fixes A; eps_i sends A to A + x_i
+    in the spin model and x_i to -x_i otherwise; eps1*eps_j does both of
+    eps_1 and eps_j."""
+    ring = action.ring
+    r = len(action.xs)
+    coords = [ring.var(f"x{k}") for k in range(1, r) if f"x{k}" in ring.names]
+    coords.append(ring.var(f"x{r}") if f"x{r}" in ring.names else -sum(coords, ring.zero()))
+    images = {v: ring.var(v) for v in ring.names}
+    if name.startswith("s("):
+        i, j = (int(k) for k in name[2:-1].split(","))
+        for k, t in ((i, j), (j, i)):
+            if f"x{k}" in images:
+                images[f"x{k}"] = coords[t - 1]
+        return images
+    for factor in name.split("*"):
+        i = int(factor[3:])
+        if "A" in images:
+            images["A"] = images["A"] + coords[i - 1]
+        else:
+            images[f"x{i}"] = -coords[i - 1]
+    return images
+
+
+@pytest.mark.parametrize("action", ACTIONS, ids=lambda a: a.label)
+def test_each_generator_is_its_definition(action):
+    r = len(action.xs)
+    if "quotient" in action.label:
+        sign = []
+    elif action.label[0] == "D" or action.label.startswith(f"Spin({2 * r})"):
+        sign = [f"eps1*eps{j}" for j in range(2, r + 1)]
+    else:
+        sign = [f"eps{i}" for i in range(1, r + 1)]
+    transpositions = [f"s({i},{j})" for i in range(1, r + 1) for j in range(i + 1, r + 1)]
+    assert [n for n, _ in action.generators] == transpositions + sign
+    for name, hom in action.generators:
+        images = _defined_images(action, name)
+        assert {v: hom(action.ring.var(v)) for v in action.ring.names} == images, name
+
+
+@pytest.mark.parametrize("action", ACTIONS, ids=lambda a: a.label)
+def test_minimal_generators_are_sorted_once(action, monkeypatch):
+    # the moves and the linear homs are the minimal generators that
+    # _variable_permutation does and does not call a permutation
+    import modp.invariants
+    ring = action.ring
+    perms = [_variable_permutation(h) for _, h in action.minimal_generators]
+    assert action._linear == tuple(h for (_, h), perm in zip(action.minimal_generators, perms)
+                                   if perm is None)
+    folded = [perm for perm in perms if perm is not None]
+    assert len(action._moves) == len(folded)
+    for move, perm in zip(action._moves, folded):
+        assert [move(u) for u in ring._units] == [ring._units[perm[i]] for i in range(len(perm))]
+
+    def never(hom):
+        raise AssertionError("generators sorted again in a degree")
+    monkeypatch.setattr(modp.invariants, "_variable_permutation", never)
+    for d in range(4):
+        brute_invariant_dimension(action, d)
+
+
+@pytest.mark.parametrize("action, names", [
+    (spin_action(9), ["eps1", "eps2", "s(3,4)"]),
+    (spin_action(10), ["eps1*eps2", "eps1*eps3", "s(1,2)", "s(1,5)"]),
+    (classical_action("B", 3, 3), ["eps1", "eps3", "s(1,2)"]),
+    (classical_action("D", 4, 3), ["eps1*eps2", "eps1*eps4", "s(2,3)"]),
+    (symmetric_quotient_action(5), ["s(1,5)", "s(2,5)", "s(1,2)"]),
+], ids=lambda x: x.label if isinstance(x, WeylAction) else " ".join(x))
+def test_several_linear_generators_match_the_stacked_oracle(action, names):
+    # only here does fixed_combinations run on its own output
+    small = action.sub_action(names)
+    assert len(small._linear) >= 2
+    for d in range(1, 7):
+        assert brute_invariant_dimension(small, d) == brute_invariant_dimension_stacked(small, d), d
+
+
+def test_public_values_refuse_mutation():
+    # ClaimedPresentation, DegreeRow, VerifyReport, WeylAction, SubstHom,
+    # Derivation, UClass, JacobianReport, Spin11Report, GroupSpec, Generator
+    from modp.charclass import (Generator, JacobianReport, bockstein, bso_presentation,
+                                unit_uclass)
+    from modp.exactalg import SubstHom
+    from modp.groupdata import GroupSpec
+    from modp.quillen import Spin11Report
+    a = spin_action(7)
+    cp = spin_claimed(a, 7)
+    report = verify_presentation(a, cp, 2)
+    ring = a.ring
+    hom = a.generators[0][1]
+    beta = bockstein(2)
+    u = unit_uclass(bso_presentation(4), 3)
+    jac = JacobianReport("O", 2, ring.one(), ring.one(), (ring.one(),))
+    spin11 = Spin11Report(26, 26, 26, 27, "strict")
+    values = [
+        (cp, ("names", "values", "degrees")),
+        (report.rows[0], ("degree", "invariant_dim", "span_rank", "series_coeff")),
+        (report, ("label", "claimed", "rows", "failure")),
+        (a, ("ring", "generators", "minimal_generators", "xs", "A", "label", "extra")),
+        (hom, ("source", "target", "images", "extra")),
+        (beta, ("ring", "images", "extra")),
+        (u, ("presentation", "components", "extra")),
+        (jac, ("variant", "r", "determinant", "expected", "row_factors")),
+        (spin11, ("D_top", "D_low", "D_explicit", "D_dR_lower", "verdict")),
+        (GroupSpec("B", 3), ("family", "rank")),
+        (Generator("u2", 2), ("name", "degree")),
+    ]
+    for value, attrs in values:
+        for attr in attrs:
+            with pytest.raises(AttributeError):
+                setattr(value, attr, None)
+    # their sequences are tuples and their maps read-only views
+    for seq in (cp.names, cp.values, cp.degrees, report.claimed, report.rows, a.generators,
+                a.minimal_generators, a.xs, u.components, jac.row_factors):
+        with pytest.raises(AttributeError):
+            seq.append(None)
+    for images in (hom.images, beta.images):
+        with pytest.raises(TypeError):
+            images["x1"] = ring.zero()
