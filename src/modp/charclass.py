@@ -16,6 +16,7 @@ from .exactalg import (
     Poly,
     PolyRing,
     SubstHom,
+    check_size,
     determinant,
     elementary_symmetric,
     elementary_symmetric_of,
@@ -167,26 +168,17 @@ def _u_generators(n: int) -> list[Generator]:
 PRESENTATION_MAX_N = 1000
 
 
-def _check_size(n: int, bound: int, what: str) -> None:
-    if n > bound:
-        raise ValueError(f"need n <= {bound}: the {what} of n = {n} is too large to build")
-
-
 def bso_presentation(n: int) -> GradedPresentation:
     """k[u_2, ..., u_n] with u_2a in Hodge bidegree (a, a) and u_2a+1 in
     (a+1, a)."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    _check_size(n, PRESENTATION_MAX_N, "presentation")
+    check_size("n", n, 2, PRESENTATION_MAX_N)
     return GradedPresentation(_u_generators(n))
 
 
 def bo_presentation(n: int) -> GradedPresentation:
     """k[u_1, ..., u_2r] for even n; k[v_1, c_1, u_2, ..., u_2r+1]/(v_1^2)
     for odd n (O(2r+1) = SO(2r+1) x mu_2)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    _check_size(n, PRESENTATION_MAX_N, "presentation")
+    check_size("n", n, 1, PRESENTATION_MAX_N)
     if n % 2 == 0:
         return GradedPresentation([Generator("u1", 1, (1, 0))] + _u_generators(n))
     return GradedPresentation([Generator("v1", 1, (0, 1), square_zero=True),
@@ -353,9 +345,7 @@ def restriction_bso_to_bo2r(n: int) -> RestrictionHom:
     go to elementary symmetric functions of the t_i.  Odd classes carry
     the Bockstein term, plus the u_1-correction when the source is the
     full orthogonal group (even n)."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    _check_size(n, RESTRICTION_MAX_N, "restriction")
+    check_size("n", n, 2, RESTRICTION_MAX_N)
     r = n // 2
     target = bo2_power_ring(r)
     ts = [f"t{i}" for i in range(1, r + 1)]
@@ -404,9 +394,9 @@ def collapse_to_K(r: int) -> SubstHom:
 def restriction_to_K(n: int) -> RestrictionHom:
     """BSO(n) -> K for odd n: u_2a goes to e_a(t) in the quotient and
     u_2a+1 to a*s*e_a(t), i.e. s*e_a for odd a and zero for even a."""
-    if n % 2 == 0 or n < 7:
-        raise ValueError("need odd n >= 7")
-    _check_size(n, RESTRICTION_MAX_N, "restriction")
+    check_size("n", n, 7, RESTRICTION_MAX_N)
+    if n % 2 == 0:
+        raise ValueError(f"need odd n, got {n}")
     r = n // 2
     source = bso_presentation(n)
     target = k_target_ring(r)
@@ -491,8 +481,7 @@ def jacobian_certificate(r: int, variant: str = "O") -> JacobianReport:
     of derivatives of the odd u-classes equals the char-2 Vandermonde
     product (O variant) or factors row by row through the rank-(r-1)
     Vandermonde (SO variant)."""
-    if not 2 <= r <= 6:
-        raise ValueError("desk-scale certificate: 2 <= r <= 6")
+    check_size("r", r, 2, 6)  # desk scale
     if variant == "O":
         rest = restriction_bso_to_bo2r(2 * r)
         ring = rest.hom.target

@@ -9,6 +9,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -16,7 +17,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .exactalg import MONOMIAL_GUARD, PolyRing, check_monomial_guard
+from .exactalg import MONOMIAL_GUARD, PolyRing, check_monomial_guard, check_size
 from .groupdata import (
     _EXCEPTIONAL_RANK,
     GroupSpec,
@@ -226,6 +227,7 @@ def _report_csv(payload: dict) -> list[list]:
 
 def cmd_invariants(args) -> int:
     dmax = args.max_degree
+    check_size("max degree", dmax, 1, math.inf)
     params = {"group": args.group, "n": args.n, "r": args.r,
               "family": args.family, "rank": args.rank, "p": args.p,
               "max_degree": dmax}
@@ -283,9 +285,7 @@ SERIES_MAX_DEGREE = 10_000
 def cmd_ring(args) -> int:
     if args.name in ("bso", "bo") and args.n is None:
         raise ValueError(f"--name {args.name} needs --n")
-    if args.series_to > SERIES_MAX_DEGREE:
-        raise ValueError(f"--series-to goes up to degree {SERIES_MAX_DEGREE}, "
-                         f"got {args.series_to}")
+    check_size("--series-to", args.series_to, 0, SERIES_MAX_DEGREE)
     pres = _RING_BUILDERS[args.name](args)
     series = pres.series().coefficients(args.series_to)
     payload = dict(pres.to_json(), series=series)
@@ -365,8 +365,8 @@ def cmd_jacobian(args) -> int:
     return 0 if report.ok else 1
 
 
-# Every degree from 512 on is refused anyway, by the monomial guard or by
-# the exponent limit on w4; this bound keeps the list of degrees small.
+# Every degree from 512 on is refused anyway by the monomial guard, by its
+# size or by the exponent limit on w4; this bound keeps the list small.
 DIMS_MAX_DEGREE = 1000
 
 
@@ -376,10 +376,8 @@ def _parse_dims(spec: str) -> list[int]:
         lo, hi = int(lo), int(hi if sep else lo)
     except ValueError:
         raise ValueError(f"--dims takes a degree or a range lo..hi, not {spec!r}") from None
-    if lo < 0:
-        raise ValueError(f"--dims must not be negative, got {spec!r}")
-    if hi > DIMS_MAX_DEGREE:
-        raise ValueError(f"--dims goes up to degree {DIMS_MAX_DEGREE}, got {spec!r}")
+    check_size("the low end of --dims", lo, 0, hi)
+    check_size("the high end of --dims", hi, lo, DIMS_MAX_DEGREE)
     return list(range(lo, hi + 1))
 
 

@@ -26,6 +26,15 @@ MONOMIAL_GUARD = 200_000
 MODULUS_LIMIT = 1 << 31
 
 
+def check_size(what: str, value: int, low: int, high: int | float) -> None:
+    """Refuse a size argument outside low..high (high may be math.inf),
+    with one line that names the side it broke."""
+    if value < low:
+        raise ValueError(f"need {what} >= {low}, got {value}")
+    if value > high:
+        raise ValueError(f"need {what} <= {high}, got {value}")
+
+
 class RingMismatchError(ValueError):
     pass
 
@@ -49,7 +58,7 @@ class PolyRing:
     product of monomials is an integer sum and a degree is one shift.
     Exponents are at most 127; a larger one raises ValueError.  Exponent
     tuples appear only at the boundary: `monomial`, `exponents`,
-    `from_terms`, `poly`, `poly_from_json` and `Poly.terms`.
+    `from_terms`, `poly` and `Poly.terms`.
     """
 
     def __init__(self, names: Sequence[str], weights: Sequence[int] | None = None,
@@ -60,8 +69,8 @@ class PolyRing:
         weights = tuple(weights) if weights is not None else (1,) * len(names)
         if len(weights) != len(names) or any(w <= 0 for w in weights):
             raise ValueError("each variable needs one positive integer weight")
-        if modulus >= MODULUS_LIMIT:
-            raise ValueError(f"need modulus < 2^31, got {modulus}")
+        # no lower side: a negative modulus is refused below, as not a prime
+        check_size("modulus", modulus, -math.inf, MODULUS_LIMIT - 1)
         if modulus != 0 and not _is_prime(modulus):
             raise ValueError(f"modulus must be 0 (integers) or a prime, not {modulus}")
         self.names = names
@@ -178,8 +187,8 @@ class PolyRing:
 
     def monomials_of_degree(self, d: int) -> list[int]:
         """All packed monomials of weighted degree d, in descending monomial
-        order.  A component of more than MONOMIAL_GUARD monomials is
-        refused before any of them is built."""
+        order.  A component that check_monomial_guard refuses is refused
+        before any of its monomials is built."""
         basis = self._basis_cache.get(d)
         if basis is None:
             check_monomial_guard(self, (d,))
@@ -191,7 +200,8 @@ class PolyRing:
         only the choices whose remaining degree the later variables can
         still reach; the walk meets every monomial once, in order.  A
         partial monomial keeps the degree still to place in its top field,
-        so choosing exponent e of a variable is one integer addition."""
+        so choosing exponent e of a variable is one integer addition.
+        Only monomials_of_degree calls it, after the guard."""
         if d < 0:
             return []
         counts = self._count_table(d)
@@ -199,19 +209,15 @@ class PolyRing:
             return []
         shift = self._shift
         states = [d << shift]
-        for i, (w, off) in enumerate(zip(self.weights, self._offsets)):
-            after = counts[i + 1]
+        for w, off, after in zip(self.weights, self._offsets, counts[1:]):
             steps: dict[int, list[int]] = {}
             nxt: list[int] = []
             for s in states:
                 rem = s >> shift
                 step = steps.get(rem)
                 if step is None:
-                    es = [e for e in range(rem // w, -1, -1) if after[rem - e * w]]
-                    if es and es[0] >= EXPONENT_LIMIT:
-                        raise ValueError(f"degree {d} needs exponent {es[0]} of "
-                                         f"{self.names[i]}, above {EXPONENT_LIMIT - 1}")
-                    step = steps[rem] = [(e << off) - ((e * w) << shift) for e in es]
+                    step = steps[rem] = [(e << off) - ((e * w) << shift)
+                                         for e in range(rem // w, -1, -1) if after[rem - e * w]]
                 nxt += [s + x for x in step]
             states = nxt
         top = d << shift
@@ -256,10 +262,6 @@ class PolyRing:
 
     # -- parsing -----------------------------------------------------
 
-    def poly_from_json(self, terms: list) -> "Poly":
-        """Inverse of Poly.to_json."""
-        return self.from_terms({tuple(t["exponents"]): t["coeff"] for t in terms})
-
     def poly(self, text: str) -> "Poly":
         """Parse the canonical text form, e.g. ``t1*t2 + t1*t3 + t2*t3``."""
         text = text.strip()
@@ -289,15 +291,25 @@ class PolyRing:
 
 def check_monomial_guard(ring: PolyRing, degrees: Iterable[int]) -> int:
     """Raise ValueError on the first of the degrees whose component of
-    `ring` has more than MONOMIAL_GUARD monomials, counted from the count
-    table without building any basis; return the number of monomials of
-    all the degrees together."""
+    `ring` has more than MONOMIAL_GUARD monomials, or a monomial with an
+    exponent above the limit, both read off the count table without
+    building any basis; return the number of monomials of all the degrees
+    together.  Of degree d, counts[d - e*w] monomials have an exponent of
+    at least e on a variable of weight w."""
     total = 0
     for d in degrees:
-        size = ring._count_table(d)[0][d] if d >= 0 else 0
-        if size > MONOMIAL_GUARD:
-            raise ValueError(f"degree {d} needs {size} monomials (> guard {MONOMIAL_GUARD})")
-        total += size
+        if d < 0:
+            continue
+        counts = ring._count_table(d)[0]
+        if counts[d] > MONOMIAL_GUARD:
+            raise ValueError(f"degree {d} needs {counts[d]} monomials (> guard {MONOMIAL_GUARD})")
+        for name, w in zip(ring.names, ring.weights):
+            if d >= EXPONENT_LIMIT * w and counts[d - EXPONENT_LIMIT * w]:
+                top = next(e for e in range(d // w, 0, -1)
+                           if counts[d - e * w] > (counts[d - e * w - w] if e * w + w <= d else 0))
+                raise ValueError(f"degree {d} needs exponent {top} of {name}, "
+                                 f"above {EXPONENT_LIMIT - 1}")
+        total += counts[d]
     return total
 
 
@@ -480,11 +492,6 @@ class Poly:
 
     def __repr__(self):
         return f"<{self} in {self.ring}>"
-
-    def to_json(self) -> list:
-        exps = self.ring.exponents
-        return [{"exponents": list(exps(m)), "coeff": self.coeffs[m]}
-                for m in sorted(self.coeffs, reverse=True)]
 
 
 def sum_of_products(ring: PolyRing, products: Iterable[Iterable[Poly]]) -> Poly:
@@ -928,8 +935,7 @@ def kernel_dimension_exhaustive(rows: Sequence[int], p: int) -> int:
     """Brute-force dimension of the vanishing combinations of packed rows
     over F_p, counted over all p^len(rows) combinations (tiny matrices
     only; the independent oracle that needs no elimination)."""
-    if p ** len(rows) > 1 << 20:
-        raise ValueError("exhaustive enumeration guard: p^rows > 2^20")
+    check_size("p^rows", p ** len(rows), 1, 1 << 20)
     field = PackedField(p)
     entries = [dict(field.unpack(r)) for r in rows]
     cols = set().union(*entries)

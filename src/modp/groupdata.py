@@ -5,12 +5,16 @@ polynomials of flag varieties."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+
+from .exactalg import check_size
 
 SIMPLE_FAMILIES = ("A", "B", "C", "D", "G2", "F4", "E6", "E7", "E8")
 MATRIX_FAMILIES = ("GL", "SO", "O", "Sp", "Spin")
 
 _EXCEPTIONAL_RANK = {"G2": 2, "F4": 4, "E6": 6, "E7": 7, "E8": 8}
+_MINIMUM_RANK = dict(_EXCEPTIONAL_RANK, A=1, B=1, C=1, D=3, GL=1, SO=2, O=1, Sp=2, Spin=3)
 _EXCEPTIONAL_DEGREES = {
     "G2": [2, 6],
     "F4": [2, 6, 8, 12],
@@ -34,14 +38,11 @@ class GroupSpec:
             raise ValueError(f"unknown family {fam!r}")
         if fam in _EXCEPTIONAL_RANK and n != _EXCEPTIONAL_RANK[fam]:
             raise ValueError(f"{fam} has rank {_EXCEPTIONAL_RANK[fam]}, got {n}")
-        minimum = {"A": 1, "B": 1, "C": 1, "D": 3, "GL": 1, "SO": 2, "O": 1,
-                   "Sp": 2, "Spin": 3}
-        if fam in minimum and n < minimum[fam]:
-            raise ValueError(f"{fam} requires rank >= {minimum[fam]}, got {n}")
+        check_size(f"the rank of {fam}", n, _MINIMUM_RANK[fam], math.inf)
         if fam == "Sp" and n % 2:
             raise ValueError("Sp takes an even matrix size 2n")
-        if _root_system(self)[1] > 120:  # flag_poincare takes about 0.3 s at 120
-            raise ValueError(f"{self} has Lie rank {_root_system(self)[1]}: need <= 120")
+        # flag_poincare takes about 0.3 s at Lie rank 120
+        check_size(f"the Lie rank of {self}", _root_system(self)[1], 0, 120)
 
     def __str__(self):
         return f"{self.family}{self.rank}"
@@ -49,8 +50,13 @@ class GroupSpec:
 
 def fundamental_degrees(g: GroupSpec) -> list[int]:
     """Degrees of the generators of the characteristic-zero Weyl
-    invariants; their product is the Weyl group order."""
-    fam, n = g.family, g.rank
+    invariants, read from the root system; their product is the Weyl group
+    order.  GL(n) keeps its own degrees 1..n (S_n acts on all n
+    coordinates of its torus), and the low ranks follow the formulas:
+    D_1 = [1], D_2 = [2, 2] and B_0 (O(1)) = []."""
+    if g.family == "GL":
+        return list(range(1, g.rank + 1))
+    fam, n = _root_system(g)
     if fam == "A":
         return list(range(2, n + 2))
     if fam in ("B", "C"):
@@ -59,26 +65,17 @@ def fundamental_degrees(g: GroupSpec) -> list[int]:
         return sorted([2 * i for i in range(1, n)] + [n])
     if fam in _EXCEPTIONAL_DEGREES:
         return list(_EXCEPTIONAL_DEGREES[fam])
-    if fam == "GL":
-        return list(range(1, n + 1))
-    if fam == "Sp":
-        return fundamental_degrees(GroupSpec("C", n // 2))
-    if fam in ("SO", "O", "Spin"):
-        r = n // 2
-        if n % 2:
-            return fundamental_degrees(GroupSpec("B", r)) if r else []  # O(1) has no roots
-        return fundamental_degrees(GroupSpec("D", r)) if r >= 3 else \
-            sorted([2 * i for i in range(1, r)] + [r])
     raise ValueError(f"no degree data for {g}")
 
 
 def good_primes_excluded(g: GroupSpec) -> frozenset[int]:
-    """The bad primes, by family label: none for type A, {2} for B/C/D,
-    {2,3} for the exceptional groups, {2,3,5} for E8."""
-    fam = g.family
-    if fam in ("A", "GL"):
+    """The bad primes, by the family of the root system: none for type A
+    (and GL), {2} for B/C/D, {2,3} for the exceptional groups, {2,3,5}
+    for E8."""
+    fam = _root_system(g)[0]
+    if fam == "A":
         return frozenset()
-    if fam in ("B", "C", "D", "SO", "O", "Sp", "Spin"):
+    if fam in ("B", "C", "D"):
         return frozenset({2})
     if fam == "E8":
         return frozenset({2, 3, 5})
@@ -192,8 +189,7 @@ def flag_poincare(g: GroupSpec) -> Series:
 def isotropic_grassmannian_poincare(n: int) -> Series:
     """Poincare polynomial of the maximal isotropic Grassmannian of
     SO(n): prod_{i=1}^{s} (1+q^i) with s = floor((n-1)/2)."""
-    if n < 2:
-        raise ValueError("need n >= 2")
+    check_size("n", n, 2, math.inf)
     s = (n - 1) // 2
     num = [1]
     for i in range(1, s + 1):
@@ -250,8 +246,7 @@ def cartan_matrix(family: str, rank: int) -> list[list[int]]:
         if family == "C" and rank >= 2:
             a[rank - 2][rank - 1] = -2
         if family == "D":
-            if rank < 3:
-                raise ValueError("D needs rank >= 3")
+            check_size("the rank of D", rank, 3, math.inf)
             a[rank - 1][rank - 2] = a[rank - 2][rank - 1] = 0
             a[rank - 1][rank - 3] = a[rank - 3][rank - 1] = -1
         return a

@@ -6,6 +6,7 @@ against a brute-force kernel oracle."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -16,6 +17,7 @@ from .exactalg import (
     PolyRing,
     SubstHom,
     check_monomial_guard,
+    check_size,
     elementary_symmetric_of,
 )
 from .groupdata import Series
@@ -27,12 +29,6 @@ from .groupdata import Series
 SPIN_MAX_N = 13
 QUOTIENT_MAX_R = 13
 CLASSICAL_MAX_RANK = 14
-
-
-def _check_size(what: str, value: int, bound: int, group: str) -> None:
-    if value > bound:
-        raise ValueError(f"need {what} <= {bound}: the claimed invariants of {group} "
-                         "are too large to build")
 
 
 class WeylAction:
@@ -132,9 +128,7 @@ def spin_action(n: int, p: int = 2) -> WeylAction:
     x_i themselves mod 2."""
     if p != 2:
         raise ValueError("the x/A model of the spin character lattice is defined mod 2 only")
-    if n < 6:
-        raise ValueError("need n >= 6 (smaller spin groups have symplectic factors)")
-    _check_size("n", n, SPIN_MAX_N, f"Spin({n})")
+    check_size("n", n, 6, SPIN_MAX_N)  # smaller spin groups have symplectic factors
     r = n // 2
     ring, xs = _quotient_ring_xs(r, 2, extra=("A",))
     A = ring.var("A")
@@ -150,7 +144,7 @@ def classical_action(family: str, rank: int, p: int) -> WeylAction:
     (the sign part is trivial when p = 2)."""
     if family not in ("B", "C", "D"):
         raise ValueError(f"classical_action takes B, C or D, not {family!r}")
-    _check_size("rank", rank, CLASSICAL_MAX_RANK, f"{family}{rank}")
+    check_size("rank", rank, 1, CLASSICAL_MAX_RANK)
     ring = PolyRing([f"x{i}" for i in range(1, rank + 1)], modulus=p)
     xs = list(ring.gens())
     if family in ("B", "C"):
@@ -163,9 +157,7 @@ def classical_action(family: str, rank: int, p: int) -> WeylAction:
 
 def symmetric_quotient_action(r: int, p: int = 2) -> WeylAction:
     """S_r acting on F_p[x_1..x_r]/(x_1+...+x_r) (the Nakajima setting)."""
-    if r < 2:
-        raise ValueError("need r >= 2")
-    _check_size("r", r, QUOTIENT_MAX_R, f"S{r}")
+    check_size("r", r, 2, QUOTIENT_MAX_R)
     ring, xs = _quotient_ring_xs(r, p)
     return _weyl_action(ring, xs, [], f"S{r} on quotient mod {p}")
 
@@ -186,8 +178,7 @@ def eta(action: WeylAction, j: int) -> Poly:
     r = len(action.xs)
     if action.A is None:
         raise ValueError("eta needs the spin model with the A variable")
-    if not 1 <= j <= r - 1:
-        raise ValueError(f"eta index out of range: need 1 <= j <= {r - 1}, got {j}")
+    check_size("eta index", j, 1, r - 1)
     return _subset_product(
         action, (I for k in range(j + 1) for I in itertools.combinations(range(j), k)))
 
@@ -198,8 +189,7 @@ def mu(action: WeylAction, j: int) -> Poly:
     r = len(action.xs)
     if action.A is None:
         raise ValueError("mu needs the spin model with the A variable")
-    if not 1 <= j <= r:
-        raise ValueError(f"mu index out of range: need 1 <= j <= {r}, got {j}")
+    check_size("mu index", j, 1, r)
     return _subset_product(
         action, (I for k in range(0, j + 1, 2) for I in itertools.combinations(range(j), k)))
 
@@ -386,8 +376,10 @@ def verify_presentation(action: WeylAction, cp: ClaimedPresentation,
     the claimed generators, and the claimed Hilbert series coefficient.
     Claimed generators are checked for invariance under the action's
     minimal generators, which generate the same group as the full list.
-    The monomial guard is checked on every degree before any work."""
+    The top degree and the monomial guard on every degree are checked
+    before any work."""
     ring = action.ring
+    check_size("max degree", dmax, 1, math.inf)
     check_monomial_guard(ring, range(dmax + 1))
     label = action.label
     for gname, value in zip(cp.names, cp.values):

@@ -8,7 +8,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .charclass import Generator, GradedPresentation, _transport, generator_ring
-from .exactalg import FIELD_BITS, Poly, PolyRing, sum_of_products
+from .exactalg import FIELD_BITS, Poly, PolyRing, check_size, sum_of_products
+
+# The thetas of n = 17 take about 0.2 s, those of n = 18 alone seconds and
+# about 200 MB: every n of this module is refused above this bound.
+MAX_N = 17
 
 
 def binom_mod2(m: int, k: int) -> int:
@@ -26,8 +30,7 @@ class SWRing:
     classes above the rank bound vanish."""
 
     def __init__(self, n: int, so: bool = True):
-        if n < 2:
-            raise ValueError("need n >= 2")
+        check_size("n", n, 2, MAX_N)
         self.n = n
         self.so = so
         lo = 2 if so else 1
@@ -85,8 +88,7 @@ class SWRing:
 def h_value(n: int) -> int:
     """Exponent table by residue of n mod 8: the extra polynomial
     generator of H*(BSpin(n)) sits in degree 2^h."""
-    if n < 3:
-        raise ValueError("need n >= 3")
+    check_size("n", n, 3, MAX_N)
     k = ((n - 1) % 8) + 1
     l = (n - k) // 8
     offset = {1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 6: 3, 7: 3, 8: 3}[k]
@@ -96,8 +98,7 @@ def h_value(n: int) -> int:
 def theta_sequence(n: int) -> list[Poly]:
     """theta_0 = w_2 and theta_{i+1} = Sq^{2^i} theta_i in SWRing(n), of
     length h(n); the degrees are 2, 3, 5, ..., 2^{h-1} + 1."""
-    if n > 17:  # the thetas of n = 18 alone take seconds and about 200 MB
-        raise ValueError(f"need n <= 17: the theta sequence of n = {n} is too large to build")
+    check_size("n", n, 3, MAX_N)
     sw = SWRing(n, so=True)
     thetas = [sw.w(2)]
     for i in range(h_value(n) - 1):
@@ -114,8 +115,7 @@ def quillen_presentation(n: int) -> GradedPresentation:
     z standing for the extra generator of degree 2^h.  The thetas are
     computed on SWRing(n) and transported; the quotient is that ring when
     they form a regular sequence."""
-    if n < 6:
-        raise ValueError("need n >= 6")
+    check_size("n", n, 6, MAX_N)
     thetas = theta_sequence(n)
     source = thetas[0].ring
     gens = [Generator(name, w) for name, w in zip(source.names, source.weights)]

@@ -253,6 +253,36 @@ HUGE = "1000000000000000003"
     f"quillen --n {HUGE}",
     f"quillen --n 11 --dims {HUGE}",
     f"quillen --n 11 --dims 0..{HUGE}",
+    # a one-variable ring holds one monomial in every degree: the exponent
+    # limit refuses degree 128
+    f"invariants --group nakajima --r 2 --max-degree {HUGE}",
+    f"invariants --group classical --family B --rank 1 --p 3 --max-degree {HUGE}",
+    # and each size argument below its lower side
+    "degrees --family A --rank 0",
+    "primes --family O --rank 0",
+    "weyl --family B --rank 0",
+    "flag-poincare --family Spin --rank 2",
+    "invariants --group spin --n 5",
+    "invariants --group spin --n 11 --max-degree 0",
+    "invariants --group spin --n 7 --max-degree -2",
+    "invariants --group nakajima --r 1",
+    "invariants --group nakajima --r 5 --max-degree 0",
+    "invariants --group nakajima --r 5 --p -3",
+    "invariants --group classical --family B --rank 0 --p 3",
+    "invariants --group classical --family C --rank 3 --p 3 --max-degree -1",
+    "invariants --group classical --family D --rank 4 --p -2",
+    "inv2-check --max-degree 0",
+    "inv2-check --max-degree -2",
+    "ring --name bso --n 1",
+    "ring --name bo --n 0",
+    "ring --name bz2 --series-to -1",
+    "ring --name bso --n 5 --series-to -3",
+    "restrict --n 1",
+    "restrict --n 5 --target K",
+    "jacobian --r 1",
+    "quillen --n 5",
+    "quillen --n 11 --dims -1",
+    "quillen --n 11 --dims 5..2",
 ])
 def test_every_size_argument_is_refused_at_once(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("MODP_CACHE_DIR", str(tmp_path))
@@ -264,6 +294,21 @@ def test_every_size_argument_is_refused_at_once(argv, capsys, tmp_path, monkeypa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+
+
+# the smallest or largest value each lower side accepts
+@pytest.mark.parametrize("argv, last", [
+    ("invariants --group spin --n 7 --max-degree 1", "PASS"),
+    ("inv2-check --max-degree 1", "PASS"),
+    ("ring --name bz2 --series-to 0", "series: 1"),
+    ("quillen --n 11 --dims 3..3", "dim H^3 = 0"),
+    ("invariants --group nakajima --r 2 --max-degree 127", "PASS"),
+])
+def test_edge_sizes_are_accepted(argv, last, capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("MODP_CACHE_DIR", str(tmp_path))
+    code, out = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert out.splitlines()[-1] == last
 
 
 # sizes from the count table of the minimal presentation of Spin(11), on

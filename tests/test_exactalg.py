@@ -266,16 +266,6 @@ def test_poly_text_roundtrip():
     assert str(elementary_symmetric(r, 2)) == "t1*t2 + t1*t3 + t2*t3"
 
 
-def test_poly_json_form():
-    r = PolyRing(["x", "y"])
-    f = r.poly("x^2 + y")
-    assert f.to_json() == [
-        {"exponents": [2, 0], "coeff": 1},
-        {"exponents": [0, 1], "coeff": 1},
-    ]
-    assert r.poly_from_json(f.to_json()) == f
-
-
 def dense(field, v, n):
     """The n coordinates of a packed vector, as a list."""
     mask = (1 << field.bits) - 1

@@ -33,6 +33,15 @@ def test_degree_table():
     assert fundamental_degrees(GroupSpec("GL", 4)) == [1, 2, 3, 4]
 
 
+def test_low_rank_aliases_follow_the_root_system():
+    # SO(2) is a torus (D_1), SO(4) has D_2 = A_1 x A_1, SO(6) has D_3 = A_3
+    assert [fundamental_degrees(GroupSpec("SO", n)) for n in (2, 4, 6)] == \
+        [[1], [2, 2], [2, 3, 4]]
+    assert fundamental_degrees(GroupSpec("O", 1)) == []
+    assert fundamental_degrees(GroupSpec("GL", 4)) == [1, 2, 3, 4]
+    assert good_primes_excluded(GroupSpec("SO", 2)) == {2}
+
+
 def test_bc_degrees_agree():
     for r in range(1, 6):
         assert fundamental_degrees(GroupSpec("SO", 2 * r + 1)) == \

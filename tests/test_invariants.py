@@ -371,6 +371,29 @@ def test_verify_guard_trips_before_any_work(monkeypatch):
     assert len(calls) == 4
 
 
+def test_concurrent_use_gives_the_serial_answers():
+    """Four threads share one fresh action, then the cleared memos of
+    modp.quillen, and each gets the answers of a serial run."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    import modp.quillen
+
+    alone = spin_action(9)
+    serial = verify_presentation(alone, spin_claimed(alone, 9), 10)
+    shared = spin_action(9)
+    claim = spin_claimed(shared, 9)
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        reports = list(pool.map(lambda _: verify_presentation(shared, claim, 10), range(4)))
+    assert reports == [serial] * 4
+
+    memos = [v for v in vars(modp.quillen).values() if hasattr(v, "cache_clear")]
+    want = [modp.quillen.quillen_dim(11, d) for d in range(41)]
+    for memo in memos:
+        memo.cache_clear()
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        assert list(pool.map(lambda d: modp.quillen.quillen_dim(11, d), range(41))) == want
+
+
 def _closure_partition(ring, homs, d):
     """The orbits of the degree-d monomials under the homs, each closed
     by applying the homs to one monomial at a time."""
