@@ -181,8 +181,7 @@ def bo_presentation(n: int) -> GradedPresentation:
     check_size("n", n, 1, PRESENTATION_MAX_N)
     if n % 2 == 0:
         return GradedPresentation([Generator("u1", 1, (1, 0))] + _u_generators(n))
-    return GradedPresentation([Generator("v1", 1, (0, 1), square_zero=True),
-                               Generator("c1", 2, (1, 1))] + _u_generators(n))
+    return GradedPresentation(list(bmu_p_presentation().generators) + _u_generators(n))
 
 
 def bmu_p_presentation(c_name: str = "c1", v_name: str = "v1",
@@ -351,12 +350,10 @@ def restriction_bso_to_bo2r(n: int) -> RestrictionHom:
     ts = [f"t{i}" for i in range(1, r + 1)]
     svars = [target.var(f"s{i}") for i in range(1, r + 1)]
     tvars = [target.var(t) for t in ts]
-    images = {}
+    images = {f"u{2 * a}": elementary_symmetric(target, a, ts) for a in range(1, r + 1)}
     if n % 2 == 0:
         source = bo_presentation(n)
         images["u1"] = elementary_symmetric_of(target, 1, svars)
-        for a in range(1, r + 1):
-            images[f"u{2 * a}"] = elementary_symmetric(target, a, ts)
         for a in range(1, r):
             images[f"u{2 * a + 1}"] = sum_of_products(target, [
                 (svars[m], elementary_symmetric(target, a, ts[:m] + ts[m + 1:]))
@@ -364,7 +361,6 @@ def restriction_bso_to_bo2r(n: int) -> RestrictionHom:
     else:
         source = bso_presentation(n)
         for a in range(1, r + 1):
-            images[f"u{2 * a}"] = elementary_symmetric(target, a, ts)
             images[f"u{2 * a + 1}"] = sum_of_products(target, [
                 (svars[m], tvars[m], elementary_symmetric(target, a - 1, ts[:m] + ts[m + 1:]))
                 for m in range(r)])

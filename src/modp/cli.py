@@ -484,23 +484,14 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--refresh-cache", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def group_args(p):
+    for name, fn, text in (("degrees", cmd_degrees, "fundamental degrees"),
+                           ("primes", cmd_primes, "bad and torsion primes"),
+                           ("weyl", cmd_weyl, "Weyl group order and lengths"),
+                           ("flag-poincare", cmd_flag_poincare, "Poincare polynomial of G/B")):
+        p = sub.add_parser(name, parents=[common], help=text)
         p.add_argument("--family", required=True)
         p.add_argument("--rank", type=int)
-
-    p = sub.add_parser("degrees", parents=[common], help="fundamental degrees")
-    group_args(p)
-    p.set_defaults(fn=cmd_degrees)
-    p = sub.add_parser("primes", parents=[common], help="bad and torsion primes")
-    group_args(p)
-    p.set_defaults(fn=cmd_primes)
-    p = sub.add_parser("weyl", parents=[common], help="Weyl group order and lengths")
-    group_args(p)
-    p.set_defaults(fn=cmd_weyl)
-    p = sub.add_parser("flag-poincare", parents=[common],
-                       help="Poincare polynomial of G/B")
-    group_args(p)
-    p.set_defaults(fn=cmd_flag_poincare)
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("invariants", parents=[common],
                        help="verify a claimed invariant-ring presentation")

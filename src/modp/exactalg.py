@@ -87,6 +87,10 @@ class PolyRing:
         self._unit_index = {u: i for i, u in enumerate(self._units)}
         # below this packed degree no product can fill an exponent field
         self._safe = (EXPONENT_LIMIT * min(weights, default=1)) << self._shift
+        # past this degree d > 127 * sum(w), so every monomial has an exponent
+        # above 127, and d exceeds the Frobenius number of w (below
+        # min(w) * max(w)), so d is nonempty exactly when gcd(w) divides it
+        self._ceiling = (EXPONENT_LIMIT + max(weights, default=0)) * sum(weights)
         self._basis_cache: dict = {}
         self._count_cache: tuple | None = None
 
@@ -201,8 +205,9 @@ class PolyRing:
         still reach; the walk meets every monomial once, in order.  A
         partial monomial keeps the degree still to place in its top field,
         so choosing exponent e of a variable is one integer addition.
-        Only monomials_of_degree calls it, after the guard."""
-        if d < 0:
+        Only monomials_of_degree calls it, after the guard, which lets
+        through no nonempty degree past the ceiling."""
+        if not 0 <= d <= self._ceiling:
             return []
         counts = self._count_table(d)
         if not counts[0][d]:
@@ -225,14 +230,14 @@ class PolyRing:
 
     def _count_table(self, d: int) -> list[list[int]]:
         """counts[k][e]: the number of monomials of degree e in the
-        variables k, k+1, ..., for every e up to some limit >= d
-        (counts[n] holds only the monomial 1).  A nonzero entry is the
-        reachability test of the basis walk, and counts[0][e] is the size
-        of the degree-e component.  The table is replaced, never changed,
-        when a larger degree is asked for."""
+        variables k, k+1, ..., for every e up to some limit >= d, for d up
+        to the ceiling (counts[n] holds only the monomial 1).  A nonzero
+        entry is the reachability test of the basis walk, and counts[0][e]
+        is the size of the degree-e component.  The table is replaced,
+        never changed, when a larger degree is asked for."""
         cached = self._count_cache
         if cached is None or cached[0] < d:
-            limit = max(d, 2 * cached[0] if cached else 64)
+            limit = min(max(d, 2 * cached[0] if cached else 64), self._ceiling)
             counts = [[1] + [0] * limit]
             for w in reversed(self.weights):
                 row = list(counts[-1])
@@ -295,10 +300,15 @@ def check_monomial_guard(ring: PolyRing, degrees: Iterable[int]) -> int:
     exponent above the limit, both read off the count table without
     building any basis; return the number of monomials of all the degrees
     together.  Of degree d, counts[d - e*w] monomials have an exponent of
-    at least e on a variable of weight w."""
+    at least e on a variable of weight w.  A degree past the ring's
+    ceiling is empty unless gcd(w) divides it, and refused otherwise."""
     total = 0
     for d in degrees:
         if d < 0:
+            continue
+        if d > ring._ceiling:
+            if ring.weights and d % math.gcd(*ring.weights) == 0:
+                raise ValueError(f"degree {d} needs an exponent above {EXPONENT_LIMIT - 1}")
             continue
         counts = ring._count_table(d)[0]
         if counts[d] > MONOMIAL_GUARD:
@@ -763,15 +773,6 @@ def _tagged(rows: list[int], tags: Sequence[int] | None, bits: int) -> tuple[lis
     return [(r << (low * bits)) | t for r, t in zip(rows, tags, strict=True)], low
 
 
-def _transpose(field: PackedField, rows: Sequence[int], cols: int) -> list[int]:
-    """The columns of packed rows, packed as rows."""
-    out = [0] * cols
-    for i, row in enumerate(rows):
-        for j, c in field.unpack(row):
-            out[j] |= c << (i * field.bits)
-    return out
-
-
 class F2Matrix:
     """Packed rows over F_2: bit j of a row is column j."""
 
@@ -781,10 +782,6 @@ class F2Matrix:
 
     def rank(self) -> int:
         return len(_f2_pivot_rows(self.rows)[0])
-
-    def rank_by_columns(self) -> int:
-        """Rank of the transpose; must agree with rank()."""
-        return F2Matrix(_transpose(PackedField(2), self.rows, self.cols), len(self.rows)).rank()
 
     def kernel_dimension(self) -> int:
         return len(self.rows) - self.rank()
@@ -837,11 +834,6 @@ class FpMatrix:
 
     def rank(self) -> int:
         return len(self._eliminate(self.rows, 0)[0])
-
-    def rank_by_columns(self) -> int:
-        """Rank of the transpose; must agree with rank()."""
-        return FpMatrix(_transpose(self.field, self.rows, self.cols), len(self.rows),
-                        self.p).rank()
 
     def kernel_dimension(self) -> int:
         return len(self.rows) - self.rank()

@@ -68,47 +68,31 @@ def fundamental_degrees(g: GroupSpec) -> list[int]:
     raise ValueError(f"no degree data for {g}")
 
 
+_BAD_PRIMES = {"A": (), "B": (2,), "C": (2,), "D": (2,), "G2": (2, 3), "F4": (2, 3),
+               "E6": (2, 3), "E7": (2, 3), "E8": (2, 3, 5)}
+
+
 def good_primes_excluded(g: GroupSpec) -> frozenset[int]:
     """The bad primes, by the family of the root system: none for type A
     (and GL), {2} for B/C/D, {2,3} for the exceptional groups, {2,3,5}
     for E8."""
-    fam = _root_system(g)[0]
-    if fam == "A":
-        return frozenset()
-    if fam in ("B", "C", "D"):
-        return frozenset({2})
-    if fam == "E8":
-        return frozenset({2, 3, 5})
-    if fam in ("G2", "F4", "E6", "E7"):
-        return frozenset({2, 3})
-    raise ValueError(f"no prime data for {g}")
+    return frozenset(_BAD_PRIMES[_root_system(g)[0]])
+
+
+# family: (torsion primes, the least rank that has them)
+_TORSION = {"A": ((), 0), "C": ((), 0), "GL": ((), 0), "Sp": ((), 0), "G2": ((2,), 0),
+            "F4": ((2, 3), 0), "E6": ((2, 3), 0), "E7": ((2, 3), 0), "E8": ((2, 3, 5), 0),
+            "B": ((2,), 3), "D": ((2,), 4), "Spin": ((2,), 7), "SO": ((2,), 3), "O": ((2,), 1)}
 
 
 def torsion_primes(g: GroupSpec) -> frozenset[int]:
     """Torsion primes (where H*(BG_C; Z) has p-torsion).  Every torsion
     prime is bad, but not conversely: Sp(2n) at 2 and G2 at 3 are bad and
     torsion-free.  Low ranks follow the type aliases B2=C2, D3=A3, except
-    that O(n) has 2-torsion for every n >= 1, from its component group."""
-    fam, n = g.family, g.rank
-    if fam in ("A", "C", "GL", "Sp"):
-        return frozenset()
-    if fam == "B":
-        return frozenset({2}) if n >= 3 else frozenset()
-    if fam == "D":
-        return frozenset({2}) if n >= 4 else frozenset()
-    if fam == "G2":
-        return frozenset({2})
-    if fam in ("F4", "E6", "E7"):
-        return frozenset({2, 3})
-    if fam == "E8":
-        return frozenset({2, 3, 5})
-    if fam == "Spin":
-        return frozenset({2}) if n >= 7 else frozenset()
-    if fam == "SO":
-        return frozenset({2}) if n >= 3 else frozenset()
-    if fam == "O":
-        return frozenset({2})  # beta(w_1) != 0 in H^2(BO(n); Z) for every n >= 1
-    raise ValueError(f"no torsion data for {g}")
+    that O(n) has 2-torsion for every n >= 1, from its component group
+    (beta(w_1) != 0 in H^2(BO(n); Z))."""
+    primes, least = _TORSION[g.family]
+    return frozenset(primes if g.rank >= least else ())
 
 
 # -- Hilbert/Poincare series ------------------------------------------
@@ -142,7 +126,7 @@ class Series:
         return c
 
     def coefficient(self, d: int) -> int:
-        return self.coefficients(d)[d]
+        return self.coefficients(d)[d] if d >= 0 else 0
 
     def __mul__(self, other: "Series") -> "Series":
         a, b = self.numerator, other.numerator

@@ -162,36 +162,32 @@ def symmetric_quotient_action(r: int, p: int = 2) -> WeylAction:
     return _weyl_action(ring, xs, [], f"S{r} on quotient mod {p}")
 
 
-def _subset_product(action: WeylAction, subsets) -> Poly:
+def _subset_product(action: WeylAction, name: str, j: int, high: int, step: int) -> Poly:
+    """prod over the subsets I of {1..j} of a size divisible by `step` of
+    (A - sum_I x_i), for an index j in 1..high."""
+    if action.A is None:
+        raise ValueError(f"{name} needs the spin model with the A variable")
+    check_size(f"{name} index", j, 1, high)
     out = action.ring.one()
-    for I in subsets:
-        factor = action.A
-        for i in I:
-            factor = factor - action.xs[i]
-        out = out * factor
+    for k in range(0, j + 1, step):
+        for I in itertools.combinations(range(j), k):
+            factor = action.A
+            for i in I:
+                factor = factor - action.xs[i]
+            out = out * factor
     return out
 
 
 def eta(action: WeylAction, j: int) -> Poly:
     """eta_j = prod over all subsets I of {1..j} of (A - sum_I x_i);
     degree 2^j, invariant under eps_1..eps_j."""
-    r = len(action.xs)
-    if action.A is None:
-        raise ValueError("eta needs the spin model with the A variable")
-    check_size("eta index", j, 1, r - 1)
-    return _subset_product(
-        action, (I for k in range(j + 1) for I in itertools.combinations(range(j), k)))
+    return _subset_product(action, "eta", j, len(action.xs) - 1, 1)
 
 
 def mu(action: WeylAction, j: int) -> Poly:
     """mu_j = prod over even-size subsets I of {1..j} of (A - sum_I x_i);
     degree 2^(j-1), mu_1 = A, invariant under the eps_1 eps_i."""
-    r = len(action.xs)
-    if action.A is None:
-        raise ValueError("mu needs the spin model with the A variable")
-    check_size("mu index", j, 1, r)
-    return _subset_product(
-        action, (I for k in range(0, j + 1, 2) for I in itertools.combinations(range(j), k)))
+    return _subset_product(action, "mu", j, len(action.xs), 2)
 
 
 # -- brute-force invariant dimensions ---------------------------------
@@ -295,21 +291,27 @@ def presentation_hilbert(cp: ClaimedPresentation) -> Series:
     return Series([1], cp.degrees)
 
 
+def _symmetric_claim(ring: PolyRing, values: Sequence[Poly], low: int, high: int,
+                     prefix: str = "c", step: int = 1) -> tuple[list[str], list[Poly]]:
+    """The names prefix{step*i} and the values e_i(values), for i from
+    low to high."""
+    indices = range(low, high + 1)
+    return ([f"{prefix}{step * i}" for i in indices],
+            [elementary_symmetric_of(ring, i, values) for i in indices])
+
+
 def spin_claimed(action: WeylAction, n: int) -> ClaimedPresentation:
     """The claimed invariant ring for Spin(n): k[c_2..c_r, eta_{r-1}] for
     odd n, k[c_2..c_r, mu_{r-1}] (r even) or k[c_2..c_r, mu_r] (r odd)."""
     r = len(action.xs)
-    names = [f"c{i}" for i in range(2, r + 1)]
-    values = [elementary_symmetric_of(action.ring, i, action.xs) for i in range(2, r + 1)]
+    names, values = _symmetric_claim(action.ring, action.xs, 2, r)
     if n % 2:
         names.append(f"eta{r - 1}")
         values.append(eta(action, r - 1))
-    elif r % 2 == 0:
-        names.append(f"mu{r - 1}")
-        values.append(mu(action, r - 1))
     else:
-        names.append(f"mu{r}")
-        values.append(mu(action, r))
+        j = r - 1 if r % 2 == 0 else r
+        names.append(f"mu{j}")
+        values.append(mu(action, j))
     return ClaimedPresentation(names, values)
 
 
@@ -319,29 +321,21 @@ def nakajima_claimed(action: WeylAction) -> ClaimedPresentation:
     r = len(action.xs)
     if r == 2:
         return ClaimedPresentation(["x1"], [action.ring.var("x1")])
-    names = [f"c{i}" for i in range(2, r + 1)]
-    return ClaimedPresentation(names, [elementary_symmetric_of(action.ring, i, action.xs)
-                                       for i in range(2, r + 1)])
+    return ClaimedPresentation(*_symmetric_claim(action.ring, action.xs, 2, r))
 
 
 def classical_claimed(action: WeylAction, family: str, rank: int, p: int) -> ClaimedPresentation:
     """Symmetric functions k[c_1..c_r] when p = 2 (sign part trivial);
-    for odd p the B/C invariants are symmetric functions of the squares,
-    and D keeps e_r(x) itself."""
+    for odd p the B/C invariants are symmetric functions d_2i = e_i of
+    the squares, and D keeps e_r(x) itself."""
+    ring, xs = action.ring, action.xs
     if p == 2:
-        names = [f"c{i}" for i in range(1, rank + 1)]
-        return ClaimedPresentation(names, [elementary_symmetric_of(action.ring, i, action.xs)
-                                           for i in range(1, rank + 1)])
-    square = SubstHom(action.ring, action.ring,
-                      {n: action.ring.var(n) * action.ring.var(n) for n in action.ring.names})
-    names, values = [], []
+        return ClaimedPresentation(*_symmetric_claim(ring, xs, 1, rank))
     top = rank if family in ("B", "C") else rank - 1
-    for i in range(1, top + 1):
-        names.append(f"d{2 * i}")
-        values.append(square(elementary_symmetric_of(action.ring, i, action.xs)))
+    names, values = _symmetric_claim(ring, [x * x for x in xs], 1, top, "d", 2)
     if family == "D":
         names.append(f"e{rank}")
-        values.append(elementary_symmetric_of(action.ring, rank, action.xs))
+        values.append(elementary_symmetric_of(ring, rank, xs))
     return ClaimedPresentation(names, values)
 
 

@@ -131,8 +131,9 @@ def quillen_dim(n: int, d: int) -> int:
     ideal component of its minimal presentation; a mismatch would falsify
     regularity at desk scale and raises."""
     pres = quillen_presentation(n)
-    from_series = pres.series().coefficient(d)
+    # dim_degree runs the monomial guard, so it goes before the series
     from_linear_algebra = pres.minimal().dim_degree(d)
+    from_series = pres.series().coefficient(d)
     if from_series != from_linear_algebra:
         raise RuntimeError(
             f"regularity check failed for n={n}, d={d}: series {from_series} "

@@ -72,6 +72,23 @@ def test_torsion_primes():
     assert torsion_primes(GroupSpec("SO", 2)) == frozenset()
 
 
+@pytest.mark.parametrize("family, rank, bad, torsion", [
+    ("B", 2, {2}, set()), ("B", 3, {2}, {2}),
+    ("D", 3, {2}, set()), ("D", 4, {2}, {2}),
+    ("Spin", 6, {2}, set()), ("Spin", 7, {2}, {2}),
+    ("SO", 2, {2}, set()), ("SO", 3, {2}, {2}),
+    ("O", 1, {2}, {2}), ("Sp", 2, {2}, set()), ("GL", 1, set(), set()),
+    ("G2", 2, {2, 3}, {2}), ("F4", 4, {2, 3}, {2, 3}), ("E6", 6, {2, 3}, {2, 3}),
+    ("E7", 7, {2, 3}, {2, 3}), ("E8", 8, {2, 3, 5}, {2, 3, 5}),
+])
+def test_prime_tables_at_boundary_ranks(family, rank, bad, torsion):
+    g = GroupSpec(family, rank)
+    assert good_primes_excluded(g) == frozenset(bad)
+    assert torsion_primes(g) == frozenset(torsion)
+    assert isinstance(good_primes_excluded(g), frozenset)
+    assert isinstance(torsion_primes(g), frozenset)
+
+
 def test_torsion_subset_of_bad():
     catalog = [GroupSpec("A", r) for r in range(1, 6)]
     catalog += [GroupSpec(f, r) for f in "BC" for r in range(1, 6)]

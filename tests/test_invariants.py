@@ -1,6 +1,6 @@
 import pytest
 
-from modp.exactalg import Poly, PolyRing
+from modp.exactalg import Poly, PolyRing, SubstHom, elementary_symmetric_of
 from modp.groupdata import GroupSpec, fundamental_degrees
 from modp.invariants import (
     ClaimedPresentation,
@@ -309,6 +309,24 @@ def test_classical_claims_match_fundamental_degrees():
         assert report.passed, (family, rank, p)
         if p != 2:
             assert sorted(cp.degrees) == fundamental_degrees(GroupSpec(family, rank))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_odd_p_claims_equal_the_squaring_hom(p):
+    """The oracle: d_2i is e_i(x) sent through x_i -> x_i * x_i."""
+    for family in "BCD":
+        for rank in range(1, 6):
+            action = classical_action(family, rank, p)
+            ring, xs = action.ring, action.xs
+            square = SubstHom(ring, ring, {n: ring.var(n) * ring.var(n) for n in ring.names})
+            top = rank if family in "BC" else rank - 1
+            names = [f"d{2 * i}" for i in range(1, top + 1)]
+            values = [square(elementary_symmetric_of(ring, i, xs)) for i in range(1, top + 1)]
+            if family == "D":
+                names.append(f"e{rank}")
+                values.append(elementary_symmetric_of(ring, rank, xs))
+            cp = classical_claimed(action, family, rank, p)
+            assert (cp.names, cp.values) == (tuple(names), tuple(values)), (family, rank)
 
 
 def test_symplectic_char2_exception():

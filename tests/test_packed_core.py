@@ -5,6 +5,7 @@ exponent tuples, and the exponent-overflow guard."""
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -287,3 +288,16 @@ def test_exponent_overflow_raises_instead_of_carrying():
     over2 = PolyRing(["x", "y"])
     with pytest.raises(ValueError, match="x"):
         over2.var("x") ** 200
+
+
+def test_a_degree_past_the_ceiling_is_refused_without_a_table():
+    ring = PolyRing(["x", "y"])
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^degree 1000000000 needs an exponent above 127$"):
+        ring.monomials_of_degree(10 ** 9)
+    assert time.perf_counter() - start < 0.1
+    # the weights' gcd 2 does not divide it, so the degree is empty
+    assert PolyRing(["x"], [2]).monomials_of_degree(10 ** 9 + 1) == []
+    # up to the ceiling, the message names the exponent and the variable
+    with pytest.raises(ValueError, match=r"^degree 128 needs exponent 128 of x, above 127$"):
+        PolyRing(["x"]).monomials_of_degree(128)

@@ -211,6 +211,15 @@ def test_dim_degree_over_the_guard_never_walks(monkeypatch):
         spin11_lower_bound_ring().dim_degree(400)
 
 
+def test_quillen_dim_guards_before_the_series():
+    quillen_presentation(11).minimal()  # built once, whatever the degree
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^degree 10000000 needs an exponent above 127$"):
+        quillen_dim(11, 10 ** 7)
+    assert time.perf_counter() - start < 0.1
+    assert quillen_dim(11, -1) == 0
+
+
 def test_quillen_regularity_to_34():
     for n in (10, 11):
         for d in range(35):
