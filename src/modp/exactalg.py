@@ -1,4 +1,4 @@
-"""Exact sparse multivariate polynomials over F_p or Z, substitution
+"""Exact sparse multivariate polynomials over F_p, substitution
 homomorphisms, determinants, packed linear algebra over prime fields,
 and graded components as coordinate spaces for ranks and kernels."""
 
@@ -49,7 +49,7 @@ def _is_prime(n: int) -> bool:
 
 class PolyRing:
     """A polynomial ring with named variables, positive integer weights and
-    coefficient modulus p (p = 0 means integer coefficients).
+    coefficients in the prime field F_p, p the modulus.
 
     A monomial is one packed int: variable i owns the byte at bit offset
     8 * (n - 1 - i), so variable 0 sits in the highest byte, and the
@@ -71,8 +71,8 @@ class PolyRing:
             raise ValueError("each variable needs one positive integer weight")
         # no lower side: a negative modulus is refused below, as not a prime
         check_size("modulus", modulus, -math.inf, MODULUS_LIMIT - 1)
-        if modulus != 0 and not _is_prime(modulus):
-            raise ValueError(f"modulus must be 0 (integers) or a prime, not {modulus}")
+        if not _is_prime(modulus):
+            raise ValueError(f"modulus must be a prime, not {modulus}")
         self.names = names
         self.weights = weights
         self.modulus = modulus
@@ -103,7 +103,7 @@ class PolyRing:
         return self.const(1)
 
     def const(self, c: int) -> "Poly":
-        c = c % self.modulus if self.modulus else c
+        c %= self.modulus
         return Poly(self, {0: c} if c else {})
 
     def var(self, name: str) -> "Poly":
@@ -122,8 +122,7 @@ class PolyRing:
         p = self.modulus
         out = {}
         for exps, c in terms.items():
-            c = c % p if p else c
-            if c:
+            if c := c % p:
                 out[self.monomial(exps)] = c
         return Poly(self, out)
 
@@ -230,18 +229,26 @@ class PolyRing:
 
     def _count_table(self, d: int) -> list[list[int]]:
         """counts[k][e]: the number of monomials of degree e in the
-        variables k, k+1, ..., for every e up to some limit >= d, for d up
-        to the ceiling (counts[n] holds only the monomial 1).  A nonzero
-        entry is the reachability test of the basis walk, and counts[0][e]
-        is the size of the degree-e component.  The table is replaced,
-        never changed, when a larger degree is asked for."""
+        variables k, k+1, ..., for every e up to some limit (counts[n]
+        holds only the monomial 1).  A nonzero entry is the reachability
+        test of the basis walk, and counts[0][e] is the size of the
+        degree-e component.  The table starts at 64 degrees and doubles,
+        never past the ceiling, until it holds d or ends in a saturated
+        run: min(w) degrees in a row over MONOMIAL_GUARD.  Multiplying by
+        a variable of least weight w maps degree e - w into degree e one
+        to one, so every degree past such a run is over the guard too.
+        The table is replaced, never changed, by a copy extended past its
+        old end."""
         cached = self._count_cache
-        if cached is None or cached[0] < d:
-            limit = min(max(d, 2 * cached[0] if cached else 64), self._ceiling)
+        run = min(self.weights, default=0)
+        while cached is None or (cached[0] < min(d, self._ceiling) and not (
+                run and min(cached[1][0][-run:]) > MONOMIAL_GUARD)):
+            limit = min(2 * cached[0] if cached else 64, self._ceiling)
+            old = cached[1] if cached else [[]] * (len(self.weights) + 1)
             counts = [[1] + [0] * limit]
-            for w in reversed(self.weights):
-                row = list(counts[-1])
-                for e in range(w, limit + 1):
+            for w, known in zip(reversed(self.weights), reversed(old[:-1])):
+                row = known + counts[-1][len(known):]
+                for e in range(max(w, len(known)), limit + 1):
                     row[e] += row[e - w]
                 counts.append(row)
             counts.reverse()
@@ -258,8 +265,7 @@ class PolyRing:
         return hash((self.names, self.weights, self.modulus))
 
     def __repr__(self):
-        k = f"F{self.modulus}" if self.modulus else "Z"
-        return f"{k}[{','.join(self.names)}]"
+        return f"F{self.modulus}[{','.join(self.names)}]"
 
     def check_same(self, other: "PolyRing"):
         if other is not self and self != other:
@@ -300,7 +306,8 @@ def check_monomial_guard(ring: PolyRing, degrees: Iterable[int]) -> int:
     exponent above the limit, both read off the count table without
     building any basis; return the number of monomials of all the degrees
     together.  Of degree d, counts[d - e*w] monomials have an exponent of
-    at least e on a variable of weight w.  A degree past the ring's
+    at least e on a variable of weight w.  A degree past a saturated run
+    of the table is refused by count alone.  A degree past the ring's
     ceiling is empty unless gcd(w) divides it, and refused otherwise."""
     total = 0
     for d in degrees:
@@ -311,6 +318,8 @@ def check_monomial_guard(ring: PolyRing, degrees: Iterable[int]) -> int:
                 raise ValueError(f"degree {d} needs an exponent above {EXPONENT_LIMIT - 1}")
             continue
         counts = ring._count_table(d)[0]
+        if d >= len(counts):  # past a saturated run
+            raise ValueError(f"degree {d} needs more than {MONOMIAL_GUARD} monomials")
         if counts[d] > MONOMIAL_GUARD:
             raise ValueError(f"degree {d} needs {counts[d]} monomials (> guard {MONOMIAL_GUARD})")
         for name, w in zip(ring.names, ring.weights):
@@ -345,9 +354,7 @@ def _reduced(ring: PolyRing, acc) -> dict:
     if isinstance(acc, set):
         return dict.fromkeys(acc, 1)
     p = ring.modulus
-    if p:
-        return {m: s for m, c in acc.items() if (s := c % p)}
-    return {m: c for m, c in acc.items() if c}
+    return {m: s for m, c in acc.items() if (s := c % p)}
 
 
 def _mul_into(ring: PolyRing, acc, f: dict, g: dict) -> None:
@@ -407,9 +414,7 @@ class Poly:
             return Poly(self.ring, dict.fromkeys(self.coeffs.keys() ^ other.coeffs.keys(), 1))
         out = dict(self.coeffs)
         for mono, c in other.coeffs.items():
-            s = out.get(mono, 0) + c
-            if p:
-                s %= p
+            s = (out.get(mono, 0) + c) % p
             if s:
                 out[mono] = s
             else:
@@ -420,7 +425,7 @@ class Poly:
         p = self.ring.modulus
         if p == 2:
             return self
-        return Poly(self.ring, {m: (-c % p if p else -c) for m, c in self.coeffs.items()})
+        return Poly(self.ring, {m: -c % p for m, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -488,17 +493,8 @@ class Poly:
                 elif e > 1:
                     factors.append(f"{name}^{e}")
             body = "*".join(factors)
-            mag = abs(c)
-            if not body:
-                text = str(mag)
-            elif mag == 1:
-                text = body
-            else:
-                text = f"{mag}*{body}"
-            parts.append(("- " if c < 0 else "+ ") + text)
-        head = parts[0]
-        head = "-" + head[2:] if head.startswith("- ") else head[2:]
-        return " ".join([head] + parts[1:])
+            parts.append(str(c) if not body else body if c == 1 else f"{c}*{body}")
+        return " + ".join(parts)
 
     def __repr__(self):
         return f"<{self} in {self.ring}>"
@@ -622,7 +618,7 @@ class SubstHom:
                 if head >= safe:  # an exponent may have passed the limit
                     head = self._checked_head(exps)
                 for i, a in scaled:
-                    c = c * pow(a, exps[i], p) % p if p else c * a ** exps[i]
+                    c = c * pow(a, exps[i], p) % p
             group = groups.get(m & moving)
             if group is None:
                 groups[m & moving] = {head: c}
@@ -678,7 +674,7 @@ def gradient(f: Poly) -> list[Poly]:
         for i, e in enumerate(exps(mono)):
             if e:
                 # mono -> mono / x_i is injective, so no two terms collide
-                s = c * e % p if p else c * e
+                s = c * e % p
                 if s:
                     parts[i][mono - units[i]] = s
     return [Poly(ring, part) for part in parts]
@@ -698,7 +694,7 @@ def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
     minor on the rows S and the first j+1 columns expands along column j
     through the minors of size j, the k-th row of S taking the sign
     (-1)^(j-k); zero entries and zero minors are skipped.  That is at most
-    n*2^(n-1) products and no division, over Z and F_p alike."""
+    n*2^(n-1) products and no division: the entries are polynomials."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError(f"matrix is not square: {n} rows, widths {[len(r) for r in rows]}")
@@ -886,8 +882,6 @@ class GradedComponent:
     format of PackedField(p), with coordinate i on basis[i]."""
 
     def __init__(self, ring: PolyRing, d: int):
-        if not ring.modulus:
-            raise ValueError(f"graded components need a prime field, not {ring}")
         self.ring = ring
         self.field = PackedField(ring.modulus)
         self.basis = ring.monomials_of_degree(d)

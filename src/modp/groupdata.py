@@ -230,7 +230,8 @@ def cartan_matrix(family: str, rank: int) -> list[list[int]]:
         if family == "C" and rank >= 2:
             a[rank - 2][rank - 1] = -2
         if family == "D":
-            check_size("the rank of D", rank, 3, math.inf)
+            if rank <= 2:  # D2 = A1 x A1, and D1 (a torus) has no roots
+                return [[2, 0], [0, 2]] if rank == 2 else []
             a[rank - 1][rank - 2] = a[rank - 2][rank - 1] = 0
             a[rank - 1][rank - 3] = a[rank - 3][rank - 1] = -1
         return a

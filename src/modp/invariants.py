@@ -316,10 +316,10 @@ def spin_claimed(action: WeylAction, n: int) -> ClaimedPresentation:
 
 
 def nakajima_claimed(action: WeylAction) -> ClaimedPresentation:
-    """S_r invariants of the quotient ring: k[c_2..c_r] for r >= 3 but
-    k[x_1] for r = 2."""
+    """S_r invariants of the quotient ring: k[c_2..c_r], except k[x_1]
+    for r = 2 over F_2, where x_2 = x_1 is fixed by s(1,2)."""
     r = len(action.xs)
-    if r == 2:
+    if r == 2 and action.ring.modulus == 2:
         return ClaimedPresentation(["x1"], [action.ring.var("x1")])
     return ClaimedPresentation(*_symmetric_claim(action.ring, action.xs, 2, r))
 

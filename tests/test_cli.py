@@ -133,6 +133,35 @@ def test_whitney_roundtrip(capsys, tmp_path, monkeypatch):
     assert doc["result"]["components"] == ["1", "a1", "a2"]
 
 
+def test_whitney_refuses_a_truncation_above_1000(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("MODP_CACHE_DIR", str(tmp_path))
+
+    def uclass(truncation):
+        return json.dumps({"ring": {"vars": ["a1"], "weights": [1]},
+                           "components": ["1"] + ["0"] * truncation})
+
+    t0 = time.perf_counter()
+    with pytest.raises(SystemExit) as err:
+        main(["whitney", "--e", uclass(1001), "--f", uclass(1001)])
+    assert time.perf_counter() - t0 < 0.1
+    assert err.value.code == 2
+    assert capsys.readouterr().err == ("modp: error: bad u-class input: need the truncation "
+                                       "of a u-class <= 1000, got 1001\n")
+    code, out = run_cli(capsys, "whitney", "--e", uclass(1000), "--f", uclass(1000), "--json")
+    assert code == 0
+    assert json.loads(out)["result"]["components"] == ["1"] + ["0"] * 1000
+
+
+def test_a_modulus_of_0_is_refused_before_any_generator(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("MODP_CACHE_DIR", str(tmp_path))
+    t0 = time.perf_counter()
+    with pytest.raises(SystemExit) as err:
+        main("invariants --group classical --family B --rank 14 --p 0 --max-degree 2".split())
+    assert time.perf_counter() - t0 < 0.5
+    assert err.value.code == 2
+    assert capsys.readouterr().err == "modp: error: modulus must be a prime, not 0\n"
+
+
 def test_restrict_and_ring(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("MODP_CACHE_DIR", str(tmp_path))
     code, out = run_cli(capsys, "restrict", "--n", "7", "--json")

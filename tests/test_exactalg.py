@@ -58,7 +58,7 @@ def test_ring_mismatch_names_both_rings():
 
 def test_ring_axioms_randomized():
     rng = random.Random(7)
-    for p in (2, 3, 0):
+    for p in (2, 3, 7):
         ring = PolyRing(["x", "y", "z"], modulus=p)
         for _ in range(40):
             f, g, h = (rand_poly(rng, ring) for _ in range(3))
@@ -139,11 +139,11 @@ def test_substitution_memo_is_thread_safe():
     assert results == [True] * 40
 
 
-def test_modulus_must_be_zero_or_prime():
-    for p in (1, 4, 9, -3):
+def test_modulus_must_be_prime():
+    for p in (0, 1, 4, 9, -3):
         with pytest.raises(ValueError, match="prime"):
             PolyRing(["x"], modulus=p)
-    for p in (0, 2, 3, 5, 7):
+    for p in (2, 3, 5, 7):
         assert PolyRing(["x"], modulus=p).modulus == p
 
 
@@ -184,7 +184,7 @@ def test_determinant_r2_derivative_matrix():
 
 
 def test_determinant_identity_and_alternating():
-    r = PolyRing(["t1", "t2", "t3"], modulus=0)
+    r = PolyRing(["t1", "t2", "t3"], modulus=7)  # odd, so -d != d
     one, zero = r.one(), r.zero()
     assert determinant([[one, zero], [zero, one]]) == one
     rng = random.Random(9)
@@ -224,7 +224,7 @@ def leibniz_determinant(rows, ring):
     return total
 
 
-@pytest.mark.parametrize("modulus", [0, 2, 3])
+@pytest.mark.parametrize("modulus", [2, 3, 7])
 def test_determinant_matches_the_leibniz_sum(modulus):
     rng = random.Random(13 + modulus)
     ring = PolyRing(["x", "y"], modulus=modulus)
@@ -255,12 +255,10 @@ def test_graded_component_basis():
 
 def test_poly_text_roundtrip():
     rng = random.Random(21)
-    for p in (2, 3, 0):
+    for p in (2, 3, 7):
         ring = PolyRing(["x", "y", "z"], weights=(1, 2, 1), modulus=p)
         for _ in range(40):
             f = rand_poly(rng, ring)
-            if p == 0:
-                f = f - rand_poly(rng, ring)
             assert ring.poly(str(f)) == f
     r = PolyRing(["t1", "t2", "t3"])
     assert str(elementary_symmetric(r, 2)) == "t1*t2 + t1*t3 + t2*t3"

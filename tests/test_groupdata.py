@@ -147,7 +147,10 @@ def test_bfs_lengths_match_flag_poincare():
               GroupSpec("F4", 4), GroupSpec("A", 4), GroupSpec("A", 5),
               GroupSpec("B", 5), GroupSpec("C", 5), GroupSpec("D", 5),
               GroupSpec("D", 6), GroupSpec("A", 6), GroupSpec("SO", 11),
-              GroupSpec("Sp", 10), GroupSpec("GL", 6), GroupSpec("Spin", 10)):
+              GroupSpec("Sp", 10), GroupSpec("GL", 6), GroupSpec("Spin", 10),
+              # D1 (a torus) and D2 = A1 x A1
+              GroupSpec("SO", 2), GroupSpec("SO", 4), GroupSpec("O", 2),
+              GroupSpec("O", 4), GroupSpec("Spin", 4)):
         assert weyl_length_series(g) == flag_poincare(g).as_polynomial(), str(g)
 
 

@@ -301,6 +301,15 @@ def test_nakajima_small_ranks():
     assert nakajima_claimed(symmetric_quotient_action(2)).names == ("x1",)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_nakajima_r2_claim_at_every_prime(p):
+    # x2 = -x1 is x1 only mod 2; at odd p, s(1,2) negates x1 and fixes x1^2
+    action = symmetric_quotient_action(2, p)
+    cp = nakajima_claimed(action)
+    assert cp.names == (("x1",) if p == 2 else ("c2",))
+    assert verify_presentation(action, cp, 10).passed
+
+
 def test_classical_claims_match_fundamental_degrees():
     for family, rank, p in (("B", 3, 2), ("C", 3, 2), ("B", 2, 3), ("D", 3, 3)):
         action = classical_action(family, rank, p)

@@ -9,8 +9,9 @@ import time
 
 import pytest
 
-from modp.charclass import Derivation, _transport
+from modp.charclass import Derivation, _transport, bso_presentation
 from modp.exactalg import MissingImageError, PolyRing, SubstHom, partial_derivative
+from modp.groupdata import Series
 from modp.quillen import SWRing
 
 NAMES = ("x", "y", "z", "w")
@@ -20,8 +21,7 @@ WEIGHTS = (1, 2, 1, 3)
 def _reduce(terms, p):
     out = {}
     for m, c in terms.items():
-        c = c % p if p else c
-        if c:
+        if c := c % p:
             out[m] = c
     return out
 
@@ -72,11 +72,11 @@ def rand_terms(rng, p, n=len(NAMES), max_terms=6, max_exp=3):
     terms = {}
     for _ in range(rng.randrange(max_terms + 1)):
         mono = tuple(rng.randrange(max_exp) for _ in range(n))
-        terms[mono] = rng.randrange(1, p) if p else rng.randrange(-5, 6)
+        terms[mono] = rng.randrange(1, p)
     return _reduce(terms, p)
 
 
-@pytest.mark.parametrize("p", [2, 3, 0])
+@pytest.mark.parametrize("p", [2, 3, 7])
 def test_arithmetic_matches_schoolbook(p):
     rng = random.Random(100 + p)
     ring = PolyRing(NAMES, WEIGHTS, p)
@@ -94,7 +94,7 @@ def test_arithmetic_matches_schoolbook(p):
             assert dict(partial_derivative(f, name).terms) == ref_partial(tf, i, p)
 
 
-@pytest.mark.parametrize("p", [2, 3, 0])
+@pytest.mark.parametrize("p", [2, 3, 7])
 def test_substitution_and_derivation_match_schoolbook(p):
     rng = random.Random(200 + p)
     ring = PolyRing(NAMES, WEIGHTS, p)
@@ -152,7 +152,7 @@ def _image_shapes(rng, p):
 @pytest.mark.parametrize("shape", ["identity", "permutation", "one moving", "all moving",
                                    "coefficients", "constants", "wider target",
                                    "narrower target"])
-@pytest.mark.parametrize("p", [2, 3, 5, 0])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_grouped_substitution_matches_schoolbook(p, shape):
     rng = random.Random(300 + p)
     ring = PolyRing(NAMES, WEIGHTS, p)
@@ -301,3 +301,26 @@ def test_a_degree_past_the_ceiling_is_refused_without_a_table():
     # up to the ceiling, the message names the exponent and the variable
     with pytest.raises(ValueError, match=r"^degree 128 needs exponent 128 of x, above 127$"):
         PolyRing(["x"]).monomials_of_degree(128)
+
+
+def test_a_degree_past_a_saturated_run_is_refused_by_count():
+    ring = bso_presentation(1000).ring  # weights 2..1000, ceiling 564,562,872
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^degree 3000 needs more than 200000 monomials$"):
+        ring.monomials_of_degree(3000)
+    assert time.perf_counter() - start < 0.05
+    # degrees 63 and 64 both hold more than 200,000 monomials, and the
+    # least weight is 2, so the first table already ends in a saturated run
+    limit, counts = ring._count_cache
+    assert limit == 64 and min(counts[0][63:]) > 200_000
+    with pytest.raises(ValueError, match=r"^degree 64 needs 236131 monomials \(> guard 200000\)$"):
+        ring.monomials_of_degree(64)
+
+
+def test_a_grown_count_table_equals_the_hilbert_series():
+    ring = PolyRing(["a", "b", "c", "d"], (1, 2, 5, 3))
+    ring._count_table(10)
+    counts = ring._count_table(300)  # 64 degrees, extended by doubling to 512
+    assert ring._count_cache[0] == 512
+    for k in range(len(ring.names) + 1):
+        assert counts[k] == Series((1,), ring.weights[k:]).coefficients(512), k
