@@ -198,10 +198,6 @@ def bz2_presentation(name: str = "s") -> GradedPresentation:
     return GradedPresentation([Generator(name, 1, (1, 0))])
 
 
-def point_presentation() -> GradedPresentation:
-    return GradedPresentation([])
-
-
 def kunneth(a: GradedPresentation, b: GradedPresentation) -> GradedPresentation:
     """Tensor product: disjoint union of generators and relations.  Name
     collisions in the second factor get a _b suffix, recorded in
@@ -288,18 +284,18 @@ def unit_uclass(presentation: GradedPresentation, truncation: int) -> UClass:
 
 
 def whitney_sum(uE: UClass, uF: UClass) -> UClass:
-    """The direct-sum formula: even classes convolve through even inputs
-    only, odd classes through the full convolution."""
+    """The direct-sum formula over the pairs of nonzero components: even
+    classes convolve through even inputs only, odd classes through all."""
     if uE.presentation is not uF.presentation and \
             uE.presentation.ring != uF.presentation.ring:
         raise ValueError("classes live in different presentations")
     ring = uE.presentation.ring
     trunc = min(uE.truncation, uF.truncation)
+    nonzero = [j for j in range(trunc + 1) if uE[j]]
     comps = [ring.one()]
     for m in range(1, trunc + 1):
-        step = 2 if m % 2 == 0 else 1
-        comps.append(sum_of_products(ring, [(uE[j], uF[m - j])
-                                            for j in range(0, m + 1, step)]))
+        comps.append(sum_of_products(ring, [(uE[j], uF[m - j]) for j in nonzero
+                                            if j <= m and (m % 2 or j % 2 == 0) and uF[m - j]]))
     return UClass(uE.presentation, comps)
 
 

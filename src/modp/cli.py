@@ -300,9 +300,9 @@ def cmd_ring(args) -> int:
 
 _UCLASS_SHAPE = '{"ring": {"vars": [str], "weights": [int]}, "components": [str]}'
 
-# The Whitney sum costs time quadratic in the truncation, zero components
-# too: `modp whitney` on two classes of 1,000 zeros takes 0.3-0.4 s, and
-# on 3,000 zeros 1.3-1.6 s.
+# The Whitney sum multiplies only pairs of nonzero components, but their
+# number stays quadratic in the truncation for dense classes, so the
+# length of a u-class is still bounded.
 UCLASS_MAX_TRUNCATION = 1000
 
 
@@ -469,7 +469,7 @@ def cmd_selftest(args) -> int:
     check("quillen regularity n=11 to 20",
           lambda: all(quillen.quillen_dim(11, d) >= 0 for d in range(21)))
     check("spin11 degree-32 comparison",
-          lambda: quillen.spin11_compare().D_dR_lower == quillen.spin11_compare().D_top + 1)
+          lambda: (rep := quillen.spin11_compare()).D_dR_lower == rep.D_top + 1)
     failures = [name for name, ok in checks if not ok]
     print(f"{len(checks) - len(failures)}/{len(checks)} selftests passed")
     return 0 if not failures else 1

@@ -458,13 +458,6 @@ class Poly:
         self.ring.check_same(other.ring)
         return other
 
-    def variable_index(self) -> int | None:
-        """i if this polynomial is the variable x_i itself, else None."""
-        if len(self.coeffs) != 1:
-            return None
-        ((m, c),) = self.coeffs.items()
-        return self.ring._unit_index.get(m) if c == 1 else None
-
     # -- grading -----------------------------------------------------
 
     def degree(self) -> int:
@@ -637,9 +630,15 @@ class SubstHom:
     def __call__(self, f: Poly) -> Poly:
         return self.apply(f)
 
-    def __eq__(self, other):
-        return (isinstance(other, SubstHom) and self._source == other._source
-                and self._target == other._target and self._images == other._images)
+    def relabeling(self) -> Callable[[int], int] | None:
+        """The monomial move (PolyRing.relabeling) of this hom if its plan
+        has no moving byte, no scaled variable and heads that are distinct
+        units of the target: a one-to-one renaming of variables.  Else None."""
+        heads, scaled, moving, _ = self._plan
+        index = [self._target._unit_index.get(h) for h in heads]
+        if moving or scaled or None in index or len(set(index)) < len(index):
+            return None
+        return self._source.relabeling(self._target, dict(enumerate(index)))
 
     def __repr__(self):
         ims = ", ".join(f"{n} -> {v}" for n, v in self._images.items())

@@ -43,10 +43,10 @@ class WeylAction:
     subtuple, sharing its (name, hom) pairs, that generates the same group;
     the incremental invariant oracle and the invariance check of
     `verify_presentation` apply only these.  It defaults to every
-    generator.  The minimal generators are sorted once, here: those that
-    permute the variables become the monomial moves the oracle folds into
-    orbits, the rest the homs it eliminates.  Every attribute is read-only,
-    so the two cannot go stale."""
+    generator.  The minimal generators are sorted once, here: the monomial
+    moves of those with a `SubstHom.relabeling` are folded into orbits,
+    the rest are the homs the oracle eliminates.  Every attribute is
+    read-only, so the two cannot go stale."""
 
     __slots__ = ("_ring", "_generators", "_minimal", "_xs", "_A", "_label",
                  "_moves", "_linear")
@@ -64,10 +64,9 @@ class WeylAction:
         self._xs = tuple(xs)
         self._A = A
         self._label = label
-        sorted_homs = [(hom, _variable_permutation(hom)) for _, hom in self._minimal]
-        self._moves = tuple(ring.relabeling(ring, perm) for _, perm in sorted_homs
-                            if perm is not None)
-        self._linear = tuple(hom for hom, perm in sorted_homs if perm is None)
+        moves = [hom.relabeling() for _, hom in self._minimal]
+        self._moves = tuple(move for move in moves if move is not None)
+        self._linear = tuple(h for (_, h), move in zip(self._minimal, moves) if move is None)
 
     ring = property(lambda self: self._ring)
     generators = property(lambda self: self._generators)
@@ -192,18 +191,6 @@ def mu(action: WeylAction, j: int) -> Poly:
 
 # -- brute-force invariant dimensions ---------------------------------
 
-def _variable_permutation(hom: SubstHom) -> dict | None:
-    """Index map if the hom permutes variables with coefficient 1."""
-    perm = {}
-    for i, name in enumerate(hom.source.names):
-        img = hom.images.get(name)
-        j = None if img is None else img.variable_index()
-        if j is None:
-            return None
-        perm[i] = j
-    return perm if len(set(perm.values())) == len(perm) else None
-
-
 def _orbit_classes(basis: Sequence[int], moves: Sequence[Callable[[int], int]]) -> list[list[int]]:
     """The monomials of each orbit of the basis under the group the
     monomial moves generate, each orbit closed by breadth-first search."""
@@ -284,11 +271,6 @@ class ClaimedPresentation:
     @property
     def degrees(self) -> tuple[int, ...]:
         return tuple(v.degree() for v in self.values)
-
-
-def presentation_hilbert(cp: ClaimedPresentation) -> Series:
-    """Hilbert series of the claimed polynomial ring."""
-    return Series([1], cp.degrees)
 
 
 def _symmetric_claim(ring: PolyRing, values: Sequence[Poly], low: int, high: int,
@@ -381,7 +363,7 @@ def verify_presentation(action: WeylAction, cp: ClaimedPresentation,
             if hom(value) != value:
                 return VerifyReport(label, cp.names, (),
                                     failure=f"generator {gname} is not invariant under {hname}")
-    coeffs = presentation_hilbert(cp).coefficients(dmax)
+    coeffs = Series((1,), cp.degrees).coefficients(dmax)
     products = PolyRing(cp.names, cp.degrees, ring.modulus)
     span = SubstHom(products, ring, dict(zip(cp.names, cp.values)))
     rows = []

@@ -16,13 +16,12 @@ from modp.charclass import (
     collapse_to_K,
     jacobian_certificate,
     kunneth,
-    point_presentation,
     restriction_bso_to_bo2r,
     restriction_to_K,
     unit_uclass,
     whitney_sum,
 )
-from modp.exactalg import PolyRing, SubstHom, elementary_symmetric
+from modp.exactalg import PolyRing, SubstHom, elementary_symmetric, sum_of_products
 
 
 def test_bso_presentation():
@@ -93,7 +92,7 @@ def test_kunneth_bz2_bmu2():
 
 def test_kunneth_with_point_and_collisions():
     x = bso_presentation(4)
-    same = kunneth(x, point_presentation())
+    same = kunneth(x, GradedPresentation([]))
     assert [g.name for g in same.generators] == [g.name for g in x.generators]
     doubled = kunneth(bmu_p_presentation(), bmu_p_presentation())
     assert doubled.renamed == (("v1", "v1_b"), ("c1", "c1_b"))
@@ -151,6 +150,41 @@ def test_whitney_algebra_randomized():
         even = whitney_sum(e.even_part(), f.even_part())
         full = whitney_sum(e, f)
         assert even.even_part() == full.even_part()
+
+
+def test_whitney_matches_the_full_convolution_on_sparse_classes():
+    # the oracle pairs every (u_j, u_{m-j}), zeros included, through even
+    # j only at even m
+    rng = random.Random(41)
+    pres = GradedPresentation([Generator("a", 1), Generator("b", 2), Generator("c", 3)])
+    ring = pres.ring
+
+    def sparse(trunc):
+        return UClass(pres, [ring.one()] + [
+            rand_uclass(rng, pres, m)[m] if rng.random() < 0.3 else ring.zero()
+            for m in range(1, trunc + 1)])
+
+    for _ in range(200):
+        e, f = sparse(12), sparse(12)
+        full = [ring.one()] + [
+            sum((e[j] * f[m - j] for j in range(0, m + 1, 2 if m % 2 == 0 else 1)), ring.zero())
+            for m in range(1, 13)]
+        assert whitney_sum(e, f).components == tuple(full)
+
+
+def test_whitney_pairs_only_nonzero_components(monkeypatch):
+    import modp.charclass
+    pres = GradedPresentation([Generator("a", 1)])
+    pairs = []
+
+    def counting(ring, products):
+        products = list(products)
+        pairs.extend(products)
+        return sum_of_products(ring, products)
+    monkeypatch.setattr(modp.charclass, "sum_of_products", counting)
+    zero = unit_uclass(pres, 1000)
+    assert whitney_sum(zero, zero) == zero
+    assert pairs == []
 
 
 def test_whitney_rejects_bad_unit():

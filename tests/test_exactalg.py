@@ -104,6 +104,38 @@ def test_identity_hom_and_missing_image():
         h(f)
 
 
+def test_relabeling_of_a_permutation_is_the_hom_on_monomials():
+    ring = PolyRing(["x", "y", "z", "w"], [1, 2, 1, 2], modulus=3)
+    x, y, z, w = ring.gens()
+    hom = SubstHom(ring, ring, {"x": z, "y": w, "z": x, "w": y})
+    move = hom.relabeling()
+    for d in range(6):
+        for m in ring.monomials_of_degree(d):
+            assert Poly(ring, {move(m): 1}) == hom(Poly(ring, {m: 1}))
+
+
+def test_relabeling_is_none_unless_the_hom_permutes_the_variables():
+    from modp.invariants import symmetric_quotient_action
+    ring = PolyRing(["x", "y"], modulus=3)
+    x, y = ring.gens()
+    for images in ({"x": -y, "y": x},  # a coefficient p - 1
+                   {"x": y, "y": y},  # not one to one
+                   {"x": y},  # a missing image
+                   {"x": x * x, "y": y},  # not a variable
+                   {"x": ring.zero(), "y": y}):
+        assert SubstHom(ring, ring, images).relabeling() is None, images
+    # s(1,3) sends x1 to x3 = -(x1 + x2), an image of two terms
+    s13 = dict(symmetric_quotient_action(3).generators)["s(1,3)"]
+    assert s13.relabeling() is None
+
+
+def test_relabeling_refuses_variables_of_different_weights():
+    ring = PolyRing(["x", "y"], [1, 2])
+    x, y = ring.gens()
+    with pytest.raises(ValueError, match="differ in weight"):
+        SubstHom(ring, ring, {"x": y, "y": x}).relabeling()
+
+
 def test_substitution_is_multiplicative():
     rng = random.Random(11)
     src = PolyRing(["x", "y"], modulus=3)

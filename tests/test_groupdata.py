@@ -137,7 +137,8 @@ def test_flag_poincare_palindromic_and_order():
     for g in (GroupSpec("A", 3), GroupSpec("B", 3), GroupSpec("C", 3),
               GroupSpec("D", 4), GroupSpec("G2", 2), GroupSpec("F4", 4)):
         series = flag_poincare(g)
-        assert series.is_palindromic(), str(g)
+        c = series.as_polynomial()
+        assert c == c[::-1], str(g)
         assert series.value_at_one() == math.prod(fundamental_degrees(g))
 
 
@@ -150,7 +151,9 @@ def test_bfs_lengths_match_flag_poincare():
               GroupSpec("Sp", 10), GroupSpec("GL", 6), GroupSpec("Spin", 10),
               # D1 (a torus) and D2 = A1 x A1
               GroupSpec("SO", 2), GroupSpec("SO", 4), GroupSpec("O", 2),
-              GroupSpec("O", 4), GroupSpec("Spin", 4)):
+              GroupSpec("O", 4), GroupSpec("Spin", 4),
+              # at the order bound (C6, 46,080) and just under it (A7, 40,320)
+              GroupSpec("C", 6), GroupSpec("A", 7)):
         assert weyl_length_series(g) == flag_poincare(g).as_polynomial(), str(g)
 
 
@@ -158,11 +161,16 @@ def test_bfs_guard_trips_before_any_enumeration(monkeypatch):
     import modp.groupdata
 
     def never(*args):
-        raise AssertionError("Cartan matrix built before the rank guard")
+        raise AssertionError("Cartan matrix built before the order guard")
 
     monkeypatch.setattr(modp.groupdata, "cartan_matrix", never)
-    with pytest.raises(ValueError, match="rank <= 6"):
-        weyl_length_series(GroupSpec("B", 7))
+    assert [str(GroupSpec(f, r)) for f, r in (("E6", 6), ("G2", 2), ("B", 7))] == \
+        ["E6", "G2", "B7"]
+    for g, order in [(GroupSpec("B", 7), 645_120), (GroupSpec("A", 8), 362_880),
+                     (GroupSpec("E6", 6), 51_840), (GroupSpec("E7", 7), 2_903_040),
+                     (GroupSpec("E8", 8), 696_729_600)]:
+        with pytest.raises(ValueError, match=f"order of {g} <= 46080, got {order}$"):
+            weyl_length_series(g)
 
 
 def test_isotropic_grassmannian():

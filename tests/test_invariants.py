@@ -12,14 +12,12 @@ from modp.invariants import (
     lemma_inv2_check,
     mu,
     nakajima_claimed,
-    presentation_hilbert,
     spin_action,
     spin_claimed,
     symmetric_quotient_action,
     verify_presentation,
     WeylAction,
     _orbit_classes,
-    _variable_permutation,
 )
 
 
@@ -240,16 +238,19 @@ def test_E_subgroup_saturation():
         assert brute_invariant_dimension(small, d) == brute_invariant_dimension(full, d)
 
 
-def test_presentation_hilbert():
-    a = spin_action(7)
-    cp = spin_claimed(a, 7)
-    assert presentation_hilbert(cp).coefficient(4) == 2
-    empty = ClaimedPresentation([], [])
-    assert presentation_hilbert(empty).coefficients(5) == [1, 0, 0, 0, 0, 0]
-    a11 = spin_action(11)
-    cp11 = spin_claimed(a11, 11)
-    expected = len(PolyRing(cp11.names, cp11.degrees).monomials_of_degree(16))
-    assert presentation_hilbert(cp11).coefficient(16) == expected
+@pytest.mark.parametrize("n, dmax", [(7, 8), (11, 16)])
+def test_series_column_counts_the_claimed_products(n, dmax):
+    # the series coefficient in degree d is the number of degree-d
+    # monomials of the claimed polynomial ring
+    a = spin_action(n)
+    cp = spin_claimed(a, n)
+    products = PolyRing(cp.names, cp.degrees)
+    rows = verify_presentation(a, cp, dmax).rows
+    assert [r.series_coeff for r in rows] == \
+        [len(products.monomials_of_degree(d)) for d in range(1, dmax + 1)]
+    # the empty claim is the ring k, zero in every positive degree
+    rows = verify_presentation(a, ClaimedPresentation([], []), 4).rows
+    assert [r.series_coeff for r in rows] == [0] * 4
 
 
 def test_verify_spin7():
@@ -449,8 +450,8 @@ def test_orbit_classes_match_the_closure_under_the_homs(action):
     # the moves of every permutation generator, and those the action
     # sorted out of its minimal set, give the same orbits
     ring = action.ring
-    homs = [h for _, h in action.generators if _variable_permutation(h) is not None]
-    moves = [ring.relabeling(ring, _variable_permutation(h)) for h in homs]
+    homs = [h for _, h in action.generators if h.relabeling() is not None]
+    moves = [h.relabeling() for h in homs]
     for d in range(1, 7):
         basis = ring.monomials_of_degree(d)
         closure = _closure_partition(ring, homs, d)
@@ -467,7 +468,7 @@ def test_a_variable_map_that_is_not_one_to_one_is_no_permutation():
     x, y = ring.gens()
     from modp.exactalg import SubstHom
     hom = SubstHom(ring, ring, {"x": y, "y": y})
-    assert _variable_permutation(hom) is None
+    assert hom.relabeling() is None
     action = WeylAction(ring, [("g", hom)], [x, y])
     for d in range(1, 6):
         assert brute_invariant_dimension(action, d) == \
@@ -555,20 +556,20 @@ def test_each_generator_is_its_definition(action):
 @pytest.mark.parametrize("action", ACTIONS, ids=lambda a: a.label)
 def test_minimal_generators_are_sorted_once(action, monkeypatch):
     # the moves and the linear homs are the minimal generators that
-    # _variable_permutation does and does not call a permutation
-    import modp.invariants
+    # have and have not a relabeling, and each move sends every variable
+    # to the hom's own image of it
     ring = action.ring
-    perms = [_variable_permutation(h) for _, h in action.minimal_generators]
-    assert action._linear == tuple(h for (_, h), perm in zip(action.minimal_generators, perms)
-                                   if perm is None)
-    folded = [perm for perm in perms if perm is not None]
+    homs = [h for _, h in action.minimal_generators]
+    assert action._linear == tuple(h for h in homs if h.relabeling() is None)
+    folded = [h for h in homs if h.relabeling() is not None]
     assert len(action._moves) == len(folded)
-    for move, perm in zip(action._moves, folded):
-        assert [move(u) for u in ring._units] == [ring._units[perm[i]] for i in range(len(perm))]
+    for move, hom in zip(action._moves, folded):
+        assert [Poly(ring, {move(u): 1}) for u in ring._units] == \
+            [hom(ring.var(name)) for name in ring.names]
 
     def never(hom):
         raise AssertionError("generators sorted again in a degree")
-    monkeypatch.setattr(modp.invariants, "_variable_permutation", never)
+    monkeypatch.setattr(SubstHom, "relabeling", never)
     for d in range(4):
         brute_invariant_dimension(action, d)
 
