@@ -21,7 +21,6 @@ from .exactalg import (
     elementary_symmetric,
     elementary_symmetric_of,
     gradient,
-    partial_derivative,
     sum_of_products,
 )
 from .groupdata import Series, _times_binomial
@@ -42,23 +41,23 @@ class Generator:
                 f"bidegree {self.bidegree} of {self.name} must add up to {self.degree}")
 
 
-def generator_ring(generators: Sequence[Generator], modulus: int = 2) -> PolyRing:
-    """The polynomial ring on the generators, each weighted by its degree:
-    the ring a GradedPresentation on them is built over."""
-    return PolyRing([g.name for g in generators], [g.degree for g in generators], modulus)
+def generator_ring(generators: Sequence[Generator]) -> PolyRing:
+    """The polynomial ring over F_2 on the generators, each weighted by its
+    degree: the ring a GradedPresentation on them is built over."""
+    return PolyRing([g.name for g in generators], [g.degree for g in generators])
 
 
 class GradedPresentation:
     """Generators with degrees (optionally Hodge bidegrees and exterior
     square-zero flags) plus homogeneous relation polynomials, each given
     as a Poly over an equal ring or as text parsed in the presentation's
-    ring.  Generators and relations are tuples, fixed at construction."""
+    ring, over F_2.  Generators and relations are tuples, fixed at
+    construction."""
 
     def __init__(self, generators: Sequence[Generator], relations: Sequence[Poly | str] = (),
-                 modulus: int = 2, renamed: Sequence[tuple[str, str]] = ()):
+                 renamed: Sequence[tuple[str, str]] = ()):
         self.generators = tuple(generators)
-        self.modulus = modulus
-        self.ring = generator_ring(self.generators, modulus)
+        self.ring = generator_ring(self.generators)
         rels = []
         for rel in relations:
             if isinstance(rel, str):
@@ -79,30 +78,28 @@ class GradedPresentation:
 
     def minimal(self) -> "GradedPresentation":
         """The same graded ring on fewer generators, memoised: while some
-        relation r has a term c*g with g a generator that is not square-zero
+        relation r has a term g, a generator that is not square-zero
         (deg g = deg r, so no other term of r holds g), drop g and send
-        every relation through g -> -(r - c*g)/c, keeping the images that
-        are not zero (r goes to zero).  The series is not consulted, so a
-        dim_degree of the result checks series() independently."""
+        every relation through g -> r - g, the image of r under g -> 0,
+        keeping the images that are not zero (r goes to zero).  The series
+        is not consulted, so a dim_degree of the result checks series()
+        independently."""
         if self._minimal is None:
             pres = self
             while True:
                 units = pres.ring._unit_index
-                found = [(rel, units[m], c) for rel in pres.relations
-                         for m, c in rel.coeffs.items()
+                found = [(rel, units[m]) for rel in pres.relations for m in rel.coeffs
                          if m in units and not pres.generators[units[m]].square_zero]
                 if not found:
                     break
-                rel, i, c = found[0]
+                rel, i = found[0]
                 name = pres.generators[i].name
                 gens = pres.generators[:i] + pres.generators[i + 1:]
-                ring = generator_ring(gens, pres.modulus)
+                ring = generator_ring(gens)
                 images = dict(zip(ring.names, ring.gens()), **{name: ring.zero()})
-                rest = SubstHom(pres.ring, ring, images)(rel)
-                images[name] = rest * -pow(c, -1, pres.modulus)
+                images[name] = SubstHom(pres.ring, ring, images)(rel)
                 hom = SubstHom(pres.ring, ring, images)
-                pres = GradedPresentation(gens, [f for f in map(hom, pres.relations) if f],
-                                          pres.modulus)
+                pres = GradedPresentation(gens, [f for f in map(hom, pres.relations) if f])
             self._minimal = pres
         return self._minimal
 
@@ -184,13 +181,11 @@ def bo_presentation(n: int) -> GradedPresentation:
     return GradedPresentation(list(bmu_p_presentation().generators) + _u_generators(n))
 
 
-def bmu_p_presentation(c_name: str = "c1", v_name: str = "v1",
-                       modulus: int = 2) -> GradedPresentation:
+def bmu_p_presentation(c_name: str = "c1", v_name: str = "v1") -> GradedPresentation:
     """k[c_1]<v_1>: a polynomial class in bidegree (1,1) and an exterior
     class in bidegree (0,1)."""
     return GradedPresentation(
-        [Generator(v_name, 1, (0, 1), square_zero=True), Generator(c_name, 2, (1, 1))],
-        modulus=modulus)
+        [Generator(v_name, 1, (0, 1), square_zero=True), Generator(c_name, 2, (1, 1))])
 
 
 def bz2_presentation(name: str = "s") -> GradedPresentation:
@@ -201,9 +196,8 @@ def bz2_presentation(name: str = "s") -> GradedPresentation:
 def kunneth(a: GradedPresentation, b: GradedPresentation) -> GradedPresentation:
     """Tensor product: disjoint union of generators and relations.  Name
     collisions in the second factor get a _b suffix, recorded in
-    `renamed`."""
-    if a.modulus != b.modulus:
-        raise ValueError("coefficient fields differ")
+    `renamed`; each factor's relations move into the product ring through
+    a renaming SubstHom."""
     taken = {g.name for g in a.generators}
     renamed = []
     mapping = {}
@@ -218,21 +212,11 @@ def kunneth(a: GradedPresentation, b: GradedPresentation) -> GradedPresentation:
     gens = list(a.generators) + [
         Generator(mapping[g.name], g.degree, g.bidegree, g.square_zero)
         for g in b.generators]
-    ring = generator_ring(gens, a.modulus)
-    relations = ([_transport(rel, ring) for rel in a.relations]
-                 + [_transport(rel, ring, mapping) for rel in b.relations])
-    return GradedPresentation(gens, relations, a.modulus, renamed)
-
-
-def _transport(f: Poly, target: PolyRing, mapping: dict | None = None) -> Poly:
-    """f with each variable renamed (through `mapping`, else kept) to the
-    variable of that name in `target`."""
-    if f.ring.modulus != target.modulus:
-        raise ValueError(f"cannot transport {f.ring} to {target}: coefficient fields differ")
-    move = f.ring.relabeling(target, {
-        i: target.var_index(mapping[name] if mapping else name)
-        for i, name in enumerate(f.ring.names)})
-    return Poly(target, {move(m): c for m, c in f.coeffs.items()})
+    ring = generator_ring(gens)
+    from_a = SubstHom(a.ring, ring, {name: ring.var(name) for name in a.ring.names})
+    from_b = SubstHom(b.ring, ring, {name: ring.var(mapping[name]) for name in b.ring.names})
+    relations = list(map(from_a, a.relations)) + list(map(from_b, b.relations))
+    return GradedPresentation(gens, relations, renamed)
 
 
 # -- u-class Whitney calculus ------------------------------------------
@@ -477,8 +461,8 @@ def jacobian_certificate(r: int, variant: str = "O") -> JacobianReport:
     if variant == "O":
         rest = restriction_bso_to_bo2r(2 * r)
         ring = rest.hom.target
-        matrix = [[partial_derivative(rest.image_of(f"u{2 * a - 1}"), f"s{j}")
-                   for a in range(1, r + 1)] for j in range(1, r + 1)]
+        grads = [gradient(rest.image_of(f"u{2 * a - 1}")) for a in range(1, r + 1)]
+        matrix = [[grad[ring.var_index(f"s{j}")] for grad in grads] for j in range(1, r + 1)]
         det = determinant(matrix)
         expected = _vandermonde(ring, [f"t{i}" for i in range(1, r + 1)])
         return JacobianReport("O", r, det, expected)
@@ -494,8 +478,8 @@ def jacobian_certificate(r: int, variant: str = "O") -> JacobianReport:
         {f"s{i}": ring.var(f"x{i}") for i in range(1, r)},
         **{f"s{r}": x_last},
         **{f"t{i}": ring.var(f"t{i}") for i in range(1, r + 1)}))
-    matrix = [[partial_derivative(to_bh(rest.image_of(f"u{2 * a + 1}")), f"x{j}")
-               for a in range(1, r)] for j in range(1, r)]
+    grads = [gradient(to_bh(rest.image_of(f"u{2 * a + 1}"))) for a in range(1, r)]
+    matrix = [[grad[ring.var_index(f"x{j}")] for grad in grads] for j in range(1, r)]
     det = determinant(matrix)
     # row j carries the factor (t_j + t_r); the cofactor is the smaller matrix E
     row_factors = tuple(ring.var(f"t{j}") + ring.var(f"t{r}") for j in range(1, r))

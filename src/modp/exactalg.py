@@ -154,38 +154,6 @@ class PolyRing:
                 raise ValueError(f"exponent of {self.names[i]} exceeds "
                                  f"{EXPONENT_LIMIT - 1} in {self}")
 
-    def relabeling(self, target: "PolyRing", index_map: dict) -> Callable[[int], int]:
-        """The map on packed monomials that renames every variable i of
-        this ring to the variable index_map[i] of `target`, of the same
-        weight; target variables left out get exponent 0.  The fields that
-        keep their bit offset (the degree field among them) are copied in
-        one mask, and the others are moved in one mask per distance."""
-        images = set(index_map.values())
-        if (sorted(index_map) != list(range(len(self.names))) or len(images) < len(index_map)
-                or not images <= set(range(len(target.names)))):
-            raise ValueError(f"a relabeling of {self} must map its variables one to one "
-                             f"into {target}")
-        for i, j in index_map.items():
-            if self.weights[i] != target.weights[j]:
-                raise ValueError(f"{self.names[i]} and {target.names[j]} differ in weight")
-        shifts = {target._shift - self._shift: ~self._low}
-        for i, j in index_map.items():
-            src = self._offsets[i]
-            d = target._offsets[j] - src
-            shifts[d] = shifts.get(d, 0) | FIELD_MASK << src
-        keep = shifts.pop(0, 0)
-        left = [(mask, d) for d, mask in shifts.items() if d > 0]
-        right = [(mask, -d) for d, mask in shifts.items() if d < 0]
-
-        def move(m: int) -> int:
-            out = m & keep
-            for mask, d in left:
-                out |= (m & mask) << d
-            for mask, d in right:
-                out |= (m & mask) >> d
-            return out
-        return move
-
     # -- grading -----------------------------------------------------
 
     def monomials_of_degree(self, d: int) -> list[int]:
@@ -333,14 +301,16 @@ def check_monomial_guard(ring: PolyRing, degrees: Iterable[int]) -> int:
 
 
 def _split_terms(text: str):
-    """Split on top-level + and - signs, yielding (sign, term)."""
+    """Split on top-level + and - signs, yielding (sign, term); the signs
+    with no term between them multiply, so x - -y is x + y."""
     terms = []
     sign, cur = 1, []
     for ch in text:
         if ch in "+-":
             if cur and "".join(cur).strip():
                 terms.append((sign, "".join(cur).strip()))
-            sign, cur = (1 if ch == "+" else -1), []
+                sign = 1
+            sign, cur = (sign if ch == "+" else -sign), []
         else:
             cur.append(ch)
     if cur and "".join(cur).strip():
@@ -631,14 +601,36 @@ class SubstHom:
         return self.apply(f)
 
     def relabeling(self) -> Callable[[int], int] | None:
-        """The monomial move (PolyRing.relabeling) of this hom if its plan
-        has no moving byte, no scaled variable and heads that are distinct
-        units of the target: a one-to-one renaming of variables.  Else None."""
+        """The map of this hom on packed monomials if its plan has no
+        moving byte, no scaled variable and heads that are distinct units
+        of the target: a one-to-one renaming of variables, each to one of
+        the same weight (else ValueError).  Else None.  The fields that
+        keep their bit offset (the degree field among them) are copied in
+        one mask, and the others are moved in one mask per distance."""
+        source, target = self._source, self._target
         heads, scaled, moving, _ = self._plan
-        index = [self._target._unit_index.get(h) for h in heads]
+        index = [target._unit_index.get(h) for h in heads]
         if moving or scaled or None in index or len(set(index)) < len(index):
             return None
-        return self._source.relabeling(self._target, dict(enumerate(index)))
+        shifts = {target._shift - source._shift: ~source._low}
+        for i, j in enumerate(index):
+            if source.weights[i] != target.weights[j]:
+                raise ValueError(f"{source.names[i]} and {target.names[j]} differ in weight")
+            src = source._offsets[i]
+            d = target._offsets[j] - src
+            shifts[d] = shifts.get(d, 0) | FIELD_MASK << src
+        keep = shifts.pop(0, 0)
+        left = [(mask, d) for d, mask in shifts.items() if d > 0]
+        right = [(mask, -d) for d, mask in shifts.items() if d < 0]
+
+        def move(m: int) -> int:
+            out = m & keep
+            for mask, d in left:
+                out |= (m & mask) << d
+            for mask, d in right:
+                out |= (m & mask) >> d
+            return out
+        return move
 
     def __repr__(self):
         ims = ", ".join(f"{n} -> {v}" for n, v in self._images.items())
@@ -677,12 +669,6 @@ def gradient(f: Poly) -> list[Poly]:
                 if s:
                     parts[i][mono - units[i]] = s
     return [Poly(ring, part) for part in parts]
-
-
-def partial_derivative(f: Poly, name: str) -> Poly:
-    """Formal partial derivative, with coefficients in the ring
-    (so d(x^2)/dx = 0 over F_2)."""
-    return gradient(f)[f.ring.var_index(name)]
 
 
 # -- determinants ----------------------------------------------------

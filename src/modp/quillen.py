@@ -7,8 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .charclass import Generator, GradedPresentation, _transport, generator_ring
-from .exactalg import FIELD_BITS, Poly, PolyRing, check_size, sum_of_products
+from .charclass import Generator, GradedPresentation, generator_ring
+from .exactalg import FIELD_BITS, Poly, PolyRing, SubstHom, check_size, sum_of_products
 
 # The thetas of n = 17 take about 0.2 s, those of n = 18 alone seconds and
 # about 200 MB: every n of this module is refused above this bound.
@@ -113,15 +113,16 @@ def quillen_presentation(n: int) -> GradedPresentation:
     """H*(BSpin(n); F_2) = k[w_2..w_n]/J tensor k[w_{2^h}], J generated by
     the iterated squares of w_2: k[w_2..w_n, z]/(theta_0..theta_{h-1}),
     z standing for the extra generator of degree 2^h.  The thetas are
-    computed on SWRing(n) and transported; the quotient is that ring when
-    they form a regular sequence."""
+    computed on SWRing(n) and renamed into that ring by a SubstHom; the
+    quotient is that ring when they form a regular sequence."""
     check_size("n", n, 6, MAX_N)
     thetas = theta_sequence(n)
     source = thetas[0].ring
     gens = [Generator(name, w) for name, w in zip(source.names, source.weights)]
     gens.append(Generator("z", 1 << h_value(n)))
     ring = generator_ring(gens)
-    return GradedPresentation(gens, [_transport(t, ring) for t in thetas])
+    rename = SubstHom(source, ring, {name: ring.var(name) for name in source.names})
+    return GradedPresentation(gens, list(map(rename, thetas)))
 
 
 @lru_cache(maxsize=1024)

@@ -22,6 +22,7 @@ from modp.charclass import (
     whitney_sum,
 )
 from modp.exactalg import PolyRing, SubstHom, elementary_symmetric, sum_of_products
+from modp.quillen import spin11_explicit_presentation, spin11_lower_bound_ring
 
 
 def test_bso_presentation():
@@ -99,6 +100,20 @@ def test_kunneth_with_point_and_collisions():
     lhs = doubled.series().coefficients(10)
     rhs = (bmu_p_presentation().series() * bmu_p_presentation().series()).coefficients(10)
     assert lhs == rhs
+
+
+def test_kunneth_moves_the_relations_of_both_factors():
+    low = spin11_lower_bound_ring()
+    doubled = kunneth(low, low)
+    assert len(doubled.renamed) == 6
+    assert doubled.relations == (doubled.ring.poly("u6*u11 + u7*u10"),
+                                 doubled.ring.poly("u6_b*u11_b + u7_b*u10_b"))
+    for a, b in ((low, low), (low, spin11_explicit_presentation())):
+        prod = kunneth(a, b)
+        dims_a = [a.dim_degree(d) for d in range(31)]
+        dims_b = [b.dim_degree(d) for d in range(31)]
+        for d in range(31):
+            assert prod.dim_degree(d) == sum(dims_a[k] * dims_b[d - k] for k in range(d + 1)), d
 
 
 def test_kunneth_series_multiplicative_random():

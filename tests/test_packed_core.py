@@ -9,8 +9,8 @@ import time
 
 import pytest
 
-from modp.charclass import Derivation, _transport, bso_presentation
-from modp.exactalg import MissingImageError, PolyRing, SubstHom, partial_derivative
+from modp.charclass import Derivation, bso_presentation
+from modp.exactalg import MissingImageError, PolyRing, SubstHom, gradient
 from modp.groupdata import Series
 from modp.quillen import SWRing
 
@@ -90,8 +90,8 @@ def test_arithmetic_matches_schoolbook(p):
         assert dict((f - g).terms) == ref_add(tf, tg, p, sign=-1)
         k = rng.randrange(4)
         assert dict((f ** k).terms) == ref_pow(tf, k, p, n)
-        for i, name in enumerate(NAMES):
-            assert dict(partial_derivative(f, name).terms) == ref_partial(tf, i, p)
+        for i, part in enumerate(gradient(f)):
+            assert dict(part.terms) == ref_partial(tf, i, p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 7])
@@ -208,7 +208,8 @@ def _ref_relabel(ring, target, index_map, m):
                          ids=["transposition", "3-cycle", "identity"])
 def test_relabeling_matches_exponent_reference(index_map):
     ring = PolyRing(["a", "b", "c", "d", "e"], (1, 1, 1, 2, 3))
-    move = ring.relabeling(ring, index_map)
+    images = {name: ring.var(ring.names[index_map[i]]) for i, name in enumerate(ring.names)}
+    move = SubstHom(ring, ring, images).relabeling()
     for d in range(9):
         for m in ring.monomials_of_degree(d):
             assert move(m) == _ref_relabel(ring, ring, index_map, m)
@@ -222,21 +223,26 @@ def test_transport_moves_each_variable_to_its_name():
     for names in ("abcde", "deabc", "cdbea", "bac"):
         target = PolyRing(list(names), [weight[n] for n in names], 3)
         index_map = {i: target.var_index(n) for i, n in enumerate(source.names)}
+        rename = SubstHom(source, target, {n: target.var(n) for n in source.names})
+        move = rename.relabeling()
         for f in fs:
             want = {_ref_relabel(source, target, index_map, m): c for m, c in f.coeffs.items()}
-            assert _transport(f, target).coeffs == want
+            assert rename(f).coeffs == want
+            assert {move(m): c for m, c in f.coeffs.items()} == want
     fewer = PolyRing(["a", "b"], (1, 2), 3)
     with pytest.raises(KeyError):
-        _transport(source.var("c"), fewer)
+        SubstHom(source, fewer, {n: fewer.var(n) for n in source.names})
 
 
 def test_relabeling_must_be_one_to_one():
     ring = PolyRing(["a", "b", "c"])
-    for index_map in ({0: 0, 1: 0, 2: 2}, {0: 1, 1: 2}, {0: 0, 1: 1, 2: 3}):
-        with pytest.raises(ValueError, match="one to one"):
-            ring.relabeling(ring, index_map)
-    with pytest.raises(ValueError, match="one to one"):
-        ring.relabeling(PolyRing(["a", "b"]), {0: 0, 1: 1, 2: 2})
+    a, b, c = ring.gens()
+    # two variables onto one, a variable with no image, an image that is no variable
+    for images in ({"a": a, "b": a, "c": c}, {"a": b, "b": c}, {"a": a, "b": b, "c": a * b}):
+        assert SubstHom(ring, ring, images).relabeling() is None, images
+    fewer = PolyRing(["a", "b"])
+    u, v = fewer.gens()
+    assert SubstHom(ring, fewer, {"a": u, "b": v, "c": u}).relabeling() is None
 
 
 # unit weights, weights with gaps and an odd prime; the ids stay stable so

@@ -277,19 +277,6 @@ def test_minimal_presentation_shape_for_spin11():
     assert str(small.relations[0]) == str(spin11_explicit_presentation().relations[0])
 
 
-def test_minimal_presentation_at_p3_divides_by_the_coefficient():
-    from modp.charclass import Generator, GradedPresentation
-
-    pres = GradedPresentation([Generator("x", 1), Generator("y", 1), Generator("c", 2)],
-                              ["2*c + x*y", "c*x + y^3"], modulus=3)
-    small = pres.minimal()
-    # c = -(x*y)/2 = x*y over F_3
-    assert [g.name for g in small.generators] == ["x", "y"]
-    assert small.relations == (small.ring.poly("x^2*y + y^3"),)
-    for d in range(13):
-        assert small.dim_degree(d) == pres.dim_degree(d), d
-
-
 def test_presentation_is_fixed_at_construction():
     from modp.charclass import Generator, GradedPresentation
     from modp.exactalg import PolyRing
