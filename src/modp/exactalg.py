@@ -301,8 +301,9 @@ def check_monomial_guard(ring: PolyRing, degrees: Iterable[int]) -> int:
 
 
 def _split_terms(text: str):
-    """Split on top-level + and - signs, yielding (sign, term); the signs
-    with no term between them multiply, so x - -y is x + y."""
+    """Split the nonblank text on top-level + and - signs, yielding
+    (sign, term); the signs with no term between them multiply, so x - -y
+    is x + y.  A sign with no term after it raises ValueError."""
     terms = []
     sign, cur = 1, []
     for ch in text:
@@ -313,8 +314,10 @@ def _split_terms(text: str):
             sign, cur = (sign if ch == "+" else -sign), []
         else:
             cur.append(ch)
-    if cur and "".join(cur).strip():
-        terms.append((sign, "".join(cur).strip()))
+    # cur is reset only by a sign, so a blank end follows one
+    if not "".join(cur).strip():
+        raise ValueError(f"dangling sign in {text!r}")
+    terms.append((sign, "".join(cur).strip()))
     return terms
 
 
@@ -601,16 +604,22 @@ class SubstHom:
         return self.apply(f)
 
     def relabeling(self) -> Callable[[int], int] | None:
-        """The map of this hom on packed monomials if its plan has no
-        moving byte, no scaled variable and heads that are distinct units
-        of the target: a one-to-one renaming of variables, each to one of
-        the same weight (else ValueError).  Else None.  The fields that
-        keep their bit offset (the degree field among them) are copied in
-        one mask, and the others are moved in one mask per distance."""
+        """The map of this hom on packed monomials, up to sign, if its plan
+        has no moving byte, no coefficient other than 1 and p - 1, and
+        heads that are distinct units of the target: a one-to-one signed
+        renaming of variables, each to one of the same weight (else
+        ValueError).  Else None.  The fields that keep their bit offset
+        (the degree field among them) are copied in one mask, and the
+        others are moved in one mask per distance.  The move carries a
+        parity mask `move.mask`, the low bit of the byte of each variable
+        sent to minus a variable, so the hom sends m to move(m) times
+        (-1) ** ((m & move.mask).bit_count() & 1); it is 0 when no
+        variable is negated."""
         source, target = self._source, self._target
         heads, scaled, moving, _ = self._plan
         index = [target._unit_index.get(h) for h in heads]
-        if moving or scaled or None in index or len(set(index)) < len(index):
+        if (moving or None in index or len(set(index)) < len(index)
+                or any(c != target.modulus - 1 for _, c in scaled)):
             return None
         shifts = {target._shift - source._shift: ~source._low}
         for i, j in enumerate(index):
@@ -630,6 +639,7 @@ class SubstHom:
             for mask, d in right:
                 out |= (m & mask) >> d
             return out
+        move.mask = sum(1 << source._offsets[i] for i, _ in scaled)
         return move
 
     def __repr__(self):

@@ -43,9 +43,13 @@ class WeylAction:
     subtuple, sharing its (name, hom) pairs, that generates the same group;
     the incremental invariant oracle and the invariance check of
     `verify_presentation` apply only these.  It defaults to every
-    generator.  The minimal generators are sorted once, here: the monomial
-    moves of those with a `SubstHom.relabeling` are folded into orbits,
-    the rest are the homs the oracle eliminates.  Every attribute is
+    generator.  The minimal generators are sorted once, here: the signed
+    monomial moves of those with a `SubstHom.relabeling` (variables sent
+    to variables, with coefficient 1 or p - 1) are folded into orbits,
+    and the rest are the homs the oracle eliminates.  So B, C and D at
+    odd p and the rank-2 quotient have no such hom, while Spin (whose sign
+    generators send A to a sum) and the quotients of rank 3 and more
+    (x_r = -(x_1 + ... + x_{r-1})) keep theirs.  Every attribute is
     read-only, so the two cannot go stale."""
 
     __slots__ = ("_ring", "_generators", "_minimal", "_xs", "_A", "_label",
@@ -191,37 +195,56 @@ def mu(action: WeylAction, j: int) -> Poly:
 
 # -- brute-force invariant dimensions ---------------------------------
 
-def _orbit_classes(basis: Sequence[int], moves: Sequence[Callable[[int], int]]) -> list[list[int]]:
-    """The monomials of each orbit of the basis under the group the
-    monomial moves generate, each orbit closed by breadth-first search."""
-    seen: set[int] = set()
+def _orbit_classes(basis: Sequence[int], moves: Sequence[Callable[[int], int]]
+                   ) -> list[tuple[list[int], dict[int, int] | None]]:
+    """The orbits of the basis under the group the monomial moves
+    generate, one (orbit, signs) pair per orbit.  `orbit` lists its
+    monomials, closed by breadth-first search from its first basis
+    monomial.  A move sends m to minus move(m) when
+    (m & move.mask).bit_count() is odd, so the walk gives each monomial a
+    sign bit relative to the first, and `signs` maps the orbit's
+    monomials to those bits (it is the one dict of the whole walk).  It is
+    None when the orbit is dead: the walk reached one of its monomials
+    with both signs, so some group element sends a monomial to minus
+    itself, and no invariant is supported on the orbit.  The signed sums
+    of the live orbits are a basis of the invariants that the moves alone
+    fix (invariants of monomial groups: Derksen-Kemper, Computational
+    Invariant Theory, 2nd ed. 2015; Stanley, Bull. AMS 1979).  Signs are
+    compared only when some move flips one."""
+    seen: dict[int, int] = {}
+    signed = any(move.mask for move in moves)
     classes = []
     for mono in basis:
         if mono in seen:
             continue
-        seen.add(mono)
-        orbit = [mono]
+        seen[mono] = 0
+        orbit, live = [mono], True
         for m in orbit:  # grows while it is walked
             for move in moves:
                 t = move(m)
-                if t not in seen:
-                    seen.add(t)
+                if t not in seen:  # with no sign to carry, every bit is 0 (False)
+                    seen[t] = signed and seen[m] ^ (m & move.mask).bit_count() & 1
                     orbit.append(t)
-        classes.append(orbit)
+                elif signed and seen[t] != seen[m] ^ (m & move.mask).bit_count() & 1:
+                    live = False
+        classes.append((orbit, seen if live else None))
     return classes
 
 
 def brute_invariant_dimension(action: WeylAction, d: int) -> int:
     """dim of the joint kernel of (g - 1) on the weighted-degree-d
     component.  Only the action's minimal generators are applied: the
-    variable permutations among them are folded into orbit sums first,
-    and the fixed orbit sums of the rest are found by F_p elimination."""
+    signed variable permutations among them are folded into orbits
+    first, each live orbit giving one invariant, and the fixed signed
+    orbit sums of the rest are found by F_p elimination."""
     ring = action.ring
-    orbits = _orbit_classes(ring.monomials_of_degree(d), action._moves)
+    live = [(orbit, signs) for orbit, signs in
+            _orbit_classes(ring.monomials_of_degree(d), action._moves) if signs is not None]
     if not action._linear:
-        return len(orbits)
+        return len(live)
     comp = GradedComponent(ring, d)
-    fixed = [Poly(ring, dict.fromkeys(orbit, 1)) for orbit in orbits]
+    coeffs = (1, ring.modulus - 1)
+    fixed = [Poly(ring, {m: coeffs[signs[m]] for m in orbit}) for orbit, signs in live]
     for hom in action._linear:
         fixed = comp.fixed_combinations(fixed, hom)
         if not fixed:

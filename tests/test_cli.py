@@ -240,6 +240,11 @@ def test_console_script_entry_point(tmp_path):
     "whitney --e [] --f {}",
     'whitney --e {"ring":{"vars":["a"],"weights":["x"]},"components":["1"]} --f {}',
     'whitney --e {"ring":{"vars":["a"],"weights":[1]},"components":[1]} --f {}',
+    # a sign with no term after it
+    'whitney --e {"ring":{"vars":["a"],"weights":[1]},"components":["1","a+"]} '
+    '--f {"components":["1","0"]}',
+    'whitney --e {"ring":{"vars":["a"],"weights":[1]},"components":["1","-"]} '
+    '--f {"components":["1","0"]}',
 ])
 def test_precondition_errors_exit_2(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("MODP_CACHE_DIR", str(tmp_path))

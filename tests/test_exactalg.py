@@ -51,6 +51,14 @@ def test_consecutive_signs_multiply():
     assert r.poly("x - +y") == x - y
 
 
+@pytest.mark.parametrize("text", ["x -", "x + ", "-", "+", "x - -", "x*y - "])
+def test_a_dangling_sign_is_refused(text):
+    # as "x*" is refused for its empty factor, a sign needs a term after it
+    r = PolyRing(["x", "y"], modulus=3)
+    with pytest.raises(ValueError, match="dangling sign"):
+        r.poly(text)
+
+
 def test_eta1_product():
     r = PolyRing(["A", "x1"])
     A, x1 = r.gens()
@@ -126,15 +134,30 @@ def test_relabeling_is_none_unless_the_hom_permutes_the_variables():
     from modp.invariants import symmetric_quotient_action
     ring = PolyRing(["x", "y"], modulus=3)
     x, y = ring.gens()
-    for images in ({"x": -y, "y": x},  # a coefficient p - 1
-                   {"x": y, "y": y},  # not one to one
+    for images in ({"x": y, "y": y},  # not one to one
                    {"x": y},  # a missing image
                    {"x": x * x, "y": y},  # not a variable
                    {"x": ring.zero(), "y": y}):
         assert SubstHom(ring, ring, images).relabeling() is None, images
+    # a coefficient other than 1 and p - 1
+    for p in (5, 7):
+        r = PolyRing(["x", "y"], modulus=p)
+        u, v = r.gens()
+        assert SubstHom(r, r, {"x": 2 * v, "y": u}).relabeling() is None, p
     # s(1,3) sends x1 to x3 = -(x1 + x2), an image of two terms
     s13 = dict(symmetric_quotient_action(3).generators)["s(1,3)"]
     assert s13.relabeling() is None
+    # x -> -y, y -> x: the coefficient p - 1 gives a move whose parity
+    # mask holds the low bit of x's byte
+    hom = SubstHom(ring, ring, {"x": -y, "y": x})
+    move = hom.relabeling()
+    assert move.mask == 1 << ring._offsets[0]
+    for d in range(6):
+        for m in ring.monomials_of_degree(d):
+            sign = (m & move.mask).bit_count() & 1
+            assert Poly(ring, {move(m): (1, 2)[sign]}) == hom(Poly(ring, {m: 1})), m
+    plain = SubstHom(ring, ring, {"x": y, "y": x}).relabeling()
+    assert plain.mask == 0
 
 
 def test_relabeling_refuses_variables_of_different_weights():

@@ -144,6 +144,31 @@ def test_incremental_matches_stacked():
                 brute_invariant_dimension_stacked(action, d), (action.label, d)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_signed_orbits_match_the_stacked_oracle(p):
+    # at odd p every minimal generator of B, C and D is a signed move, so
+    # the oracle counts live orbits and eliminates nothing
+    for family in "BCD":
+        for rank in (1, 2, 3):
+            action = classical_action(family, rank, p)
+            assert action._linear == ()
+            for d in range(7):
+                assert brute_invariant_dimension(action, d) == \
+                    brute_invariant_dimension_stacked(action, d), (action.label, d)
+
+
+def test_an_orbit_that_holds_both_signs_of_a_monomial_is_dead():
+    # at p = 3, B1 = {1, -1} fixes the even powers of x1, and D2 fixes
+    # k[x1^2 + x2^2, x1*x2]
+    b1, d2 = classical_action("B", 1, 3), classical_action("D", 2, 3)
+    assert [brute_invariant_dimension(b1, d) for d in range(7)] == [1, 0, 1, 0, 1, 0, 1]
+    assert [brute_invariant_dimension(d2, d) for d in range(7)] == [1, 0, 2, 0, 3, 0, 4]
+    # in degree 1, {x1, x2} is one orbit, and eps1*eps2 sends x1 to -x1
+    ((orbit, signs),) = _orbit_classes(d2.ring.monomials_of_degree(1), d2._moves)
+    assert sorted(orbit) == sorted(d2.ring._units)
+    assert signs is None
+
+
 def _closure(action, generators) -> set:
     """Every group element, as the tuple of images of the ring variables,
     reached by words in the given generators."""
@@ -306,6 +331,7 @@ def test_nakajima_small_ranks():
 def test_nakajima_r2_claim_at_every_prime(p):
     # x2 = -x1 is x1 only mod 2; at odd p, s(1,2) negates x1 and fixes x1^2
     action = symmetric_quotient_action(2, p)
+    assert action._linear == ()  # s(1,2) is a move, with a sign at odd p
     cp = nakajima_claimed(action)
     assert cp.names == (("x1",) if p == 2 else ("c2",))
     assert verify_presentation(action, cp, 10).passed
@@ -447,8 +473,9 @@ def _closure_partition(ring, homs, d):
                             symmetric_quotient_action(5)],
                          ids=lambda a: a.label)
 def test_orbit_classes_match_the_closure_under_the_homs(action):
-    # the moves of every permutation generator, and those the action
-    # sorted out of its minimal set, give the same orbits
+    # the moves of every signed permutation generator, and those the
+    # action sorted out of its minimal set, give the same orbits, live
+    # and dead alike
     ring = action.ring
     homs = [h for _, h in action.generators if h.relabeling() is not None]
     moves = [h.relabeling() for h in homs]
@@ -456,9 +483,9 @@ def test_orbit_classes_match_the_closure_under_the_homs(action):
         basis = ring.monomials_of_degree(d)
         closure = _closure_partition(ring, homs, d)
         for ms in (moves, action._moves):
-            classes = _orbit_classes(basis, ms)
-            assert sorted(m for cls in classes for m in cls) == sorted(basis)
-            assert {frozenset(cls) for cls in classes} == closure
+            classes = [orbit for orbit, _ in _orbit_classes(basis, ms)]
+            assert sorted(m for orbit in classes for m in orbit) == sorted(basis)
+            assert {frozenset(orbit) for orbit in classes} == closure
 
 
 def test_a_variable_map_that_is_not_one_to_one_is_no_permutation():
@@ -556,16 +583,17 @@ def test_each_generator_is_its_definition(action):
 @pytest.mark.parametrize("action", ACTIONS, ids=lambda a: a.label)
 def test_minimal_generators_are_sorted_once(action, monkeypatch):
     # the moves and the linear homs are the minimal generators that
-    # have and have not a relabeling, and each move sends every variable
-    # to the hom's own image of it
+    # have and have not a relabeling, and each move sends every variable,
+    # with its sign, to the hom's own image of it
     ring = action.ring
     homs = [h for _, h in action.minimal_generators]
     assert action._linear == tuple(h for h in homs if h.relabeling() is None)
     folded = [h for h in homs if h.relabeling() is not None]
     assert len(action._moves) == len(folded)
+    signs = (1, ring.modulus - 1)
     for move, hom in zip(action._moves, folded):
-        assert [Poly(ring, {move(u): 1}) for u in ring._units] == \
-            [hom(ring.var(name)) for name in ring.names]
+        assert [Poly(ring, {move(u): signs[(u & move.mask).bit_count() & 1]})
+                for u in ring._units] == [hom(ring.var(name)) for name in ring.names]
 
     def never(hom):
         raise AssertionError("generators sorted again in a degree")
@@ -574,17 +602,35 @@ def test_minimal_generators_are_sorted_once(action, monkeypatch):
         brute_invariant_dimension(action, d)
 
 
+def _mixed_action(p: int, names: list[str]) -> WeylAction:
+    """The action on F_p[x1, x2, x3] of the named generators, each fixing
+    every variable it does not change."""
+    ring = PolyRing(["x1", "x2", "x3"], modulus=p)
+    x1, x2, x3 = ring.gens()
+    changes = {"eps1": {"x1": -x1}, "s(1,2)": {"x1": x2, "x2": x1}, "2x1": {"x1": 2 * x1},
+               "x1+x2": {"x1": x1 + x2}, "r": {"x1": -x2, "x2": x1}}
+    fixed = {"x1": x1, "x2": x2, "x3": x3}
+    gens = [(name, SubstHom(ring, ring, dict(fixed, **changes[name]))) for name in names]
+    return WeylAction(ring, gens, [x1, x2, x3], label=f"mixed mod {p}")
+
+
 @pytest.mark.parametrize("action, names", [
     (spin_action(9), ["eps1", "eps2", "s(3,4)"]),
     (spin_action(10), ["eps1*eps2", "eps1*eps3", "s(1,2)", "s(1,5)"]),
-    (classical_action("B", 3, 3), ["eps1", "eps3", "s(1,2)"]),
-    (classical_action("D", 4, 3), ["eps1*eps2", "eps1*eps4", "s(2,3)"]),
     (symmetric_quotient_action(5), ["s(1,5)", "s(2,5)", "s(1,2)"]),
+    # signed orbit sums go into the elimination
+    (_mixed_action(5, ["eps1", "s(1,2)", "2x1"]), ["eps1", "s(1,2)", "2x1"]),
+    (_mixed_action(3, ["eps1", "x1+x2"]), ["eps1", "x1+x2"]),
+    # r gives live orbits with both signs, such as x1^3*x2 - x1*x2^3;
+    # with coefficient 1 in their sums, degrees 4 to 6 would read one less
+    (_mixed_action(3, ["r", "x1+x2"]), ["r", "x1+x2"]),
 ], ids=lambda x: x.label if isinstance(x, WeylAction) else " ".join(x))
 def test_several_linear_generators_match_the_stacked_oracle(action, names):
-    # only here does fixed_combinations run on its own output
+    # only here does fixed_combinations run on its own output, or on the
+    # orbit sums of moves that flip signs
     small = action.sub_action(names)
-    assert len(small._linear) >= 2
+    signed = any(move.mask for move in small._moves)
+    assert len(small._linear) >= (1 if signed else 2)
     for d in range(1, 7):
         assert brute_invariant_dimension(small, d) == brute_invariant_dimension_stacked(small, d), d
 
