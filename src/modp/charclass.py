@@ -16,6 +16,7 @@ from .exactalg import (
     Poly,
     PolyRing,
     SubstHom,
+    check_name,
     check_size,
     determinant,
     elementary_symmetric,
@@ -34,6 +35,7 @@ class Generator:
     square_zero: bool = False
 
     def __post_init__(self):
+        check_name(self.name)
         if self.degree <= 0:
             raise ValueError(f"generator {self.name} needs positive degree")
         if self.bidegree is not None and sum(self.bidegree) != self.degree:

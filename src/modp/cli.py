@@ -477,9 +477,17 @@ def cmd_selftest(args) -> int:
 
 # -- parser ------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one line on stderr and exit 2, as every other
+    error of `main`.  The subparsers are built from the same class."""
+
+    def error(self, message):
+        self.exit(2, f"modp: error: {message}\n")
+
+
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="modp",
         description="Exact modular invariant theory and characteristic-class "
                     "calculus at small primes.")

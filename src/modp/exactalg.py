@@ -7,6 +7,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 from operator import mul
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Sequence
@@ -24,6 +25,18 @@ MONOMIAL_GUARD = 200_000
 # Primality is decided by trial division up to the square root: about
 # 5 ms below this bound, and a billion divisions at 10^18.
 MODULUS_LIMIT = 1 << 31
+
+# The text grammar: a variable name, and a factor of a term, which is an
+# ASCII coefficient or a name with an optional ASCII exponent.  A name
+# that could read as a number or hold +, -, * or ^ could not be read back.
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_FACTOR = re.compile(rf"([0-9]+)|({_NAME.pattern})\s*(?:\^\s*([0-9]+))?")
+
+
+def check_name(name: str) -> None:
+    """Refuse a variable name outside the text grammar, with one line."""
+    if not _NAME.fullmatch(name):
+        raise ValueError(f"variable name {name!r} does not match {_NAME.pattern}")
 
 
 def check_size(what: str, value: int, low: int, high: int | float) -> None:
@@ -64,6 +77,8 @@ class PolyRing:
     def __init__(self, names: Sequence[str], weights: Sequence[int] | None = None,
                  modulus: int = 2):
         names = tuple(names)
+        for name in names:
+            check_name(name)
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names in {names}")
         weights = tuple(weights) if weights is not None else (1,) * len(names)
@@ -242,7 +257,10 @@ class PolyRing:
     # -- parsing -----------------------------------------------------
 
     def poly(self, text: str) -> "Poly":
-        """Parse the canonical text form, e.g. ``t1*t2 + t1*t3 + t2*t3``."""
+        """Parse the canonical text form, e.g. ``t1*t2 + t1*t3 + t2*t3``:
+        terms joined by signs, each a product of factors matching
+        _FACTOR.  Any other factor raises ValueError, and an unknown
+        variable KeyError."""
         text = text.strip()
         if not text or text == "0":
             return self.zero()
@@ -254,15 +272,14 @@ class PolyRing:
                 factor = factor.strip()
                 if not factor:
                     raise ValueError(f"empty factor in {text!r}")
-                if factor.isdigit():
-                    coeff *= int(factor)
-                    continue
-                if "^" in factor:
-                    name, _, exp = factor.partition("^")
-                    k = int(exp)
+                match = _FACTOR.fullmatch(factor)
+                if match is None:
+                    raise ValueError(f"bad factor {factor!r} in {text!r}")
+                number, name, exp = match.groups()
+                if number is not None:
+                    coeff *= int(number)
                 else:
-                    name, k = factor, 1
-                mono[self.var_index(name.strip())] += k
+                    mono[self.var_index(name)] += int(exp) if exp is not None else 1
             m = self.monomial(mono)
             acc[m] = acc.get(m, 0) + sgn * coeff
         return Poly(self, _reduced(self, acc))
@@ -735,14 +752,6 @@ class PackedField:
         self.bits = 1 if p == 2 else p.bit_length() + 1
         self.matrix = F2Matrix if p == 2 else functools.partial(FpMatrix, p=p)
 
-    def pack(self, coords: Iterable[tuple[int, int]]) -> int:
-        """The vector with the given (position, coefficient) pairs, each
-        position once and each coefficient in 0..p-1."""
-        b, v = self.bits, 0
-        for i, c in coords:
-            v |= c << (i * b)
-        return v
-
     def unpack(self, v: int) -> Iterator[tuple[int, int]]:
         """The (position, coefficient) pairs of the nonzero coordinates of
         v, highest position first."""
@@ -884,7 +893,6 @@ class GradedComponent:
 
     def vector(self, f: Poly, shift: int = 0) -> int:
         """Coordinates of f, or of f times the packed monomial `shift`."""
-        # PackedField.pack inlined: this builds every row of dim_degree
         index, b, v = self.index, self.field.bits, 0
         for m, c in f.coeffs.items():
             v |= c << (index[m + shift] * b)
@@ -911,20 +919,3 @@ class GradedComponent:
             tags=[vector(f) for f in fs])
         return [self.poly(v) for v in fixed]
 
-
-def kernel_dimension_exhaustive(rows: Sequence[int], p: int) -> int:
-    """Brute-force dimension of the vanishing combinations of packed rows
-    over F_p, counted over all p^len(rows) combinations (tiny matrices
-    only; the independent oracle that needs no elimination)."""
-    check_size("p^rows", p ** len(rows), 1, 1 << 20)
-    field = PackedField(p)
-    entries = [dict(field.unpack(r)) for r in rows]
-    cols = set().union(*entries)
-    count = sum(
-        all(sum(c * e.get(j, 0) for c, e in zip(combo, entries)) % p == 0 for j in cols)
-        for combo in itertools.product(range(p), repeat=len(rows)))
-    dim = 0
-    while p ** dim < count:
-        dim += 1
-    assert p ** dim == count
-    return dim

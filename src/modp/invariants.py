@@ -12,7 +12,6 @@ from typing import Callable, Sequence
 
 from .exactalg import (
     GradedComponent,
-    PackedField,
     Poly,
     PolyRing,
     SubstHom,
@@ -32,87 +31,69 @@ CLASSICAL_MAX_RANK = 14
 
 
 class WeylAction:
-    """A finite tuple of grading-preserving ring endomorphism generators.
+    """A finite tuple of grading-preserving ring endomorphisms that
+    generate a group.
 
     `xs` are the values of the torus coordinates x_1..x_r inside the ring
     (the last one may be the eliminated variable, rewritten through the
     linear relation x_1 + ... + x_r = 0), and `A` is the extra spin weight
     when present.
 
-    `generators` is the full public tuple.  `minimal_generators` is a
-    subtuple, sharing its (name, hom) pairs, that generates the same group;
-    the incremental invariant oracle and the invariance check of
-    `verify_presentation` apply only these.  It defaults to every
-    generator.  The minimal generators are sorted once, here: the signed
-    monomial moves of those with a `SubstHom.relabeling` (variables sent
-    to variables, with coefficient 1 or p - 1) are folded into orbits,
-    and the rest are the homs the oracle eliminates.  So B, C and D at
-    odd p and the rank-2 quotient have no such hom, while Spin (whose sign
-    generators send A to a sum) and the quotients of rank 3 and more
+    `generators` is the one generating set: the incremental invariant
+    oracle and the invariance check of `verify_presentation` apply exactly
+    these.  They are sorted once, here: the signed monomial moves of those
+    with a `SubstHom.relabeling` (variables sent to variables, with
+    coefficient 1 or p - 1) are folded into orbits, and the rest are the
+    homs the oracle eliminates.  So B, C and D at odd p and the rank-2
+    quotient have no such hom, while Spin (whose sign generator sends A to
+    a sum) and the quotients of rank 3 and more
     (x_r = -(x_1 + ... + x_{r-1})) keep theirs.  Every attribute is
-    read-only, so the two cannot go stale."""
+    read-only, so the sorted homs cannot go stale."""
 
-    __slots__ = ("_ring", "_generators", "_minimal", "_xs", "_A", "_label",
-                 "_moves", "_linear")
+    __slots__ = ("_ring", "_generators", "_xs", "_A", "_label", "_moves", "_linear")
 
     def __init__(self, ring: PolyRing, generators: Sequence[tuple[str, SubstHom]],
-                 xs: Sequence[Poly], A: Poly | None = None, label: str = "",
-                 minimal_generators: Sequence[tuple[str, SubstHom]] | None = None):
+                 xs: Sequence[Poly], A: Poly | None = None, label: str = ""):
         self._ring = ring
         self._generators = tuple(generators)
-        if minimal_generators is None:
-            minimal_generators = generators
-        elif not {id(g) for g in minimal_generators} <= {id(g) for g in generators}:
-            raise ValueError("minimal_generators must be taken from generators")
-        self._minimal = tuple(minimal_generators)
         self._xs = tuple(xs)
         self._A = A
         self._label = label
-        moves = [hom.relabeling() for _, hom in self._minimal]
+        moves = [hom.relabeling() for _, hom in self._generators]
         self._moves = tuple(move for move in moves if move is not None)
-        self._linear = tuple(h for (_, h), move in zip(self._minimal, moves) if move is None)
+        self._linear = tuple(h for (_, h), move in zip(self._generators, moves) if move is None)
 
     ring = property(lambda self: self._ring)
     generators = property(lambda self: self._generators)
-    minimal_generators = property(lambda self: self._minimal)
     xs = property(lambda self: self._xs)
     A = property(lambda self: self._A)
     label = property(lambda self: self._label)
-
-    def sub_action(self, names: list[str]) -> "WeylAction":
-        """The subgroup generated by the named generators; all of them
-        stay in its minimal set."""
-        keep = [(n, h) for n, h in self.generators if n in set(names)]
-        return WeylAction(self.ring, keep, self.xs, self.A, f"{self.label}[sub]")
 
     def __repr__(self):
         return f"WeylAction({self.label}, {len(self.generators)} generators)"
 
 
-def _weyl_action(ring: PolyRing, xs: list[Poly], sign: list[tuple[str, dict]],
+def _weyl_action(ring: PolyRing, xs: list[Poly], sign: tuple[str, dict] | None,
                  label: str, A: Poly | None = None) -> WeylAction:
-    """The action generated by the transpositions s(i,j) of x_i and x_j
-    (x_r may be the eliminated coordinate), then the sign generators, each
-    given by the images it changes; a generator fixes every variable it
-    does not change.  The minimal set is the first sign generator and the
-    adjacent transpositions s(1,2), ..., s(r-1,r).  These generate S_r, and
-    S_r conjugates eps_1 (or eps_1 eps_2) to every eps_i (or eps_i eps_j),
-    so the minimal set generates the group of the full list (Humphreys,
-    Reflection Groups and Coxeter Groups, 1 and 2.10)."""
+    """The action generated by the sign generator `sign`, given by the
+    images it changes, then the adjacent transpositions s(1,2), ...,
+    s(r-1,r) of x_i and x_{i+1} (x_r may be the eliminated coordinate); a
+    generator fixes every variable it does not change.  The transpositions
+    generate S_r, and S_r conjugates eps_1 (or eps_1 eps_2) to every eps_i
+    (or eps_i eps_j), so these generate the whole group (Humphreys,
+    Reflection Groups and Coxeter Groups, 1 and 2.10).  Every s(i,j) and
+    sign change is built only in tests/oracles.py, for the stacked
+    oracle."""
     fixed = {name: ring.var(name) for name in ring.names}
 
     def generator(name: str, changes: dict) -> tuple[str, SubstHom]:
         return name, SubstHom(ring, ring, dict(fixed, **changes))
 
-    transpositions, adjacent = [], []
-    for i, j in itertools.combinations(range(len(xs)), 2):
-        swap = {f"x{k + 1}": xs[t] for k, t in ((i, j), (j, i)) if f"x{k + 1}" in fixed}
-        transpositions.append(generator(f"s({i + 1},{j + 1})", swap))
-        if j == i + 1:
-            adjacent.append(transpositions[-1])
-    signs = [generator(name, changes) for name, changes in sign]
-    return WeylAction(ring, transpositions + signs, xs, A, label,
-                      minimal_generators=signs[:1] + adjacent)
+    adjacent = [generator(f"s({i},{i + 1})",
+                          {f"x{k}": xs[t - 1] for k, t in ((i, i + 1), (i + 1, i))
+                           if f"x{k}" in fixed})
+                for i in range(1, len(xs))]
+    return WeylAction(ring, ([generator(*sign)] if sign else []) + adjacent, xs, A, label)
 
 
 def _quotient_ring_xs(r: int, p: int, extra: tuple[str, ...] = ()) -> tuple[PolyRing, list[Poly]]:
@@ -136,9 +117,9 @@ def spin_action(n: int, p: int = 2) -> WeylAction:
     ring, xs = _quotient_ring_xs(r, 2, extra=("A",))
     A = ring.var("A")
     if n % 2:
-        sign = [(f"eps{i + 1}", {"A": A + xs[i]}) for i in range(r)]
+        sign = ("eps1", {"A": A + xs[0]})
     else:
-        sign = [(f"eps1*eps{j + 1}", {"A": A + xs[0] + xs[j]}) for j in range(1, r)]
+        sign = ("eps1*eps2", {"A": A + xs[0] + xs[1]})
     return _weyl_action(ring, xs, sign, f"Spin({n}) mod {p}", A)
 
 
@@ -151,10 +132,9 @@ def classical_action(family: str, rank: int, p: int) -> WeylAction:
     ring = PolyRing([f"x{i}" for i in range(1, rank + 1)], modulus=p)
     xs = list(ring.gens())
     if family in ("B", "C"):
-        sign = [(f"eps{i + 1}", {f"x{i + 1}": -xs[i]}) for i in range(rank)]
-    else:
-        sign = [(f"eps1*eps{j + 1}", {"x1": -xs[0], f"x{j + 1}": -xs[j]})
-                for j in range(1, rank)]
+        sign = ("eps1", {"x1": -xs[0]})
+    else:  # D1 has no sign change
+        sign = ("eps1*eps2", {"x1": -xs[0], "x2": -xs[1]}) if rank > 1 else None
     return _weyl_action(ring, xs, sign, f"{family}{rank} mod {p}")
 
 
@@ -162,7 +142,7 @@ def symmetric_quotient_action(r: int, p: int = 2) -> WeylAction:
     """S_r acting on F_p[x_1..x_r]/(x_1+...+x_r) (the Nakajima setting)."""
     check_size("r", r, 2, QUOTIENT_MAX_R)
     ring, xs = _quotient_ring_xs(r, p)
-    return _weyl_action(ring, xs, [], f"S{r} on quotient mod {p}")
+    return _weyl_action(ring, xs, None, f"S{r} on quotient mod {p}")
 
 
 def _subset_product(action: WeylAction, name: str, j: int, high: int, step: int) -> Poly:
@@ -233,10 +213,10 @@ def _orbit_classes(basis: Sequence[int], moves: Sequence[Callable[[int], int]]
 
 def brute_invariant_dimension(action: WeylAction, d: int) -> int:
     """dim of the joint kernel of (g - 1) on the weighted-degree-d
-    component.  Only the action's minimal generators are applied: the
-    signed variable permutations among them are folded into orbits
-    first, each live orbit giving one invariant, and the fixed signed
-    orbit sums of the rest are found by F_p elimination."""
+    component, under the action's generators: the signed variable
+    permutations among them are folded into orbits first, each live
+    orbit giving one invariant, and the fixed signed orbit sums of the
+    rest are found by F_p elimination."""
     ring = action.ring
     live = [(orbit, signs) for orbit, signs in
             _orbit_classes(ring.monomials_of_degree(d), action._moves) if signs is not None]
@@ -250,27 +230,6 @@ def brute_invariant_dimension(action: WeylAction, d: int) -> int:
         if not fixed:
             break
     return len(fixed)
-
-
-def brute_invariant_dimension_stacked(action: WeylAction, d: int) -> int:
-    """Reference implementation: one packed row per degree-d monomial m,
-    the images (g - 1)(m) under every generator of the full list side by
-    side.  The invariants are the combinations of rows that vanish, so
-    their dimension is the number of monomials minus the rank.  Used to
-    cross-check the incremental path, which applies only the minimal
-    generators, at small sizes."""
-    ring = action.ring
-    basis = ring.monomials_of_degree(d)
-    index = {m: i for i, m in enumerate(basis)}
-    n = len(basis)
-    field = PackedField(ring.modulus)
-    rows = []
-    for mono in basis:
-        m = Poly(ring, {mono: 1})
-        rows.append(field.pack((k * n + index[t], c)
-                               for k, (_, hom) in enumerate(action.generators)
-                               for t, c in (hom(m) - m).coeffs.items()))
-    return field.matrix(rows, n * len(action.generators)).kernel_dimension()
 
 
 # -- claimed presentations and verification ---------------------------
@@ -374,7 +333,7 @@ def verify_presentation(action: WeylAction, cp: ClaimedPresentation,
     invariant dimension, the rank of the span of all degree-d products of
     the claimed generators, and the claimed Hilbert series coefficient.
     Claimed generators are checked for invariance under the action's
-    minimal generators, which generate the same group as the full list.
+    generators, in order.
     The top degree and the monomial guard on every degree are checked
     before any work."""
     ring = action.ring
@@ -382,7 +341,7 @@ def verify_presentation(action: WeylAction, cp: ClaimedPresentation,
     check_monomial_guard(ring, range(dmax + 1))
     label = action.label
     for gname, value in zip(cp.names, cp.values):
-        for hname, hom in action.minimal_generators:
+        for hname, hom in action.generators:
             if hom(value) != value:
                 return VerifyReport(label, cp.names, (),
                                     failure=f"generator {gname} is not invariant under {hname}")

@@ -245,6 +245,14 @@ def test_console_script_entry_point(tmp_path):
     '--f {"components":["1","0"]}',
     'whitney --e {"ring":{"vars":["a"],"weights":[1]},"components":["1","-"]} '
     '--f {"components":["1","0"]}',
+    # a variable named 2 once read as the coefficient 2, and u_1 = 0 exited 0
+    'whitney --e {"ring":{"vars":["2"],"weights":[1]},"components":["1","2"]} '
+    '--f {"ring":{"vars":["2"],"weights":[1]},"components":["1","2"]}',
+    # argparse usage errors: one line, as every other exit 2
+    "degrees --family B --rank x",
+    "degrees --family B --rank",
+    "ring --name x",
+    "no-such-command",
 ])
 def test_precondition_errors_exit_2(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("MODP_CACHE_DIR", str(tmp_path))

@@ -1,11 +1,18 @@
 import pytest
+from oracles import (
+    brute_invariant_dimension_stacked,
+    defined_images,
+    full_generators,
+    kernel_dimension_exhaustive,
+    pack,
+    sign_names,
+)
 
-from modp.exactalg import Poly, PolyRing, SubstHom, elementary_symmetric_of
+from modp.exactalg import PackedField, Poly, PolyRing, SubstHom, elementary_symmetric_of
 from modp.groupdata import GroupSpec, fundamental_degrees
 from modp.invariants import (
     ClaimedPresentation,
     brute_invariant_dimension,
-    brute_invariant_dimension_stacked,
     classical_action,
     classical_claimed,
     eta,
@@ -21,16 +28,33 @@ from modp.invariants import (
 )
 
 
+def _stacked(action, d: int) -> int:
+    """The stacked oracle over every generator of the full list."""
+    return brute_invariant_dimension_stacked(action.ring, full_generators(action), d)
+
+
+def _chosen(action, names) -> WeylAction:
+    """The action, under the same label, of the named generators of the
+    full list, or of the action's own for an action outside the three
+    families."""
+    homs = dict(action.generators if action.label.startswith("mixed")
+                else full_generators(action))
+    return WeylAction(action.ring, [(n, homs[n]) for n in names], action.xs, action.A,
+                      action.label)
+
+
 def test_spin7_generator_counts():
     a = spin_action(7)
-    trans = [n for n, _ in a.generators if n.startswith("s(")]
-    eps = [n for n, _ in a.generators if n.startswith("eps")]
-    assert len(trans) == 3 and len(eps) == 3
+    full = [n for n, _ in full_generators(a)]
+    assert sum(n.startswith("s(") for n in full) == 3
+    assert sum(n.startswith("eps") for n in full) == 3
+    assert [n for n, _ in a.generators] == ["eps1", "s(1,2)", "s(2,3)"]
 
 
 def test_spin12_eps_pair_count():
     a = spin_action(12)
-    assert sum(1 for n, _ in a.generators if "*" in n) == 5
+    assert sum(1 for n, _ in full_generators(a) if "*" in n) == 5
+    assert sum(1 for n, _ in a.generators if "*" in n) == 1
 
 
 def test_spin_action_preconditions():
@@ -43,7 +67,7 @@ def test_spin_action_preconditions():
 def test_generators_are_involutions():
     for action in (spin_action(7), spin_action(8), classical_action("B", 2, 3),
                    classical_action("D", 3, 2), symmetric_quotient_action(3)):
-        for name, h in action.generators:
+        for name, h in action.generators + tuple(full_generators(action)):
             for v in action.ring.names:
                 x = action.ring.var(v)
                 assert h(h(x)) == x, (action.label, name, v)
@@ -70,7 +94,7 @@ def test_eta_values_and_degrees():
 
 def test_eta_invariant_under_E_j():
     a = spin_action(11)
-    gens = dict(a.generators)
+    gens = dict(full_generators(a))
     for j in range(1, 5):
         ej = eta(a, j)
         assert ej.degree() == 2 ** j
@@ -82,7 +106,7 @@ def test_mu_values_and_degrees():
     a = spin_action(12)
     assert mu(a, 1) == a.ring.var("A")
     assert mu(a, 4).degree() == 8
-    gens = dict(a.generators)
+    gens = dict(full_generators(a))
     mu2 = mu(a, 2)
     assert mu2 == a.ring.var("A") * a.ring.poly("A + x1 + x2")
     assert gens["eps1*eps2"](mu2) == mu2
@@ -140,21 +164,21 @@ def test_incremental_matches_stacked():
              (symmetric_quotient_action(5), range(1, 8))]
     for action, degrees in cases:
         for d in degrees:
-            assert brute_invariant_dimension(action, d) == \
-                brute_invariant_dimension_stacked(action, d), (action.label, d)
+            assert brute_invariant_dimension(action, d) == _stacked(action, d), \
+                (action.label, d)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_signed_orbits_match_the_stacked_oracle(p):
-    # at odd p every minimal generator of B, C and D is a signed move, so
+    # at odd p every generator of B, C and D is a signed move, so
     # the oracle counts live orbits and eliminates nothing
     for family in "BCD":
         for rank in (1, 2, 3):
             action = classical_action(family, rank, p)
             assert action._linear == ()
             for d in range(7):
-                assert brute_invariant_dimension(action, d) == \
-                    brute_invariant_dimension_stacked(action, d), (action.label, d)
+                assert brute_invariant_dimension(action, d) == _stacked(action, d), \
+                    (action.label, d)
 
 
 def test_an_orbit_that_holds_both_signs_of_a_monomial_is_dead():
@@ -187,60 +211,55 @@ def _closure(action, generators) -> set:
 
 
 def test_minimal_generators_generate_the_same_group():
-    # compared with each other, not with |W|: eps_1...eps_r acts
-    # trivially on the spin model
+    # the action's generators against the full list of tests/oracles.py;
+    # the orders are of the group the full list generates, not |W|:
+    # eps_1...eps_r acts trivially on the spin model
     cases = [(spin_action(7), 24), (spin_action(8), 96), (spin_action(9), 192),
              (classical_action("B", 3, 3), 48), (classical_action("C", 4, 3), 384),
              (classical_action("D", 4, 3), 192), (classical_action("D", 3, 2), 6),
              (symmetric_quotient_action(4), 24), (symmetric_quotient_action(5), 120)]
     for action, order in cases:
-        minimal = action.minimal_generators
-        assert len(minimal) < len(action.generators), action.label
-        group = _closure(action, action.generators)
+        full = full_generators(action)
+        assert len(action.generators) < len(full), action.label
+        group = _closure(action, full)
         assert len(group) == order, action.label
-        assert _closure(action, minimal) == group, action.label
+        assert _closure(action, action.generators) == group, action.label
 
 
 def test_minimal_generators_per_action():
-    assert [n for n, _ in spin_action(9).minimal_generators] == \
+    assert [n for n, _ in spin_action(9).generators] == \
         ["eps1", "s(1,2)", "s(2,3)", "s(3,4)"]
-    assert [n for n, _ in spin_action(10).minimal_generators] == \
+    assert [n for n, _ in spin_action(10).generators] == \
         ["eps1*eps2", "s(1,2)", "s(2,3)", "s(3,4)", "s(4,5)"]
-    assert [n for n, _ in classical_action("C", 3, 3).minimal_generators] == \
+    assert [n for n, _ in classical_action("C", 3, 3).generators] == \
         ["eps1", "s(1,2)", "s(2,3)"]
-    assert [n for n, _ in classical_action("D", 3, 3).minimal_generators] == \
+    assert [n for n, _ in classical_action("D", 3, 3).generators] == \
         ["eps1*eps2", "s(1,2)", "s(2,3)"]
-    assert [n for n, _ in symmetric_quotient_action(4).minimal_generators] == \
+    assert [n for n, _ in symmetric_quotient_action(4).generators] == \
         ["s(1,2)", "s(2,3)", "s(3,4)"]
-    a = spin_action(7)
-    with pytest.raises(ValueError, match="taken from generators"):
-        WeylAction(a.ring, a.generators, a.xs, a.A,
-                   minimal_generators=[(name, h) for name, h in a.generators])
 
 
-def test_sub_action_applies_every_kept_generator():
+def test_an_action_of_chosen_homs_applies_every_one():
     a = spin_action(9)
-    small = a.sub_action(["eps1", "eps2", "eps3"])
-    assert small.minimal_generators == small.generators
+    small = _chosen(a, ["eps1", "eps2", "eps3"])
     assert [n for n, _ in small.generators] == ["eps1", "eps2", "eps3"]
-    # had small kept only its generators that are minimal in the parent,
-    # it would act through eps1 alone and test_E_subgroup_saturation
-    # would pass vacuously
-    only_eps1 = a.sub_action(["eps1"])
+    # had small applied only eps1, the one sign change of the action's
+    # own generators, test_E_subgroup_saturation would pass vacuously
+    only_eps1 = _chosen(a, ["eps1"])
     assert any(brute_invariant_dimension(small, d) != brute_invariant_dimension(only_eps1, d)
                for d in range(1, 5))
     for d in range(1, 5):
-        assert brute_invariant_dimension(small, d) == brute_invariant_dimension_stacked(small, d)
+        assert brute_invariant_dimension(small, d) == \
+            brute_invariant_dimension_stacked(small.ring, small.generators, d)
 
 
 def test_eps1_degree2_kernel_cross_check():
     # (g-1) for eps_1 alone on the degree-2 component of F_2[x1,x2,A]
-    a = spin_action(7).sub_action(["eps1"])
+    a = _chosen(spin_action(7), ["eps1"])
     dim = brute_invariant_dimension(a, 2)
-    assert dim == brute_invariant_dimension_stacked(a, 2)
+    assert dim == brute_invariant_dimension_stacked(a.ring, a.generators, 2)
     # exhaustive over all combinations of the 6 basis monomials, one row
     # (g-1)(m) per monomial m
-    from modp.exactalg import PackedField, Poly, kernel_dimension_exhaustive
     ring = a.ring
     basis = ring.monomials_of_degree(2)
     hom = a.generators[0][1]
@@ -249,7 +268,7 @@ def test_eps1_degree2_kernel_cross_check():
     rows = []
     for mono in basis:
         m = Poly(ring, {mono: 1})
-        rows.append(field.pack((index[t], c) for t, c in (hom(m) - m).coeffs.items()))
+        rows.append(pack(field, ((index[t], c) for t, c in (hom(m) - m).coeffs.items())))
     assert len(rows) == 6
     assert dim == kernel_dimension_exhaustive(rows, 2)
 
@@ -257,8 +276,8 @@ def test_eps1_degree2_kernel_cross_check():
 def test_E_subgroup_saturation():
     # -1 = eps_1...eps_r acts trivially, so E_{r-1} and E_r invariants agree
     a = spin_action(9)
-    small = a.sub_action(["eps1", "eps2", "eps3"])
-    full = a.sub_action(["eps1", "eps2", "eps3", "eps4"])
+    small = _chosen(a, ["eps1", "eps2", "eps3"])
+    full = _chosen(a, ["eps1", "eps2", "eps3", "eps4"])
     for d in range(1, 9):
         assert brute_invariant_dimension(small, d) == brute_invariant_dimension(full, d)
 
@@ -473,11 +492,11 @@ def _closure_partition(ring, homs, d):
                             symmetric_quotient_action(5)],
                          ids=lambda a: a.label)
 def test_orbit_classes_match_the_closure_under_the_homs(action):
-    # the moves of every signed permutation generator, and those the
-    # action sorted out of its minimal set, give the same orbits, live
+    # the moves of every signed permutation of the full list, and those
+    # the action sorted out of its generators, give the same orbits, live
     # and dead alike
     ring = action.ring
-    homs = [h for _, h in action.generators if h.relabeling() is not None]
+    homs = [h for _, h in full_generators(action) if h.relabeling() is not None]
     moves = [h.relabeling() for h in homs]
     for d in range(1, 7):
         basis = ring.monomials_of_degree(d)
@@ -493,22 +512,19 @@ def test_a_variable_map_that_is_not_one_to_one_is_no_permutation():
     # intersects its fixed space instead of folding orbits
     ring = PolyRing(["x", "y"])
     x, y = ring.gens()
-    from modp.exactalg import SubstHom
     hom = SubstHom(ring, ring, {"x": y, "y": y})
     assert hom.relabeling() is None
     action = WeylAction(ring, [("g", hom)], [x, y])
     for d in range(1, 6):
         assert brute_invariant_dimension(action, d) == \
-            brute_invariant_dimension_stacked(action, d) == 1
+            brute_invariant_dimension_stacked(ring, action.generators, d) == 1
 
 
 def test_weyl_action_is_built_whole():
     a = spin_action(7)
-    assert all(isinstance(seq, tuple) for seq in (a.generators, a.minimal_generators, a.xs))
+    assert all(isinstance(seq, tuple) for seq in (a.generators, a.xs))
     with pytest.raises(AttributeError):
         a.generators.append(a.generators[0])
-    with pytest.raises(AttributeError):
-        a.minimal_generators.append(a.generators[0])
     ring = PolyRing(["y", "x"])
     assert lemma_inv2_check(ring, ring.var("y"), "x", 4).claimed == ("u",)
 
@@ -538,55 +554,24 @@ ACTIONS = ([spin_action(n) for n in range(6, 14)]
            + [symmetric_quotient_action(r) for r in range(2, 7)])
 
 
-def _defined_images(action, name) -> dict:
-    """The image of every ring variable under the generator `name`, read
-    off its definition: s(i,j) swaps x_i and x_j (x_r = -(x_1 + ... +
-    x_{r-1}) when x_r is eliminated) and fixes A; eps_i sends A to A + x_i
-    in the spin model and x_i to -x_i otherwise; eps1*eps_j does both of
-    eps_1 and eps_j."""
-    ring = action.ring
-    r = len(action.xs)
-    coords = [ring.var(f"x{k}") for k in range(1, r) if f"x{k}" in ring.names]
-    coords.append(ring.var(f"x{r}") if f"x{r}" in ring.names else -sum(coords, ring.zero()))
-    images = {v: ring.var(v) for v in ring.names}
-    if name.startswith("s("):
-        i, j = (int(k) for k in name[2:-1].split(","))
-        for k, t in ((i, j), (j, i)):
-            if f"x{k}" in images:
-                images[f"x{k}"] = coords[t - 1]
-        return images
-    for factor in name.split("*"):
-        i = int(factor[3:])
-        if "A" in images:
-            images["A"] = images["A"] + coords[i - 1]
-        else:
-            images[f"x{i}"] = -coords[i - 1]
-    return images
-
-
 @pytest.mark.parametrize("action", ACTIONS, ids=lambda a: a.label)
 def test_each_generator_is_its_definition(action):
+    # the first sign change, then the adjacent transpositions
     r = len(action.xs)
-    if "quotient" in action.label:
-        sign = []
-    elif action.label[0] == "D" or action.label.startswith(f"Spin({2 * r})"):
-        sign = [f"eps1*eps{j}" for j in range(2, r + 1)]
-    else:
-        sign = [f"eps{i}" for i in range(1, r + 1)]
-    transpositions = [f"s({i},{j})" for i in range(1, r + 1) for j in range(i + 1, r + 1)]
-    assert [n for n, _ in action.generators] == transpositions + sign
+    adjacent = [f"s({i},{i + 1})" for i in range(1, r)]
+    assert [n for n, _ in action.generators] == sign_names(action)[:1] + adjacent
     for name, hom in action.generators:
-        images = _defined_images(action, name)
+        images = defined_images(action, name)
         assert {v: hom(action.ring.var(v)) for v in action.ring.names} == images, name
 
 
 @pytest.mark.parametrize("action", ACTIONS, ids=lambda a: a.label)
 def test_minimal_generators_are_sorted_once(action, monkeypatch):
-    # the moves and the linear homs are the minimal generators that
-    # have and have not a relabeling, and each move sends every variable,
-    # with its sign, to the hom's own image of it
+    # the moves and the linear homs are the generators that have and
+    # have not a relabeling, and each move sends every variable, with its
+    # sign, to the hom's own image of it
     ring = action.ring
-    homs = [h for _, h in action.minimal_generators]
+    homs = [h for _, h in action.generators]
     assert action._linear == tuple(h for h in homs if h.relabeling() is None)
     folded = [h for h in homs if h.relabeling() is not None]
     assert len(action._moves) == len(folded)
@@ -602,15 +587,16 @@ def test_minimal_generators_are_sorted_once(action, monkeypatch):
         brute_invariant_dimension(action, d)
 
 
-def _mixed_action(p: int, names: list[str]) -> WeylAction:
-    """The action on F_p[x1, x2, x3] of the named generators, each fixing
-    every variable it does not change."""
+def _mixed_action(p: int) -> WeylAction:
+    """An action on F_p[x1, x2, x3] of five generators, each fixing every
+    variable it does not change."""
     ring = PolyRing(["x1", "x2", "x3"], modulus=p)
     x1, x2, x3 = ring.gens()
     changes = {"eps1": {"x1": -x1}, "s(1,2)": {"x1": x2, "x2": x1}, "2x1": {"x1": 2 * x1},
                "x1+x2": {"x1": x1 + x2}, "r": {"x1": -x2, "x2": x1}}
     fixed = {"x1": x1, "x2": x2, "x3": x3}
-    gens = [(name, SubstHom(ring, ring, dict(fixed, **changes[name]))) for name in names]
+    gens = [(name, SubstHom(ring, ring, dict(fixed, **images)))
+            for name, images in changes.items()]
     return WeylAction(ring, gens, [x1, x2, x3], label=f"mixed mod {p}")
 
 
@@ -619,20 +605,21 @@ def _mixed_action(p: int, names: list[str]) -> WeylAction:
     (spin_action(10), ["eps1*eps2", "eps1*eps3", "s(1,2)", "s(1,5)"]),
     (symmetric_quotient_action(5), ["s(1,5)", "s(2,5)", "s(1,2)"]),
     # signed orbit sums go into the elimination
-    (_mixed_action(5, ["eps1", "s(1,2)", "2x1"]), ["eps1", "s(1,2)", "2x1"]),
-    (_mixed_action(3, ["eps1", "x1+x2"]), ["eps1", "x1+x2"]),
+    (_mixed_action(5), ["eps1", "s(1,2)", "2x1"]),
+    (_mixed_action(3), ["eps1", "x1+x2"]),
     # r gives live orbits with both signs, such as x1^3*x2 - x1*x2^3;
     # with coefficient 1 in their sums, degrees 4 to 6 would read one less
-    (_mixed_action(3, ["r", "x1+x2"]), ["r", "x1+x2"]),
+    (_mixed_action(3), ["r", "x1+x2"]),
 ], ids=lambda x: x.label if isinstance(x, WeylAction) else " ".join(x))
 def test_several_linear_generators_match_the_stacked_oracle(action, names):
     # only here does fixed_combinations run on its own output, or on the
     # orbit sums of moves that flip signs
-    small = action.sub_action(names)
+    small = _chosen(action, names)
     signed = any(move.mask for move in small._moves)
     assert len(small._linear) >= (1 if signed else 2)
     for d in range(1, 7):
-        assert brute_invariant_dimension(small, d) == brute_invariant_dimension_stacked(small, d), d
+        assert brute_invariant_dimension(small, d) == \
+            brute_invariant_dimension_stacked(small.ring, small.generators, d), d
 
 
 def test_public_values_refuse_mutation():
@@ -656,7 +643,7 @@ def test_public_values_refuse_mutation():
         (cp, ("names", "values", "degrees")),
         (report.rows[0], ("degree", "invariant_dim", "span_rank", "series_coeff")),
         (report, ("label", "claimed", "rows", "failure")),
-        (a, ("ring", "generators", "minimal_generators", "xs", "A", "label", "extra")),
+        (a, ("ring", "generators", "xs", "A", "label", "extra")),
         (hom, ("source", "target", "images", "extra")),
         (beta, ("ring", "images", "extra")),
         (u, ("presentation", "components", "extra")),
@@ -671,7 +658,7 @@ def test_public_values_refuse_mutation():
                 setattr(value, attr, None)
     # their sequences are tuples and their maps read-only views
     for seq in (cp.names, cp.values, cp.degrees, report.claimed, report.rows, a.generators,
-                a.minimal_generators, a.xs, u.components, jac.row_factors):
+                a.xs, u.components, jac.row_factors):
         with pytest.raises(AttributeError):
             seq.append(None)
     for images in (hom.images, beta.images):
