@@ -309,9 +309,6 @@ class RestrictionHom:
             if hom(rel):
                 raise ValueError(f"relation {rel} does not map to zero")
 
-    def __call__(self, f: Poly) -> Poly:
-        return self.hom(f)
-
     def image_of(self, name: str) -> Poly:
         return self.hom(self.source.ring.var(name))
 

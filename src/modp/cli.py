@@ -243,14 +243,12 @@ def cmd_invariants(args) -> int:
                 raise ValueError("--group nakajima needs --r")
             action = invariants.symmetric_quotient_action(args.r, args.p)
             claim = functools.partial(invariants.nakajima_claimed, action)
-        elif args.group == "classical":
+        else:
             if args.family is None or args.rank is None:
                 raise ValueError("--group classical needs --family and --rank")
             action = invariants.classical_action(args.family, args.rank, args.p)
             claim = functools.partial(invariants.classical_claimed, action,
                                       args.family, args.rank, args.p)
-        else:
-            raise ValueError(f"unknown group kind {args.group}")
         # the guard needs only the ring; building a claim can take seconds
         check_monomial_guard(action.ring, range(dmax + 1))
         return _report_payload(invariants.verify_presentation(action, claim(), dmax))
@@ -336,7 +334,7 @@ def cmd_whitney(args) -> int:
         e = _uclass_from_json(json.loads(args.e))
         f = _uclass_from_json(json.loads(args.f), e.presentation)
         total = charclass.whitney_sum(e, f)
-    except (ValueError, KeyError) as err:
+    except ValueError as err:
         raise ValueError(f"bad u-class input: {err}") from None
     payload = {"ring": {"vars": list(total.presentation.ring.names),
                         "weights": list(total.presentation.ring.weights)},
@@ -478,11 +476,12 @@ def cmd_selftest(args) -> int:
 # -- parser ------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    """A usage error is one line on stderr and exit 2, as every other
-    error of `main`.  The subparsers are built from the same class."""
+    """A usage error is a ValueError, which `main` reports as every other:
+    one line on stderr and exit 2.  The subparsers are built from the same
+    class."""
 
     def error(self, message):
-        self.exit(2, f"modp: error: {message}\n")
+        raise ValueError(message)
 
 
 @functools.lru_cache(maxsize=1)
@@ -567,12 +566,13 @@ def main(argv=None) -> int:
     a RuntimeError from two routes that disagree) or the output could not
     be written, 2 on a usage or precondition error; every error is one
     line on stderr, and a closed stdout prints nothing.  Under --verbose,
-    a command that used the cache reports its status on stderr."""
-    args = build_parser().parse_args(argv)
-    policy = "off" if args.no_cache else ("refresh" if args.refresh_cache else "use")
-    args.cache = ResultCache(default_cache_dir(), policy)
-    t0 = time.time()
+    a command that used the cache reports its status on stderr.  The code
+    is returned, not raised; only --help and --version exit, with 0."""
     try:
+        args = build_parser().parse_args(argv)
+        policy = "off" if args.no_cache else ("refresh" if args.refresh_cache else "use")
+        args.cache = ResultCache(default_cache_dir(), policy)
+        t0 = time.time()
         code = args.fn(args)
         sys.stdout.flush()
     except BrokenPipeError:
@@ -588,7 +588,7 @@ def main(argv=None) -> int:
         return 1
     except ValueError as err:
         print(f"modp: error: {err}", file=sys.stderr)
-        sys.exit(2)
+        return 2
     except RuntimeError as err:
         print(f"modp: {args.command} failed: {err}", file=sys.stderr)
         return 1

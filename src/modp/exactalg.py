@@ -259,8 +259,8 @@ class PolyRing:
     def poly(self, text: str) -> "Poly":
         """Parse the canonical text form, e.g. ``t1*t2 + t1*t3 + t2*t3``:
         terms joined by signs, each a product of factors matching
-        _FACTOR.  Any other factor raises ValueError, and an unknown
-        variable KeyError."""
+        _FACTOR.  Any other factor, or a variable the ring lacks, raises
+        ValueError."""
         text = text.strip()
         if not text or text == "0":
             return self.zero()
@@ -278,8 +278,10 @@ class PolyRing:
                 number, name, exp = match.groups()
                 if number is not None:
                     coeff *= int(number)
+                elif name in self._index:
+                    mono[self._index[name]] += int(exp) if exp is not None else 1
                 else:
-                    mono[self.var_index(name)] += int(exp) if exp is not None else 1
+                    raise ValueError(f"unknown variable {name!r} in ring {self}")
             m = self.monomial(mono)
             acc[m] = acc.get(m, 0) + sgn * coeff
         return Poly(self, _reduced(self, acc))

@@ -106,8 +106,7 @@ def theta_sequence(n: int) -> list[Poly]:
     return thetas
 
 
-# The memos below are bounded; each holds far more entries (one per n, or
-# per (n, degree)) than a sweep over every degree of interest fills.
+# Bounded, with one entry per n: more than a sweep over every n fills.
 @lru_cache(maxsize=32)
 def quillen_presentation(n: int) -> GradedPresentation:
     """H*(BSpin(n); F_2) = k[w_2..w_n]/J tensor k[w_{2^h}], J generated by
@@ -125,7 +124,6 @@ def quillen_presentation(n: int) -> GradedPresentation:
     return GradedPresentation(gens, list(map(rename, thetas)))
 
 
-@lru_cache(maxsize=1024)
 def quillen_dim(n: int, d: int) -> int:
     """Coefficient of q^d, computed both from the complete-intersection
     series of quillen_presentation(n) and by exact linear algebra on the

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import string
 import sys
 import threading
@@ -57,6 +58,17 @@ def test_a_dangling_sign_is_refused(text):
     # as "x*" is refused for its empty factor, a sign needs a term after it
     r = PolyRing(["x", "y"], modulus=3)
     with pytest.raises(ValueError, match="dangling sign"):
+        r.poly(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x*", "empty factor"), ("x**y", "empty factor"),
+    ("x*z", "unknown variable 'z' in ring F3[x,y]"),
+])
+def test_an_empty_factor_or_an_unknown_variable_is_refused(text, message):
+    # a name the ring lacks is refused as every other malformed factor is
+    r = PolyRing(["x", "y"], modulus=3)
+    with pytest.raises(ValueError, match=re.escape(message)):
         r.poly(text)
 
 
