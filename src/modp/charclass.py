@@ -454,47 +454,31 @@ def _vandermonde(ring: PolyRing, ts: list[str]) -> Poly:
 def jacobian_certificate(r: int, variant: str = "O") -> JacobianReport:
     """Certify generic etaleness of the odd-class restriction: the matrix
     of derivatives of the odd u-classes equals the char-2 Vandermonde
-    product (O variant) or factors row by row through the rank-(r-1)
-    Vandermonde (SO variant)."""
+    product of t_1..t_r.  The O variant takes u_1, u_3, ..., u_2r-1 on
+    BO(2)^r against s_1..s_r.  The SO variant takes u_3, ..., u_2r-1,
+    pushed into H*(BH)/rad, against x_1..x_r-1; row j of its matrix
+    carries the factor t_j + t_r, and those factors times the rank-(r-1)
+    Vandermonde make up the rank-r one."""
     check_size("r", r, 2, 6)  # desk scale
-    if variant == "O":
-        rest = restriction_bso_to_bo2r(2 * r)
-        ring = rest.hom.target
-        grads = [gradient(rest.image_of(f"u{2 * a - 1}")) for a in range(1, r + 1)]
-        matrix = [[grad[ring.var_index(f"s{j}")] for grad in grads] for j in range(1, r + 1)]
-        det = determinant(matrix)
-        expected = _vandermonde(ring, [f"t{i}" for i in range(1, r + 1)])
-        return JacobianReport("O", r, det, expected)
-    if variant != "SO":
+    if variant not in ("O", "SO"):
         raise ValueError("variant must be O or SO")
-    # push the BO(2r) images into H*(BH)/rad: s_i -> x_i, s_r -> x_1+...+x_{r-1}
     rest = restriction_bso_to_bo2r(2 * r)
-    mid = rest.hom.target
-    ring = PolyRing([f"x{i}" for i in range(1, r)] + [f"t{i}" for i in range(1, r + 1)],
-                    [1] * (r - 1) + [2] * r, 2)
-    x_last = elementary_symmetric_of(ring, 1, [ring.var(f"x{i}") for i in range(1, r)])
-    to_bh = SubstHom(mid, ring, dict(
-        {f"s{i}": ring.var(f"x{i}") for i in range(1, r)},
-        **{f"s{r}": x_last},
-        **{f"t{i}": ring.var(f"t{i}") for i in range(1, r + 1)}))
-    grads = [gradient(to_bh(rest.image_of(f"u{2 * a + 1}"))) for a in range(1, r)]
-    matrix = [[grad[ring.var_index(f"x{j}")] for grad in grads] for j in range(1, r)]
-    det = determinant(matrix)
-    # row j carries the factor (t_j + t_r); the cofactor is the smaller matrix E
-    row_factors = tuple(ring.var(f"t{j}") + ring.var(f"t{r}") for j in range(1, r))
-    e_matrix = []
-    for j in range(1, r):
-        others = [f"t{i}" for i in range(1, r) if i != j]
-        e_matrix.append([elementary_symmetric(ring, a - 1, others) for a in range(1, r)])
-    for j in range(r - 1):
-        for a in range(r - 1):
-            if matrix[j][a] != row_factors[j] * e_matrix[j][a]:
-                return JacobianReport("SO", r, det, ring.zero(), row_factors)
-    det_e = determinant(e_matrix)
-    expected_e = _vandermonde(ring, [f"t{i}" for i in range(1, r)])
-    if det_e != expected_e:
-        return JacobianReport("SO", r, det_e, expected_e, row_factors)
-    expected = det_e
-    for f in row_factors:
-        expected = expected * f
-    return JacobianReport("SO", r, det, expected, row_factors)
+    ts = [f"t{i}" for i in range(1, r + 1)]
+    if variant == "O":
+        ring = rest.hom.target
+        odd = [rest.image_of(f"u{m}") for m in range(1, 2 * r, 2)]
+        xs = [f"s{j}" for j in range(1, r + 1)]
+        row_factors = ()
+    else:
+        # into H*(BH)/rad: s_i -> x_i for i < r, s_r -> x_1+...+x_{r-1}, t_i -> t_i
+        xs = [f"x{j}" for j in range(1, r)]
+        ring = PolyRing(xs + ts, [1] * (r - 1) + [2] * r, 2)
+        gens = ring.gens()
+        to_bh = SubstHom(rest.hom.target, ring, dict(zip(
+            rest.hom.target.names,
+            gens[:r - 1] + (elementary_symmetric(ring, 1, xs),) + gens[r - 1:])))
+        odd = [to_bh(rest.image_of(f"u{m}")) for m in range(3, 2 * r, 2)]
+        row_factors = tuple(ring.var(f"t{j}") + ring.var(f"t{r}") for j in range(1, r))
+    grads = [gradient(f) for f in odd]
+    matrix = [[grad[ring.var_index(x)] for grad in grads] for x in xs]
+    return JacobianReport(variant, r, determinant(matrix), _vandermonde(ring, ts), row_factors)

@@ -225,27 +225,38 @@ def _report_csv(payload: dict) -> list[list]:
     return rows
 
 
+def _check_flags(args, kind: str, own: tuple[str, ...], optional: tuple[str, ...]) -> None:
+    """Refuse a call of `kind` that leaves out one of the flags it reads,
+    or gives one of the optional flags that it does not read."""
+    if any(getattr(args, flag) is None for flag in own):
+        raise ValueError(f"{kind} needs " + " and ".join(f"--{flag}" for flag in own))
+    ignored = [f"--{flag}" for flag in optional
+               if flag not in own and getattr(args, flag) is not None]
+    if ignored:
+        raise ValueError(f"{kind} does not read {' or '.join(ignored)}")
+
+
+# the flags each group reads, besides --p and --max-degree
+_GROUP_FLAGS = {"spin": ("n",), "nakajima": ("r",), "classical": ("family", "rank")}
+
+
 def cmd_invariants(args) -> int:
     dmax = args.max_degree
     check_size("max degree", dmax, 1, math.inf)
+    _check_flags(args, f"--group {args.group}", _GROUP_FLAGS[args.group],
+                 ("n", "r", "family", "rank"))
     params = {"group": args.group, "n": args.n, "r": args.r,
               "family": args.family, "rank": args.rank, "p": args.p,
               "max_degree": dmax}
 
     def compute() -> dict:
         if args.group == "spin":
-            if args.n is None:
-                raise ValueError("--group spin needs --n")
             action = invariants.spin_action(args.n, args.p)
             claim = functools.partial(invariants.spin_claimed, action, args.n)
         elif args.group == "nakajima":
-            if args.r is None:
-                raise ValueError("--group nakajima needs --r")
             action = invariants.symmetric_quotient_action(args.r, args.p)
             claim = functools.partial(invariants.nakajima_claimed, action)
         else:
-            if args.family is None or args.rank is None:
-                raise ValueError("--group classical needs --family and --rank")
             action = invariants.classical_action(args.family, args.rank, args.p)
             claim = functools.partial(invariants.classical_claimed, action,
                                       args.family, args.rank, args.p)
@@ -281,8 +292,8 @@ SERIES_MAX_DEGREE = 10_000
 
 
 def cmd_ring(args) -> int:
-    if args.name in ("bso", "bo") and args.n is None:
-        raise ValueError(f"--name {args.name} needs --n")
+    _check_flags(args, f"--name {args.name}", ("n",) if args.name in ("bso", "bo") else (),
+                 ("n",))
     check_size("--series-to", args.series_to, 0, SERIES_MAX_DEGREE)
     pres = _RING_BUILDERS[args.name](args)
     series = pres.series().coefficients(args.series_to)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -21,7 +22,14 @@ from modp.charclass import (
     unit_uclass,
     whitney_sum,
 )
-from modp.exactalg import PolyRing, SubstHom, elementary_symmetric, sum_of_products
+from modp.exactalg import (
+    PolyRing,
+    SubstHom,
+    determinant,
+    elementary_symmetric,
+    gradient,
+    sum_of_products,
+)
 from modp.quillen import spin11_explicit_presentation, spin11_lower_bound_ring
 
 
@@ -343,6 +351,35 @@ def test_jacobian_so_variant():
     ring = rep.determinant.ring
     assert [str(f) for f in rep.row_factors] == ["t1 + t3", "t2 + t3"]
     assert rep.determinant == ring.poly("t1 + t3") * ring.poly("t2 + t3") * ring.poly("t1 + t2")
+
+
+@pytest.mark.parametrize("r", range(2, 7))
+def test_so_jacobian_rows_factor_through_the_smaller_vandermonde(r):
+    # The lemma behind the SO certificate, checked row by row: entry (j, a)
+    # of the matrix of d u_2a+1 / d x_j is (t_j + t_r) e_a-1(t_1..t_r-1
+    # without t_j), and the matrix E of those cofactors has the rank-(r-1)
+    # Vandermonde as its determinant.
+    rest = restriction_bso_to_bo2r(2 * r)
+    xs = [f"x{j}" for j in range(1, r)]
+    ts = [f"t{i}" for i in range(1, r + 1)]
+    ring = PolyRing(xs + ts, [1] * (r - 1) + [2] * r)
+    images = {f"s{j}": ring.var(f"x{j}") for j in range(1, r)}
+    images[f"s{r}"] = sum_of_products(ring, [(ring.var(x),) for x in xs])
+    images.update((t, ring.var(t)) for t in ts)
+    to_bh = SubstHom(rest.hom.target, ring, images)
+    grads = [gradient(to_bh(rest.image_of(f"u{2 * a + 1}"))) for a in range(1, r)]
+    factors = [ring.var(f"t{j}") + ring.var(f"t{r}") for j in range(1, r)]
+    e_matrix = [[elementary_symmetric(ring, a - 1, [t for t in ts[:-1] if t != f"t{j}"])
+                 for a in range(1, r)] for j in range(1, r)]
+    for j in range(1, r):
+        for a in range(1, r):
+            entry = grads[a - 1][ring.var_index(f"x{j}")]
+            assert entry == factors[j - 1] * e_matrix[j - 1][a - 1], (r, j, a)
+    smaller = ring.one()
+    for a, b in itertools.combinations(ts[:-1], 2):
+        smaller = smaller * (ring.var(a) + ring.var(b))
+    assert determinant(e_matrix) == smaller
+    assert [str(f) for f in jacobian_certificate(r, "SO").row_factors] == list(map(str, factors))
 
 
 def test_jacobian_range_guard():

@@ -268,6 +268,22 @@ REFUSED = {
         ('whitney --e {"ring":{"vars":["a"],"weights":[1]},"components":["1","b"]} '
          '--f {"components":["1","0"]}',
          "modp: error: bad u-class input: unknown variable 'b' in ring F2[a]"),
+        # a flag that the group or the ring does not read: refused, not echoed
+        # into params and cached under a key of its own
+        ("invariants --group spin --n 7 --max-degree 4 --r 4",
+         "modp: error: --group spin does not read --r"),
+        ("invariants --group spin --n 7 --max-degree 4 --family B --rank 2",
+         "modp: error: --group spin does not read --family or --rank"),
+        ("invariants --group nakajima --r 3 --n 7",
+         "modp: error: --group nakajima does not read --n"),
+        ("invariants --group nakajima --r 3 --family B --rank 2",
+         "modp: error: --group nakajima does not read --family or --rank"),
+        ("invariants --group classical --family B --rank 2 --p 3 --n 7",
+         "modp: error: --group classical does not read --n"),
+        ("invariants --group classical --family B --rank 2 --p 3 --r 3",
+         "modp: error: --group classical does not read --r"),
+        ("ring --name bz2 --n 5", "modp: error: --name bz2 does not read --n"),
+        ("ring --name bmu --n 5", "modp: error: --name bmu does not read --n"),
         # argparse usage errors: one line, as every other exit 2
         "degrees --family B --rank x",
         "degrees --family B --rank",
@@ -469,7 +485,19 @@ def test_route_mismatch_exits_1(capsys, tmp_path, monkeypatch):
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_json_golden.json").read_text())
 
 
-@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"][:3]))
+def golden_ids(cases):
+    """The first three words of each argv, or the first five where an
+    earlier case already took those three (a second jacobian variant)."""
+    ids = []
+    for case in cases:
+        short = " ".join(case["argv"][:3])
+        ids.append(short if short not in ids else " ".join(case["argv"][:5]))
+    return ids
+
+
+# the jacobian cases cover r = 2..6 in both variants, recorded before the
+# two certificates shared one path
+@pytest.mark.parametrize("case", GOLDEN, ids=golden_ids(GOLDEN))
 def test_json_bytes_match_golden(case, capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("MODP_CACHE_DIR", str(tmp_path))
     for verbose in ([], ["--verbose"]):
@@ -609,6 +637,28 @@ def test_a_failing_report_exits_1(change, max_degree, last_lines, capsys, tmp_pa
     lines = captured.out.splitlines()
     assert lines[0].startswith("Spin(11) mod 2  claimed k[c2, c3, c4, c5")
     assert lines[-len(last_lines):] == last_lines
+
+
+@pytest.mark.parametrize("variant", ["O", "SO"])
+def test_a_failing_jacobian_certificate_exits_1(variant, capsys, tmp_path, monkeypatch):
+    from modp import charclass
+
+    # a product that lacks the factor t1 + t2
+    monkeypatch.setattr(charclass, "_vandermonde",
+                        lambda ring, ts: ring.var(ts[0]) * ring.var(ts[1]))
+    monkeypatch.setenv("MODP_CACHE_DIR", str(tmp_path))
+    report = charclass.jacobian_certificate(3, variant)
+    assert not report.ok
+    assert not report.difference.is_zero()
+    assert main(["jacobian", "--r", "3", "--variant", variant]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"{variant} variant, r=3: FAIL",
+        f"determinant = {report.determinant}",
+        "expected    = t1*t2"]
+    assert main(["jacobian", "--r", "3", "--variant", variant, "--json"]) == 1
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["ok"], result["expected"]) == (False, "t1*t2")
+    assert result["difference"] == str(report.difference) != "0"
 
 
 @pytest.mark.parametrize("target, wrong, message", [
