@@ -111,13 +111,14 @@ class ResultCache:
 
 # -- emitters ----------------------------------------------------------
 
-def emit(args, command: str, params: dict, result: dict,
-         text_lines: list[str], csv_rows: list[list] | None = None) -> None:
-    if getattr(args, "json", False):
-        doc = {"schema": SCHEMA, "command": command, "params": params,
+def emit(args, params: dict, result: dict, text_lines: list[str],
+         csv_rows: list[list] | None = None) -> None:
+    """Only the commands that pass `csv_rows` declare --csv."""
+    if args.json:
+        doc = {"schema": SCHEMA, "command": args.command, "params": params,
                "result": result}
         print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-    elif getattr(args, "csv", False) and csv_rows is not None:
+    elif csv_rows is not None and args.csv:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         for row in csv_rows:
             writer.writerow(row)
@@ -147,7 +148,7 @@ def _group_from_args(args) -> GroupSpec:
 def cmd_degrees(args) -> int:
     g = _group_from_args(args)
     payload = group_payload(g)
-    emit(args, "degrees", {"family": g.family, "rank": g.rank}, payload,
+    emit(args, {"family": g.family, "rank": g.rank}, payload,
          [" ".join(str(d) for d in payload["degrees"]) or "-"])
     return 0
 
@@ -155,7 +156,7 @@ def cmd_degrees(args) -> int:
 def cmd_primes(args) -> int:
     g = _group_from_args(args)
     payload = group_payload(g)
-    emit(args, "primes", {"family": g.family, "rank": g.rank}, payload,
+    emit(args, {"family": g.family, "rank": g.rank}, payload,
          [f"bad: {' '.join(map(str, payload['bad_primes'])) or '-'}",
           f"torsion: {' '.join(map(str, payload['torsion_primes'])) or '-'}"])
     return 0
@@ -178,7 +179,7 @@ def cmd_weyl(args) -> int:
         if payload["elements"] != payload["order"]:
             raise RuntimeError(f"{payload['elements']} signed permutations != BFS order "
                                f"{payload['order']}")
-    emit(args, "weyl", {"family": g.family, "rank": g.rank}, payload,
+    emit(args, {"family": g.family, "rank": g.rank}, payload,
          [f"order {payload['order']}",
           "length series " + " ".join(map(str, lengths))])
     return 0
@@ -189,7 +190,7 @@ def cmd_flag_poincare(args) -> int:
     coeffs = flag_poincare(g).as_polynomial()
     payload = {"family": g.family, "rank": g.rank, "coefficients": coeffs,
                "value_at_one": sum(coeffs)}
-    emit(args, "flag-poincare", {"family": g.family, "rank": g.rank}, payload,
+    emit(args, {"family": g.family, "rank": g.rank}, payload,
          [" ".join(map(str, coeffs)), f"value at q=1: {sum(coeffs)}"],
          csv_rows=[["degree", "coefficient"]] + [[i, c] for i, c in enumerate(coeffs)])
     return 0
@@ -228,10 +229,10 @@ def _report_csv(payload: dict) -> list[list]:
 def _check_flags(args, kind: str, own: tuple[str, ...], optional: tuple[str, ...]) -> None:
     """Refuse a call of `kind` that leaves out one of the flags it reads,
     or gives one of the optional flags that it does not read."""
-    if any(getattr(args, flag) is None for flag in own):
+    given = vars(args)
+    if any(given[flag] is None for flag in own):
         raise ValueError(f"{kind} needs " + " and ".join(f"--{flag}" for flag in own))
-    ignored = [f"--{flag}" for flag in optional
-               if flag not in own and getattr(args, flag) is not None]
+    ignored = [f"--{flag}" for flag in optional if flag not in own and given[flag] is not None]
     if ignored:
         raise ValueError(f"{kind} does not read {' or '.join(ignored)}")
 
@@ -265,8 +266,7 @@ def cmd_invariants(args) -> int:
         return _report_payload(invariants.verify_presentation(action, claim(), dmax))
 
     payload = args.cache.roundtrip("invariants", params, compute)
-    emit(args, "invariants", params, payload, _report_lines(payload),
-         csv_rows=_report_csv(payload))
+    emit(args, params, payload, _report_lines(payload), csv_rows=_report_csv(payload))
     return 0 if payload["passed"] else 1
 
 
@@ -274,7 +274,7 @@ def cmd_inv2_check(args) -> int:
     ring = PolyRing(["y", "x"])
     report = invariants.lemma_inv2_check(ring, ring.var("y"), "x", args.max_degree)
     payload = _report_payload(report)
-    emit(args, "inv2-check", {"max_degree": args.max_degree}, payload,
+    emit(args, {"max_degree": args.max_degree}, payload,
          _report_lines(payload), csv_rows=_report_csv(payload))
     return 0 if payload["passed"] else 1
 
@@ -299,8 +299,7 @@ def cmd_ring(args) -> int:
     series = pres.series().coefficients(args.series_to)
     payload = dict(pres.to_json(), series=series)
     gens = ", ".join(f"{g.name}({g.degree})" for g in pres.generators)
-    emit(args, "ring", {"name": args.name, "n": args.n,
-                        "series_to": args.series_to}, payload,
+    emit(args, {"name": args.name, "n": args.n, "series_to": args.series_to}, payload,
          [f"generators: {gens}",
           "relations: " + ("; ".join(payload["relations"]) or "none"),
           "series: " + " ".join(map(str, series))])
@@ -313,6 +312,8 @@ _UCLASS_SHAPE = '{"ring": {"vars": [str], "weights": [int]}, "components": [str]
 # number stays quadratic in the truncation for dense classes, so the
 # length of a u-class is still bounded.
 UCLASS_MAX_TRUNCATION = 1000
+# as many as the largest cataloged ring, bo_presentation(1000)
+UCLASS_MAX_VARS = 1000
 
 
 def _list_of(value, kind) -> bool:
@@ -334,6 +335,7 @@ def _uclass_from_json(doc, presentation=None) -> charclass.UClass:
                 and _list_of(ring_doc.get("weights"), int)
                 and len(ring_doc["vars"]) == len(ring_doc["weights"])):
             raise ValueError(f"a u-class is {_UCLASS_SHAPE}")
+        check_size("the number of u-class variables", len(ring_doc["vars"]), 0, UCLASS_MAX_VARS)
         presentation = charclass.GradedPresentation(
             [charclass.Generator(n, w) for n, w in zip(ring_doc["vars"], ring_doc["weights"])])
     return charclass.UClass(presentation,
@@ -350,7 +352,7 @@ def cmd_whitney(args) -> int:
     payload = {"ring": {"vars": list(total.presentation.ring.names),
                         "weights": list(total.presentation.ring.weights)},
                "components": [str(c) for c in total.components]}
-    emit(args, "whitney", {}, payload,
+    emit(args, {}, payload,
          [f"u_{m} = {c}" for m, c in enumerate(payload["components"])])
     return 0
 
@@ -362,7 +364,7 @@ def cmd_restrict(args) -> int:
         rest = charclass.restriction_bso_to_bo2r(args.n)
     images = {name: str(rest.image_of(name)) for name in rest.source.ring.names}
     payload = {"n": args.n, "target": args.target, "images": images}
-    emit(args, "restrict", {"n": args.n, "target": args.target}, payload,
+    emit(args, {"n": args.n, "target": args.target}, payload,
          [f"{name} -> {img}" for name, img in sorted(
              images.items(), key=lambda kv: rest.source.generator(kv[0]).degree)])
     return 0
@@ -375,7 +377,7 @@ def cmd_jacobian(args) -> int:
                "expected": str(report.expected),
                "difference": str(report.difference),
                "row_factors": [str(f) for f in report.row_factors]}
-    emit(args, "jacobian", {"r": args.r, "variant": args.variant}, payload,
+    emit(args, {"r": args.r, "variant": args.variant}, payload,
          [f"{report.variant} variant, r={report.r}: {'PASS' if report.ok else 'FAIL'}",
           f"determinant = {report.determinant}",
           f"expected    = {report.expected}"])
@@ -426,7 +428,7 @@ def cmd_quillen(args) -> int:
     lines = [f"h = {payload['h']}, ideal degrees {payload['theta_degrees']}, "
              f"extra generator degree {payload['extra_degree']}"]
     lines += [f"dim H^{row['degree']} = {row['dim']}" for row in payload["dims"]]
-    emit(args, "quillen", params, payload, lines,
+    emit(args, params, payload, lines,
          csv_rows=[["degree", "dim"]] + [[r["degree"], r["dim"]]
                                          for r in payload["dims"]])
     return 0
@@ -437,7 +439,7 @@ def cmd_spin_compare(args) -> int:
         return quillen.spin11_compare().to_dict()
 
     payload = args.cache.roundtrip("spin-compare", {}, compute)
-    emit(args, "spin-compare", {}, payload,
+    emit(args, {}, payload,
          [f"D_top       = {payload['D_top']}",
           f"D_low       = {payload['D_low']}",
           f"D_dR_lower  = {payload['D_dR_lower']}",
@@ -502,24 +504,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact modular invariant theory and characteristic-class "
                     "calculus at small primes.")
     parser.add_argument("--version", action="version", version=__version__)
+    # a command declares only the flags it reads, so argparse refuses the rest:
+    # `doc` serves all but selftest, `table` the four commands that write CSV
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit one JSON document")
-    common.add_argument("--csv", action="store_true", help="emit CSV where tabular")
     common.add_argument("--verbose", action="store_true")
-    common.add_argument("--no-cache", action="store_true")
-    common.add_argument("--refresh-cache", action="store_true")
+    policy = common.add_mutually_exclusive_group()
+    for flag, const in (("--no-cache", "off"), ("--refresh-cache", "refresh")):
+        policy.add_argument(flag, dest="policy", action="store_const", const=const, default="use")
+    doc, table = (argparse.ArgumentParser(add_help=False, parents=[common]) for _ in range(2))
+    output = table.add_mutually_exclusive_group()
+    for group in (doc, output):
+        group.add_argument("--json", action="store_true", help="emit one JSON document")
+    output.add_argument("--csv", action="store_true", help="emit the table as CSV")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn, text in (("degrees", cmd_degrees, "fundamental degrees"),
-                           ("primes", cmd_primes, "bad and torsion primes"),
-                           ("weyl", cmd_weyl, "Weyl group order and lengths"),
-                           ("flag-poincare", cmd_flag_poincare, "Poincare polynomial of G/B")):
-        p = sub.add_parser(name, parents=[common], help=text)
+    for name, fn, text, out in (
+            ("degrees", cmd_degrees, "fundamental degrees", doc),
+            ("primes", cmd_primes, "bad and torsion primes", doc),
+            ("weyl", cmd_weyl, "Weyl group order and lengths", doc),
+            ("flag-poincare", cmd_flag_poincare, "Poincare polynomial of G/B", table)):
+        p = sub.add_parser(name, parents=[out], help=text)
         p.add_argument("--family", required=True)
         p.add_argument("--rank", type=int)
         p.set_defaults(fn=fn)
 
-    p = sub.add_parser("invariants", parents=[common],
+    p = sub.add_parser("invariants", parents=[table],
                        help="verify a claimed invariant-ring presentation")
     p.add_argument("--group", default="spin", choices=["spin", "nakajima", "classical"])
     p.add_argument("--n", type=int)
@@ -530,40 +539,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=int, default=10)
     p.set_defaults(fn=cmd_invariants)
 
-    p = sub.add_parser("inv2-check", parents=[common],
+    p = sub.add_parser("inv2-check", parents=[table],
                        help="invariants of x -> x+a equal R[x(x+a)]")
     p.add_argument("--max-degree", type=int, default=8)
     p.set_defaults(fn=cmd_inv2_check)
 
-    p = sub.add_parser("ring", parents=[common], help="cataloged presentations")
+    p = sub.add_parser("ring", parents=[doc], help="cataloged presentations")
     p.add_argument("--name", required=True, choices=sorted(_RING_BUILDERS))
     p.add_argument("--n", type=int)
     p.add_argument("--series-to", type=int, default=20)
     p.set_defaults(fn=cmd_ring)
 
-    p = sub.add_parser("whitney", parents=[common], help="u-class direct sum")
+    p = sub.add_parser("whitney", parents=[doc], help="u-class direct sum")
     p.add_argument("--e", required=True, help="JSON u-class")
     p.add_argument("--f", required=True, help="JSON u-class")
     p.set_defaults(fn=cmd_whitney)
 
-    p = sub.add_parser("restrict", parents=[common],
+    p = sub.add_parser("restrict", parents=[doc],
                        help="restriction images of the u-classes")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--target", default="bo2r", choices=["bo2r", "K"])
     p.set_defaults(fn=cmd_restrict)
 
-    p = sub.add_parser("jacobian", parents=[common], help="injectivity certificate")
+    p = sub.add_parser("jacobian", parents=[doc], help="injectivity certificate")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--variant", default="O", choices=["O", "SO"])
     p.set_defaults(fn=cmd_jacobian)
 
-    p = sub.add_parser("quillen", parents=[common],
+    p = sub.add_parser("quillen", parents=[table],
                        help="dimensions of H*(BSpin(n); F_2)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dims", default="0..20", help="degree or range, e.g. 0..34")
     p.set_defaults(fn=cmd_quillen)
 
-    p = sub.add_parser("spin-compare", parents=[common],
+    p = sub.add_parser("spin-compare", parents=[doc],
                        help="the degree-32 Spin(11) comparison")
     p.set_defaults(fn=cmd_spin_compare)
 
@@ -581,8 +590,7 @@ def main(argv=None) -> int:
     is returned, not raised; only --help and --version exit, with 0."""
     try:
         args = build_parser().parse_args(argv)
-        policy = "off" if args.no_cache else ("refresh" if args.refresh_cache else "use")
-        args.cache = ResultCache(default_cache_dir(), policy)
+        args.cache = ResultCache(default_cache_dir(), args.policy)
         t0 = time.time()
         code = args.fn(args)
         sys.stdout.flush()

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -129,10 +130,21 @@ def test_whitney_roundtrip(capsys, tmp_path, monkeypatch):
     assert json.loads(again)["result"] == doc["result"]
 
 
-def uclass(truncation):
-    """A zero u-class of one variable, as one argv word."""
-    return json.dumps({"ring": {"vars": ["a1"], "weights": [1]},
+def uclass(truncation, size=1):
+    """A zero u-class of a ring of `size` variables of weight 1, as one
+    argv word."""
+    return json.dumps({"ring": {"vars": [f"a{i}" for i in range(size)], "weights": [1] * size},
                        "components": ["1"] + ["0"] * truncation}, separators=(",", ":"))
+
+
+def test_whitney_answers_on_a_ring_of_1000_variables(capsys, tmp_path, monkeypatch):
+    # as many variables as bo_presentation(1000), the largest cataloged ring
+    monkeypatch.setenv("MODP_CACHE_DIR", str(tmp_path))
+    code, out = run_cli(capsys, "whitney", "--e", uclass(1, 1000), "--f",
+                        '{"components":["1","a999"]}', "--json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert (len(result["ring"]["vars"]), result["components"]) == (1000, ["1", "a999"])
 
 
 def test_whitney_refuses_a_truncation_above_1000(capsys, tmp_path, monkeypatch):
@@ -256,6 +268,9 @@ REFUSED = {
         pytest.param((f"whitney --e {uclass(1001)} --f {uclass(1001)}",
                       "modp: error: bad u-class input: need the truncation of a u-class "
                       "<= 1000, got 1001"), id="whitney truncation 1001"),
+        pytest.param((f"whitney --e {uclass(1, 1001)} --f {uclass(1)}",
+                      "modp: error: bad u-class input: need the number of u-class variables "
+                      "<= 1000, got 1001"), id="whitney 1001 variables"),
         # a sign with no term after it
         'whitney --e {"ring":{"vars":["a"],"weights":[1]},"components":["1","a+"]} '
         '--f {"components":["1","0"]}',
@@ -284,6 +299,15 @@ REFUSED = {
          "modp: error: --group classical does not read --r"),
         ("ring --name bz2 --n 5", "modp: error: --name bz2 does not read --n"),
         ("ring --name bmu --n 5", "modp: error: --name bmu does not read --n"),
+        # an output or cache flag that the command does not read, or two that
+        # exclude each other
+        ("jacobian --r 2 --csv", "modp: error: unrecognized arguments: --csv"),
+        ("degrees --family B --rank 3 --json --csv", "modp: error: unrecognized arguments: --csv"),
+        ("quillen --n 11 --dims 3 --json --csv",
+         "modp: error: argument --csv: not allowed with argument --json"),
+        ("quillen --n 11 --dims 3 --no-cache --refresh-cache --verbose",
+         "modp: error: argument --refresh-cache: not allowed with argument --no-cache"),
+        ("selftest --json", "modp: error: unrecognized arguments: --json"),
         # argparse usage errors: one line, as every other exit 2
         "degrees --family B --rank x",
         "degrees --family B --rank",
@@ -496,7 +520,8 @@ def golden_ids(cases):
 
 
 # the jacobian cases cover r = 2..6 in both variants, recorded before the
-# two certificates shared one path
+# two certificates shared one path; the --csv cases were recorded before
+# each command declared only the output flags it reads
 @pytest.mark.parametrize("case", GOLDEN, ids=golden_ids(GOLDEN))
 def test_json_bytes_match_golden(case, capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("MODP_CACHE_DIR", str(tmp_path))
@@ -504,6 +529,41 @@ def test_json_bytes_match_golden(case, capsys, tmp_path, monkeypatch):
         code, out = run_cli(capsys, *case["argv"], *verbose)
         assert code == 0
         assert out == case["stdout"]
+
+
+COMMON_FLAGS = {"-h", "--help", "--verbose", "--no-cache", "--refresh-cache"}
+GROUP_OPTIONS = {"--family", "--rank", "--json"}
+# the flags each subcommand reads besides COMMON_FLAGS; --csv only where a
+# table is written
+SURFACE = {
+    "degrees": GROUP_OPTIONS,
+    "primes": GROUP_OPTIONS,
+    "weyl": GROUP_OPTIONS,
+    "flag-poincare": GROUP_OPTIONS | {"--csv"},
+    "invariants": {"--group", "--n", "--r", "--family", "--rank", "--p", "--max-degree",
+                   "--json", "--csv"},
+    "inv2-check": {"--max-degree", "--json", "--csv"},
+    "ring": {"--name", "--n", "--series-to", "--json"},
+    "whitney": {"--e", "--f", "--json"},
+    "restrict": {"--n", "--target", "--json"},
+    "jacobian": {"--r", "--variant", "--json"},
+    "quillen": {"--n", "--dims", "--json", "--csv"},
+    "spin-compare": {"--json"},
+    "selftest": set(),
+}
+
+
+def test_each_subcommand_declares_only_the_flags_it_reads():
+    (subparsers,) = [action for action in cli.build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    for name, parser in subparsers.choices.items():
+        flags = {s for action in parser._actions for s in action.option_strings}
+        assert flags == SURFACE[name] | COMMON_FLAGS, name
+        exclusive = {tuple(s for action in group._group_actions for s in action.option_strings)
+                     for group in parser._mutually_exclusive_groups}
+        assert exclusive == ({("--no-cache", "--refresh-cache")}
+                             | ({("--json", "--csv")} if "--csv" in flags else set())), name
+    assert set(subparsers.choices) == set(SURFACE)
 
 
 @pytest.mark.parametrize("argv", [
@@ -563,7 +623,7 @@ def test_cache_misses_when_the_source_changes(capsys, tmp_path, monkeypatch):
 
 
 def test_verbose_reports_each_cache_status(capsys, tmp_path, monkeypatch):
-    (case,) = [c for c in GOLDEN if c["argv"][0] == "quillen"]
+    (case,) = [c for c in GOLDEN if c["argv"][0] == "quillen" and "--json" in c["argv"]]
     argv = [a for a in case["argv"] if a != "--no-cache"]
     monkeypatch.setenv("MODP_CACHE_DIR", str(tmp_path))
 
