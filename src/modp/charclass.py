@@ -16,6 +16,7 @@ from .exactalg import (
     Poly,
     PolyRing,
     SubstHom,
+    check_images,
     check_name,
     check_size,
     determinant,
@@ -389,17 +390,15 @@ def restriction_to_K(n: int) -> RestrictionHom:
 # -- the Bockstein -----------------------------------------------------
 
 class Derivation:
-    """A derivation given by its values on variables, extended by the
-    Leibniz rule with exponent arithmetic in the coefficient field;
-    `ring` and `images` are read-only."""
+    """A derivation given by its value on every variable (check_images),
+    extended by the Leibniz rule with exponent arithmetic in the
+    coefficient field; `ring` and `images` are read-only."""
 
     __slots__ = ("_ring", "_images")
 
     def __init__(self, ring: PolyRing, images: dict):
+        check_images(ring, ring, images)
         self._ring = ring
-        for name, img in images.items():
-            ring.var_index(name)
-            ring.check_same(img.ring)
         self._images = MappingProxyType(dict(images))
 
     ring = property(lambda self: self._ring)

@@ -67,7 +67,6 @@ class ResultCache:
         self.directory = directory
         self.policy = policy
         self.status = None
-        self._warned = False
 
     def _key(self, op: str, params: dict) -> str:
         blob = json.dumps([op, params], sort_keys=True)
@@ -102,10 +101,8 @@ class ResultCache:
                 json.dump(entry, handle, sort_keys=True)
             os.replace(tmp, path)
         except OSError:
-            if not self._warned:
-                print(f"modp: cache directory {self.directory} is not writable; "
-                      "continuing without cache", file=sys.stderr)
-                self._warned = True
+            print(f"modp: cache directory {self.directory} is not writable; "
+                  "continuing without cache", file=sys.stderr)
         return payload
 
 

@@ -31,6 +31,8 @@ MODULUS_LIMIT = 1 << 31
 # that could read as a number or hold +, -, * or ^ could not be read back.
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _FACTOR = re.compile(rf"([0-9]+)|({_NAME.pattern})\s*(?:\^\s*([0-9]+))?")
+# A run of signs and blanks, then the term up to the next sign.
+_TERMS = re.compile(r"([\s+-]*)([^+-]*)")
 
 
 def check_name(name: str) -> None:
@@ -49,10 +51,6 @@ def check_size(what: str, value: int, low: int, high: int | float) -> None:
 
 
 class RingMismatchError(ValueError):
-    pass
-
-
-class MissingImageError(KeyError):
     pass
 
 
@@ -320,23 +318,15 @@ def check_monomial_guard(ring: PolyRing, degrees: Iterable[int]) -> int:
 
 
 def _split_terms(text: str):
-    """Split the nonblank text on top-level + and - signs, yielding
-    (sign, term); the signs with no term between them multiply, so x - -y
-    is x + y.  A sign with no term after it raises ValueError."""
+    """Split the stripped, nonblank text into one (sign, term) pair per run
+    of signs, the sign -1 when the run holds an odd number of -, so x - -y
+    is x + y.  A run with no term after it raises ValueError."""
     terms = []
-    sign, cur = 1, []
-    for ch in text:
-        if ch in "+-":
-            if cur and "".join(cur).strip():
-                terms.append((sign, "".join(cur).strip()))
-                sign = 1
-            sign, cur = (sign if ch == "+" else -sign), []
-        else:
-            cur.append(ch)
-    # cur is reset only by a sign, so a blank end follows one
-    if not "".join(cur).strip():
-        raise ValueError(f"dangling sign in {text!r}")
-    terms.append((sign, "".join(cur).strip()))
+    for signs, term in _TERMS.findall(text):
+        if term:
+            terms.append((-1 if signs.count("-") % 2 else 1, term))
+        elif signs:
+            raise ValueError(f"dangling sign in {text!r}")
     return terms
 
 
@@ -522,36 +512,43 @@ def sum_of_products(ring: PolyRing, products: Iterable[Iterable[Poly]]) -> Poly:
 _ONE = {0: 1}  # the coefficient dict of the polynomial 1
 
 
+def check_images(source: PolyRing, target: PolyRing, images: dict) -> None:
+    """Refuse, with one ValueError line, images that leave out a variable
+    of `source` or lie outside `target`; a name `source` lacks is a KeyError."""
+    for name, img in images.items():
+        source.var_index(name)
+        target.check_same(img.ring)
+    if missing := [name for name in source.names if name not in images]:
+        raise ValueError(f"no image for {', '.join(missing)} in {source}")
+
+
 class SubstHom:
-    """A ring homomorphism determined by variable images in a target ring;
-    `source`, `target` and `images` are read-only, since the plan and the
-    power memo are built from them.
+    """A ring homomorphism given by one target image per source variable,
+    checked by check_images and kept in source order; `source`, `target`
+    and `images` are read-only, as the plan and power memo come from them.
 
     The plan, built once here, sorts the variables.  One whose image is a
     single term c*t ("still") sends x^e to c^e * t^e: it keeps its packed
     t (its head) and, when c != 1, its (index, c).  Every other one
-    ("moving": an image of several terms, zero, or missing) keeps its byte
-    in a mask.  The terms of f that agree on that mask form one group,
-    whose image is the group with every term replaced by its head, times
-    one product of memoised powers of the moving images."""
+    ("moving": an image of several terms, or zero) keeps its byte in a
+    mask.  The terms of f that agree on that mask form one group, whose
+    image is the group with every term replaced by its head, times one
+    product of memoised powers of the moving images."""
 
     __slots__ = ("_source", "_target", "_images", "_powers", "_plan")
 
     def __init__(self, source: PolyRing, target: PolyRing, images: dict):
+        check_images(source, target, images)
         self._source = source
         self._target = target
-        images = {name: target.const(img) if isinstance(img, int) else img
-                  for name, img in images.items()}
+        self._images = MappingProxyType({name: images[name] for name in source.names})
         heads, scaled, moving = [0] * len(source.names), [], source._low
-        for name, img in images.items():
-            i = source.var_index(name)
-            target.check_same(img.ring)
+        for i, img in enumerate(self._images.values()):
             if len(img.coeffs) == 1:
                 ((heads[i], c),) = img.coeffs.items()
                 moving ^= FIELD_MASK << source._offsets[i]
                 if c != 1:
                     scaled.append((i, c))
-        self._images = MappingProxyType(images)
         self._powers: dict = {}
         self._plan = (tuple(heads), tuple(scaled), moving, source._low ^ moving)
 
@@ -560,16 +557,13 @@ class SubstHom:
     images = property(lambda self: self._images)
 
     def _power(self, i: int, k: int) -> Poly:
-        """The image of variable i raised to the power k >= 1, memoised
-        per (i, k) and built from the power k - 1 (at most EXPONENT_LIMIT
-        calls deep).  Each entry is written once with its final value, so
-        threads sharing the hom can at worst compute a power twice."""
+        """The image of variable i (each has one) to the power k >= 1,
+        memoised per (i, k), built from the power k - 1 (at most
+        EXPONENT_LIMIT calls deep).  Each entry is written once with its
+        final value, so threads sharing the hom at worst compute one twice."""
         power = self._powers.get((i, k))
         if power is None:
-            name = self._source.names[i]
-            if name not in self._images:
-                raise MissingImageError(f"no image for variable {name!r}")
-            image = self._images[name]
+            image = self._images[self._source.names[i]]
             power = image if k == 1 else self._power(i, k - 1) * image
             self._powers[(i, k)] = power
         return power

@@ -12,7 +12,6 @@ from modp.exactalg import (
     F2Matrix,
     FpMatrix,
     GradedComponent,
-    MissingImageError,
     PackedField,
     Poly,
     PolyRing,
@@ -49,11 +48,13 @@ def test_consecutive_signs_multiply():
     r = PolyRing(["x", "y"], modulus=3)
     x, y = r.gens()
     assert r.poly("x - -y") == r.poly("x - - y") == x + y
-    assert r.poly("--x") == x
+    assert r.poly("--x") == r.poly("- - x") == x
     assert r.poly("x - +y") == x - y
+    assert r.poly("x -\t- y") == x + y
+    assert r.poly("+ - x") == -x
 
 
-@pytest.mark.parametrize("text", ["x -", "x + ", "-", "+", "x - -", "x*y - "])
+@pytest.mark.parametrize("text", ["x -", "x + ", "-", "+", "x - -", "x*y - ", "x - - "])
 def test_a_dangling_sign_is_refused(text):
     # as "x*" is refused for its empty factor, a sign needs a term after it
     r = PolyRing(["x", "y"], modulus=3)
@@ -152,9 +153,9 @@ def test_identity_hom_and_missing_image():
     r = PolyRing(["x", "y"])
     f = r.poly("x*y + y")
     assert SubstHom(r, r, {n: r.var(n) for n in r.names})(f) == f
-    h = SubstHom(r, r, {"x": r.var("x")})
-    with pytest.raises(MissingImageError, match="y"):
-        h(f)
+    # refused when built, before any polynomial is given
+    with pytest.raises(ValueError, match=r"^no image for y in F2\[x,y\]$"):
+        SubstHom(r, r, {"x": r.var("x")})
 
 
 def test_relabeling_of_a_permutation_is_the_hom_on_monomials():
@@ -172,10 +173,11 @@ def test_relabeling_is_none_unless_the_hom_permutes_the_variables():
     ring = PolyRing(["x", "y"], modulus=3)
     x, y = ring.gens()
     for images in ({"x": y, "y": y},  # not one to one
-                   {"x": y},  # a missing image
                    {"x": x * x, "y": y},  # not a variable
                    {"x": ring.zero(), "y": y}):
         assert SubstHom(ring, ring, images).relabeling() is None, images
+    with pytest.raises(ValueError, match="no image for y"):  # a missing image
+        SubstHom(ring, ring, {"x": y})
     # a coefficient other than 1 and p - 1
     for p in (5, 7):
         r = PolyRing(["x", "y"], modulus=p)

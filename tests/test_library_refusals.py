@@ -14,7 +14,8 @@ def bad_image():
     # u2 must go to a class of degree 2, not of degree 1
     source = charclass.bso_presentation(3)
     target = charclass.bo2_power_ring(1)
-    return RestrictionHom(source, SubstHom(source.ring, target, {"u2": target.var("s1")}))
+    return RestrictionHom(source, SubstHom(source.ring, target,
+                                           {"u2": target.var("s1"), "u3": target.zero()}))
 
 
 def relation_kept():
@@ -64,6 +65,14 @@ REFUSALS = [
     ("non-square matrix", lambda: exactalg.determinant([[F2AB.one(), F2AB.one()]]),
      ValueError, "matrix is not square: 1 rows, widths [2]"),
     ("empty matrix", lambda: exactalg.determinant([]), ValueError, "empty matrix"),
+    ("ring map missing one image", lambda: SubstHom(F2AB, F2AB, {"a": F2AB.var("b")}),
+     ValueError, "no image for b in F2[a,b]"),
+    ("ring map missing two images, in ring order",
+     lambda: SubstHom(PolyRing(["c", "a", "b"]), F2AB, {"a": F2AB.var("b")}),
+     ValueError, "no image for c, b in F2[c,a,b]"),
+    ("derivation missing one image",
+     lambda: charclass.Derivation(F2AB, {"b": F2AB.var("a") * F2AB.var("b")}),
+     ValueError, "no image for a in F2[a,b]"),
     # invariants
     ("eta without the spin model",
      lambda: invariants.eta(invariants.symmetric_quotient_action(3), 1),
