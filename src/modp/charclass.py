@@ -57,8 +57,7 @@ class GradedPresentation:
     ring, over F_2.  Generators and relations are tuples, fixed at
     construction."""
 
-    def __init__(self, generators: Sequence[Generator], relations: Sequence[Poly | str] = (),
-                 renamed: Sequence[tuple[str, str]] = ()):
+    def __init__(self, generators: Sequence[Generator], relations: Sequence[Poly | str] = ()):
         self.generators = tuple(generators)
         self.ring = generator_ring(self.generators)
         rels = []
@@ -70,7 +69,6 @@ class GradedPresentation:
                 raise ValueError(f"relation {rel} is not homogeneous")
             rels.append(Poly(self.ring, rel.coeffs))
         self.relations = tuple(rels)
-        self.renamed = tuple(renamed)
         self._minimal: GradedPresentation | None = None
 
     def generator(self, name: str) -> Generator:
@@ -198,18 +196,14 @@ def bz2_presentation(name: str = "s") -> GradedPresentation:
 
 def kunneth(a: GradedPresentation, b: GradedPresentation) -> GradedPresentation:
     """Tensor product: disjoint union of generators and relations.  Name
-    collisions in the second factor get a _b suffix, recorded in
-    `renamed`; each factor's relations move into the product ring through
-    a renaming SubstHom."""
+    collisions in the second factor get a _b suffix; each factor's
+    relations move into the product ring through a renaming SubstHom."""
     taken = {g.name for g in a.generators}
-    renamed = []
     mapping = {}
     for g in b.generators:
         new = g.name
         while new in taken:
             new = new + "_b"
-        if new != g.name:
-            renamed.append((g.name, new))
         mapping[g.name] = new
         taken.add(new)
     gens = list(a.generators) + [
@@ -219,7 +213,7 @@ def kunneth(a: GradedPresentation, b: GradedPresentation) -> GradedPresentation:
     from_a = SubstHom(a.ring, ring, {name: ring.var(name) for name in a.ring.names})
     from_b = SubstHom(b.ring, ring, {name: ring.var(mapping[name]) for name in b.ring.names})
     relations = list(map(from_a, a.relations)) + list(map(from_b, b.relations))
-    return GradedPresentation(gens, relations, renamed)
+    return GradedPresentation(gens, relations)
 
 
 # -- u-class Whitney calculus ------------------------------------------
@@ -311,7 +305,7 @@ class RestrictionHom:
                 raise ValueError(f"relation {rel} does not map to zero")
 
     def image_of(self, name: str) -> Poly:
-        return self.hom(self.source.ring.var(name))
+        return self.hom.images[name]
 
 
 # The symmetric functions of a restriction double in cost with each step

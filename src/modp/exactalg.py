@@ -613,8 +613,7 @@ class SubstHom:
             + [power(i, e) for i, e in enumerate(key.to_bytes(n, "big")) if e]
             for key, group in groups.items()])
 
-    def __call__(self, f: Poly) -> Poly:
-        return self.apply(f)
+    __call__ = apply
 
     def relabeling(self) -> Callable[[int], int] | None:
         """The map of this hom on packed monomials, up to sign, if its plan
@@ -759,12 +758,10 @@ class PackedField:
             v ^= c << (i * b)
 
 
-def _tagged(rows: list[int], tags: Sequence[int] | None, bits: int) -> tuple[list[int], int]:
+def _tagged(rows: list[int], tags: Sequence[int], bits: int) -> tuple[list[int], int]:
     """Each row shifted above its tag and joined to it, and the number of
-    fields the tags take.  Tag i defaults to the unit vector at position
-    i, so the tag part of a combination of rows holds its coefficients."""
-    if tags is None:
-        tags = [1 << (i * bits) for i in range(len(rows))]
+    fields the tags take, so the tag part of a combination of rows is the
+    same combination of the tags."""
     low = -(-max((t.bit_length() for t in tags), default=0) // bits)
     return [(r << (low * bits)) | t for r, t in zip(rows, tags, strict=True)], low
 
@@ -782,7 +779,7 @@ class F2Matrix:
     def kernel_dimension(self) -> int:
         return len(self.rows) - self.rank()
 
-    def kernel_basis(self, tags: Sequence[int] | None = None) -> list[int]:
+    def kernel_basis(self, tags: Sequence[int]) -> list[int]:
         return f2_kernel_basis(self.rows, tags=tags)
 
 
@@ -806,11 +803,10 @@ def _f2_pivot_rows(rows: Iterable[int], low: int = 0) -> tuple[dict, list[int]]:
     return pivots, rest
 
 
-def f2_kernel_basis(rows: Iterable[int], tags: Sequence[int] | None = None) -> list[int]:
-    """A basis of the combinations of the rows that vanish over F_2: bit i
-    of a combination is the coefficient of row i.  Given `tags`, each
-    combination is returned as the same combination of the tags, which
-    is again a basis when the tags are independent."""
+def f2_kernel_basis(rows: Iterable[int], tags: Sequence[int]) -> list[int]:
+    """A basis of the combinations of the rows that vanish over F_2, each
+    returned as the same combination of `tags` (one per row), which is
+    again a basis when the tags are independent."""
     rows, low = _tagged(list(rows), tags, 1)
     return _f2_pivot_rows(rows, low)[1]
 
@@ -834,9 +830,8 @@ class FpMatrix:
     def kernel_dimension(self) -> int:
         return len(self.rows) - self.rank()
 
-    def kernel_basis(self, tags: Sequence[int] | None = None) -> list[int]:
-        """As f2_kernel_basis: field i of a combination is the coefficient
-        of row i, or, given `tags`, the combination is returned on them."""
+    def kernel_basis(self, tags: Sequence[int]) -> list[int]:
+        """As f2_kernel_basis: each combination is returned on the tags."""
         return self._eliminate(*_tagged(self.rows, tags, self.field.bits))[1]
 
     def _eliminate(self, rows: list[int], low: int) -> tuple[dict, list[int]]:

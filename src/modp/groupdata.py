@@ -128,15 +128,6 @@ class Series:
     def coefficient(self, d: int) -> int:
         return self.coefficients(d)[d] if d >= 0 else 0
 
-    def __mul__(self, other: "Series") -> "Series":
-        a, b = self.numerator, other.numerator
-        num = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                num[i + j] += x * y
-        return Series(num, self.denominator + other.denominator,
-                      max(self.truncation, other.truncation))
-
     def as_polynomial(self) -> list[int]:
         """Exact quotient as a coefficient list, read off the expansion c:
         with e = deg N - sum(den) it is P = c_0..c_e when c_{e+1}..c_{deg N}

@@ -112,7 +112,7 @@ def quillen_presentation(n: int) -> GradedPresentation:
     """H*(BSpin(n); F_2) = k[w_2..w_n]/J tensor k[w_{2^h}], J generated by
     the iterated squares of w_2: k[w_2..w_n, z]/(theta_0..theta_{h-1}),
     z standing for the extra generator of degree 2^h.  The thetas are
-    computed on SWRing(n) and renamed into that ring by a SubstHom; the
+    computed on SWRing(n) and moved into that ring by a SubstHom; the
     quotient is that ring when they form a regular sequence."""
     check_size("n", n, 6, MAX_N)
     thetas = theta_sequence(n)

@@ -10,11 +10,15 @@ definition:
   library folds orbits and eliminates generator by generator;
 - `kernel_dimension_exhaustive`: the kernel of packed rows counted over
   every combination, with no elimination at all;
-- `pack`: a packed vector from its (position, coefficient) pairs."""
+- `pack`: a packed vector from its (position, coefficient) pairs;
+- `series_product`: the product of two graded series, read off the
+  definition of a product of quotients, where the library builds a
+  Kunneth product's series from its generators alone."""
 
 import itertools
 
 from modp.exactalg import PackedField, Poly, SubstHom, check_size
+from modp.groupdata import Series
 
 
 def pack(field: PackedField, coords) -> int:
@@ -24,6 +28,16 @@ def pack(field: PackedField, coords) -> int:
     for i, c in coords:
         v |= c << (i * b)
     return v
+
+
+def series_product(a: Series, b: Series) -> Series:
+    """a * b: the numerators convolved over the joined denominators, kept
+    to the larger truncation."""
+    num = [0] * (len(a.numerator) + len(b.numerator) - 1)
+    for i, x in enumerate(a.numerator):
+        for j, y in enumerate(b.numerator):
+            num[i + j] += x * y
+    return Series(num, a.denominator + b.denominator, max(a.truncation, b.truncation))
 
 
 def kernel_dimension_exhaustive(rows, p: int) -> int:

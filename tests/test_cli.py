@@ -14,7 +14,7 @@ import pytest
 from modp import cli
 from modp.charclass import Generator, GradedPresentation
 from modp.cli import main
-from modp.groupdata import Series
+from modp.groupdata import _EXCEPTIONAL_RANK, _MINIMUM_RANK, Series
 from modp.invariants import ClaimedPresentation
 
 
@@ -420,6 +420,23 @@ def test_edge_sizes_are_accepted(argv, last, capsys, tmp_path, monkeypatch):
     code, out = run_cli(capsys, *argv.split())
     assert code == 0
     assert out.splitlines()[-1] == last
+
+
+# the least rank of each family, written out so that moving a bound in
+# groupdata fails here; an exceptional family takes its one rank only
+LEAST_RANK = {"A": 1, "B": 1, "C": 1, "D": 3, "G2": 2, "F4": 4, "E6": 6, "E7": 7, "E8": 8,
+              "GL": 1, "SO": 2, "O": 1, "Sp": 2, "Spin": 3}
+
+
+@pytest.mark.parametrize("family", sorted(_MINIMUM_RANK))
+def test_each_rank_bound_holds_on_both_sides(family, capsys, tmp_path, monkeypatch):
+    least = LEAST_RANK[family]
+    monkeypatch.setenv("MODP_CACHE_DIR", str(tmp_path))
+    assert run_cli(capsys, "degrees", "--family", family, "--rank", str(least))[0] == 0
+    line = (f"{family} has rank {least}, got {least - 1}" if family in _EXCEPTIONAL_RANK
+            else f"need the rank of {family} >= {least}, got {least - 1}")
+    check_refused((f"degrees --family {family} --rank {least - 1}", f"modp: error: {line}"),
+                  capsys, tmp_path, monkeypatch)
 
 
 # sizes from the count table of the minimal presentation of Spin(11), on

@@ -381,6 +381,12 @@ def dense(field, v, n):
     return [(v >> (j * field.bits)) & mask for j in range(n)]
 
 
+def unit_tags(field, n):
+    """Tag i is the unit vector at position i, so that a kernel vector
+    holds the coefficients of the rows."""
+    return [pack(field, [(i, 1)]) for i in range(n)]
+
+
 def rank_by_columns(m) -> int:
     """The transpose-rank oracle for an F2Matrix or FpMatrix: the rank of
     its columns, packed as rows, which must agree with m.rank()."""
@@ -404,7 +410,7 @@ def test_f2_ranks_and_kernels():
         m = F2Matrix(rows, cols)
         assert m.rank() == rank_by_columns(m)
         assert m.kernel_dimension() == kernel_dimension_exhaustive(rows, 2)
-        for v in m.kernel_basis():
+        for v in m.kernel_basis(unit_tags(PackedField(2), len(rows))):
             total = 0
             for i, row in enumerate(rows):
                 if (v >> i) & 1:
@@ -422,7 +428,7 @@ def test_fp_matrix_rank_kernel():
         m = FpMatrix(rows, 5, p)
         assert m.rank() == rank_by_columns(m)
         assert m.rank() + m.kernel_dimension() == len(rows)
-        for v in m.kernel_basis():
+        for v in m.kernel_basis(unit_tags(field, len(rows))):
             combo = dense(field, v, len(rows))
             for column in zip(*(dense(field, row, 5) for row in rows)):
                 assert sum(a * b for a, b in zip(column, combo)) % p == 0
@@ -439,7 +445,7 @@ def test_packed_matrices_match_exhaustive_enumeration(p):
         m = field.matrix(rows, cols)
         assert m.rank() == rank_by_columns(m) == n - m.kernel_dimension()
         assert m.kernel_dimension() == kernel_dimension_exhaustive(rows, p)
-        kernel = m.kernel_basis()
+        kernel = m.kernel_basis(unit_tags(field, n))
         assert field.matrix(kernel, n).rank() == len(kernel) == m.kernel_dimension()
         for v in kernel:
             combo = dense(field, v, n)

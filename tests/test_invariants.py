@@ -442,6 +442,12 @@ def test_verify_guard_trips_before_any_work(monkeypatch):
     assert calls == []
     assert verify_presentation(a, spin_claimed(a, 7), 4).passed
     assert len(calls) == 4
+    # degree 128 of F_2[x1] is the first past the exponent limit, so it is
+    # refused before the basis of any lower degree is built
+    q = symmetric_quotient_action(2, 2)
+    with pytest.raises(ValueError, match=r"^degree 128 needs exponent 128 of x1, above 127$"):
+        verify_presentation(q, nakajima_claimed(q), 128)
+    assert q.ring._basis_cache == {}
 
 
 def test_concurrent_use_gives_the_serial_answers():

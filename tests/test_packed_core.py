@@ -10,7 +10,7 @@ import time
 import pytest
 
 from modp.charclass import Derivation, bso_presentation
-from modp.exactalg import PolyRing, SubstHom, gradient
+from modp.exactalg import PolyRing, SubstHom, gradient, sum_of_products
 from modp.groupdata import Series
 from modp.quillen import SWRing
 
@@ -285,6 +285,8 @@ def test_exponent_overflow_raises_instead_of_carrying():
         x ** 64 * x ** 64
     with pytest.raises(ValueError, match="y"):
         (y ** 100 + x) * y ** 28
+    with pytest.raises(ValueError, match="x"):
+        sum_of_products(ring, [[x ** 100, x ** 28, x ** 127, x]])
     with pytest.raises(ValueError, match="y"):
         ring.from_terms({(0, 128): 1})
     with pytest.raises(ValueError, match="x"):
