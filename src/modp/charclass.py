@@ -132,7 +132,7 @@ class GradedPresentation:
         if d < 0:
             return 0
         comp = GradedComponent(self.ring, d)
-        rows = [comp.vector(rel, shift=mono) for rel in self._all_relations()
+        rows = [comp.vector(rel.coeffs, shift=mono) for rel in self._all_relations()
                 for mono in self.ring.monomials_of_degree(d - rel.degree())]
         return len(comp.basis) - comp.rank(rows)
 

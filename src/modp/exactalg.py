@@ -8,7 +8,7 @@ import functools
 import itertools
 import math
 import re
-from operator import mul
+from operator import mul, xor
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -531,9 +531,12 @@ class SubstHom:
     single term c*t ("still") sends x^e to c^e * t^e: it keeps its packed
     t (its head) and, when c != 1, its (index, c).  Every other one
     ("moving": an image of several terms, or zero) keeps its byte in a
-    mask.  The terms of f that agree on that mask form one group, whose
-    image is the group with every term replaced by its head, times one
-    product of memoised powers of the moving images."""
+    mask.  Two readers of the plan map polynomials, apply and
+    monomial_images, and both take the head of a term from _head: the sum
+    of the heads of its still exponents, or, when the hom sends every
+    still variable to itself (or to 1), the term less its other
+    exponents.  The image of a term is its head times one product of
+    memoised powers of the moving images."""
 
     __slots__ = ("_source", "_target", "_images", "_powers", "_plan")
 
@@ -549,8 +552,15 @@ class SubstHom:
                 moving ^= FIELD_MASK << source._offsets[i]
                 if c != 1:
                     scaled.append((i, c))
+        # when every variable is moving or sent to itself or to 1: the
+        # (offset, packed unit) of each one not sent to itself
+        drops = None
+        if target == source and not scaled and all(
+                h == u for h, u in zip(heads, source._units) if h):
+            drops = tuple((off, u) for h, off, u in zip(heads, source._offsets, source._units)
+                          if not h)
         self._powers: dict = {}
-        self._plan = (tuple(heads), tuple(scaled), moving, source._low ^ moving)
+        self._plan = (tuple(heads), tuple(scaled), moving, source._low ^ moving, drops)
 
     source = property(lambda self: self._source)
     target = property(lambda self: self._target)
@@ -579,25 +589,39 @@ class SubstHom:
                     target._check_fields((head,))
         return head
 
+    def _head(self, m: int, c: int) -> tuple[int, int]:
+        """The head of the still part of the packed source monomial m, and
+        the coefficient c times the scales of its still images.  When the
+        plan has drops, the head is m with the exponents of the dropped
+        variables taken out, its degree field with them."""
+        heads, scaled, _, still, drops = self._plan
+        if drops is not None:
+            for off, unit in drops:
+                m -= (m >> off & FIELD_MASK) * unit
+            return m, c
+        if not m & still:
+            return 0, c
+        source, target = self._source, self._target
+        exps = (m & source._low).to_bytes(len(source.names), "big")
+        head = sum(map(mul, exps, heads))
+        if head >= target._safe:  # an exponent may have passed the limit
+            head = self._checked_head(exps)
+        p = target.modulus
+        for i, a in scaled:
+            c = c * pow(a, exps[i], p) % p
+        return head, c
+
     def apply(self, f: Poly) -> Poly:
         """The image of f: its terms grouped by their moving exponents,
         each group's heads times the memoised moving powers, summed in one
         accumulator."""
         source, target = self._source, self._target
         source.check_same(f.ring)
-        heads, scaled, moving, still = self._plan  # still, moving: byte masks
-        n, low, safe, p = len(source.names), source._low, target._safe, target.modulus
+        moving, n, head_of = self._plan[2], len(source.names), self._head
         groups: dict[int, dict] = {}
         merged = False  # two terms of one group with the same head
         for m, c in f.coeffs.items():
-            head = 0
-            if m & still:
-                exps = (m & low).to_bytes(n, "big")
-                head = sum(map(mul, exps, heads))
-                if head >= safe:  # an exponent may have passed the limit
-                    head = self._checked_head(exps)
-                for i, a in scaled:
-                    c = c * pow(a, exps[i], p) % p
+            head, c = head_of(m, c)
             group = groups.get(m & moving)
             if group is None:
                 groups[m & moving] = {head: c}
@@ -612,6 +636,34 @@ class SubstHom:
             ([] if group == _ONE else [Poly(target, _reduced(target, group) if merged else group)])
             + [power(i, e) for i, e in enumerate(key.to_bytes(n, "big")) if e]
             for key, group in groups.items()])
+
+    def monomial_images(self, monos: Iterable[int]) -> list[dict]:
+        """The coefficient dict of the image of each packed source
+        monomial: the head and coefficient of its still part times the
+        product of the powers of its moving part, which is built once per
+        distinct moving part in this call.  A monomial with no still part
+        gets that product's dict itself, so callers only read the dicts."""
+        target, n, moving = self._target, len(self._source.names), self._plan[2]
+        p, safe, power, head_of = target.modulus, target._safe, self._power, self._head
+        products: dict[int, tuple[dict, int]] = {}  # moving part: (image, its top monomial)
+        out = []
+        for m in monos:
+            key = m & moving
+            entry = products.get(key)
+            if entry is None:
+                image = sum_of_products(target, [
+                    [power(i, e) for i, e in enumerate(key.to_bytes(n, "big")) if e]]).coeffs
+                entry = products[key] = image, max(image, default=0)
+            image, top = entry
+            head, c = head_of(m, 1)
+            if head + top >= safe:
+                target._check_fields(head + t for t in image)
+            if c != 1:
+                image = {head + t: c * e % p for t, e in image.items()}
+            elif head:
+                image = {head + t: e for t, e in image.items()}
+            out.append(image)  # with no still part, the product itself
+        return out
 
     __call__ = apply
 
@@ -628,7 +680,7 @@ class SubstHom:
         (-1) ** ((m & move.mask).bit_count() & 1); it is 0 when no
         variable is negated."""
         source, target = self._source, self._target
-        heads, scaled, moving, _ = self._plan
+        heads, scaled, moving, *_ = self._plan
         index = [target._unit_index.get(h) for h in heads]
         if (moving or None in index or len(set(index)) < len(index)
                 or any(c != target.modulus - 1 for _, c in scaled)):
@@ -736,11 +788,13 @@ class PackedField:
     holds a value in 0..p-1.  Over F_2 a field is one bit and addition is
     XOR.  Over odd p a field has p.bit_length() + 1 bits, one more than a
     coordinate needs, so the sum of two coordinates never carries into
-    the next field (FpMatrix reduces it).
+    the next field (the add of `arithmetic` reduces it).
 
     A matrix is a list of packed rows, and its kernel is the space of row
     combinations that vanish; `matrix(rows, cols)` is the F2Matrix or
-    FpMatrix of rows over this field."""
+    FpMatrix of rows over this field.  `arithmetic(fields)` gives the row
+    operations that FpMatrix eliminates with and that
+    GradedComponent.fixed_combinations builds its rows with."""
 
     def __init__(self, p: int):
         self.p = p
@@ -756,6 +810,33 @@ class PackedField:
             c = v >> (i * b)
             yield i, c
             v ^= c << (i * b)
+
+    def arithmetic(self, fields: int) -> tuple[Callable, Callable]:
+        """(add, scale) on vectors of at most `fields` coordinates: the sum
+        of two vectors, and a vector times a coefficient in 1..p-1.  Over
+        F_2 addition is XOR.  Over odd p it is SWAR: add the two ints, then
+        subtract p from every field that reached p, which adding
+        2^(b-1) - p to each field marks by its spare top bit.  Scaling is
+        double-and-add over the bits of the coefficient."""
+        if self.p == 2:
+            add = xor
+        else:
+            p, b = self.p, self.bits
+            ones = ((1 << (b * fields)) - 1) // ((1 << b) - 1)  # 1 in every field
+            top, bias = ones << (b - 1), ones * ((1 << (b - 1)) - p)
+
+            def add(u: int, v: int) -> int:
+                s = u + v
+                return s - (((s + bias) & top) >> (b - 1)) * p
+
+        def scale(v: int, c: int) -> int:
+            out = v  # the leading bit of c, then one doubling per further bit
+            for bit in bin(c)[3:]:
+                out = add(out, out)
+                if bit == "1":
+                    out = add(out, v)
+            return out
+        return add, scale
 
 
 def _tagged(rows: list[int], tags: Sequence[int], bits: int) -> tuple[list[int], int]:
@@ -814,9 +895,8 @@ def f2_kernel_basis(rows: Iterable[int], tags: Sequence[int]) -> list[int]:
 class FpMatrix:
     """Packed rows over an odd prime p in the format of PackedField(p):
     field j of a row is column j.  Row operations act on whole rows at
-    once (SWAR).  An addition adds the two ints, then subtracts p from
-    every field that reached p: adding 2^(b-1) - p to each field sets its
-    spare top bit exactly there.  Scaling by c is double-and-add."""
+    once, with the SWAR add and the double-and-add scale of
+    PackedField.arithmetic."""
 
     def __init__(self, rows: Iterable[int], cols: int, p: int):
         self.rows = list(rows)
@@ -839,22 +919,7 @@ class FpMatrix:
         ({pivot field: row scaled to lead with 1}, [every other row,
         reduced until its fields from `low` up cancel])."""
         p, b = self.p, self.field.bits
-        fields = max((r.bit_length() for r in rows), default=0) // b + 1
-        ones = ((1 << (b * fields)) - 1) // ((1 << b) - 1)  # 1 in every field
-        top, bias = ones << (b - 1), ones * ((1 << (b - 1)) - p)
-
-        def add(u, v):
-            s = u + v
-            return s - (((s + bias) & top) >> (b - 1)) * p
-
-        def scale(v, c):
-            out = v  # the leading bit of c, then one doubling per further bit
-            for bit in bin(c)[3:]:
-                out = add(out, out)
-                if bit == "1":
-                    out = add(out, v)
-            return out
-
+        add, scale = self.field.arithmetic(max((r.bit_length() for r in rows), default=0) // b + 1)
         pivots: dict[int, int] = {}
         rest = []
         for row in rows:
@@ -882,10 +947,12 @@ class GradedComponent:
         self.basis = ring.monomials_of_degree(d)
         self.index = {m: i for i, m in enumerate(self.basis)}
 
-    def vector(self, f: Poly, shift: int = 0) -> int:
-        """Coordinates of f, or of f times the packed monomial `shift`."""
+    def vector(self, coeffs: dict, shift: int = 0) -> int:
+        """Coordinates of the polynomial with the coefficient dict `coeffs`
+        (a Poly's `coeffs`, or an image from SubstHom.monomial_images), or
+        of it times the packed monomial `shift`."""
         index, b, v = self.index, self.field.bits, 0
-        for m, c in f.coeffs.items():
+        for m, c in coeffs.items():
             v |= c << (index[m + shift] * b)
         return v
 
@@ -900,13 +967,22 @@ class GradedComponent:
 
     def fixed_combinations(self, fs: Sequence[Poly], hom: SubstHom) -> list[Poly]:
         """A basis of the polynomials in the span of the independent `fs`
-        that hom fixes.  The rows hom(f) - f are eliminated with the
-        coordinates of f as their tags, so each combination that vanishes
-        comes back as the coordinates of a fixed polynomial, and only
-        these are unpacked."""
-        vector = self.vector
-        diffs = [vector(hom(f) - f) for f in fs]
-        fixed = self.field.matrix(diffs, len(self.basis)).kernel_basis(
-            tags=[vector(f) for f in fs])
+        that hom fixes.  Each distinct monomial m of the fs is mapped once,
+        by hom.monomial_images, and packed as the row hom(m) - m; the row
+        of f is the sum of the rows of its terms, each times its
+        coefficient.  These rows are eliminated with the coordinates of f
+        as their tags, so each combination that vanishes comes back as the
+        coordinates of a fixed polynomial, and only these are unpacked."""
+        vector, index, b = self.vector, self.index, self.field.bits
+        add, scale = self.field.arithmetic(len(self.basis))
+        minus_one = self.ring.modulus - 1
+        monos = list(dict.fromkeys(itertools.chain.from_iterable(f.coeffs for f in fs)))
+        moved = {m: add(vector(image), minus_one << (index[m] * b))
+                 for m, image in zip(monos, hom.monomial_images(monos))}
+        rows = [functools.reduce(add, [moved[m] if c == 1 else scale(moved[m], c)
+                                       for m, c in f.coeffs.items()])
+                for f in fs]
+        fixed = self.field.matrix(rows, len(self.basis)).kernel_basis(
+            tags=[vector(f.coeffs) for f in fs])
         return [self.poly(v) for v in fixed]
 

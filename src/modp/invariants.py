@@ -351,8 +351,8 @@ def verify_presentation(action: WeylAction, cp: ClaimedPresentation,
     rows = []
     for d in range(1, dmax + 1):
         comp = GradedComponent(ring, d)
-        vectors = [comp.vector(span(Poly(products, {m: 1})))
-                   for m in products.monomials_of_degree(d)]
+        vectors = [comp.vector(image)
+                   for image in span.monomial_images(products.monomials_of_degree(d))]
         rows.append(DegreeRow(d, brute_invariant_dimension(action, d),
                               comp.rank(vectors), coeffs[d]))
     return VerifyReport(label, cp.names, tuple(rows))

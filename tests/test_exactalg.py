@@ -469,13 +469,13 @@ def test_graded_component_coordinates(p):
     shift = ring.monomial((1, 0, 0, 0))
     for _ in range(20):
         f = random_element(comp.basis)
-        assert comp.poly(comp.vector(f)) == f
+        assert comp.poly(comp.vector(f.coeffs)) == f
         g = random_element(GradedComponent(ring, 4).basis)
-        assert comp.vector(g, shift=shift) == comp.vector(g * ring.var("x"))
+        assert comp.vector(g.coeffs, shift=shift) == comp.vector((g * ring.var("x")).coeffs)
     assert comp.poly(pack(comp.field, [(0, 1), (2, 1)])) == ring.from_terms(
         {ring.exponents(comp.basis[0]): 1, ring.exponents(comp.basis[2]): 1})
     for _ in range(10):
-        rows = [comp.vector(random_element(comp.basis)) for _ in range(rng.randrange(1, n))]
+        rows = [comp.vector(random_element(comp.basis).coeffs) for _ in range(rng.randrange(1, n))]
         m = F2Matrix(rows, n) if p == 2 else FpMatrix(rows, n, p)
         assert comp.rank(rows) == rank_by_columns(m)
     assert comp.rank([]) == 0
@@ -487,3 +487,17 @@ def test_graded_component_coordinates(p):
         fixed = full.fixed_combinations([Poly(ring, {m: 1}) for m in full.basis], hom)
         assert len(fixed) == brute_invariant_dimension_stacked(ring, [("g", hom)], d), (p, d)
         assert all(hom(f) == f for f in fixed)
+        # inputs that share monomials, so that the row of each monomial
+        # enters two rows, times coefficients that take several doublings
+        # at p = 101; checked against the rows hom(f) - f of apply
+        basis = full.basis
+        fs = [Poly(ring, {a: rng.randrange(1, p), b: rng.randrange(1, p)})
+              for a, b in zip(basis, basis[1:])]
+        fixed = full.fixed_combinations(fs, hom)
+        moved = [full.vector((hom(f) - f).coeffs) for f in fs]
+        assert len(fixed) == len(fs) - full.rank(moved), (p, d)
+        assert all(hom(f) == f for f in fixed)
+        # independent, and inside the span of the fs
+        vectors = [full.vector(f.coeffs) for f in fs + fixed]
+        assert full.rank(vectors[len(fs):]) == len(fixed)
+        assert full.rank(vectors) == len(fs)

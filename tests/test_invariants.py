@@ -161,7 +161,11 @@ def test_incremental_matches_stacked():
              (classical_action("D", 4, 3), range(1, 7)),
              (classical_action("D", 3, 2), range(1, 5)),
              (symmetric_quotient_action(4), range(1, 6)),
-             (symmetric_quotient_action(5), range(1, 8))]
+             (symmetric_quotient_action(5), range(1, 8)),
+             # rows summed over odd p, and a larger action
+             (symmetric_quotient_action(4, 3), range(1, 7)),
+             (symmetric_quotient_action(5, 5), range(1, 7)),
+             (spin_action(11), range(1, 6))]
     for action, degrees in cases:
         for d in degrees:
             assert brute_invariant_dimension(action, d) == _stacked(action, d), \
@@ -448,6 +452,33 @@ def test_verify_guard_trips_before_any_work(monkeypatch):
     with pytest.raises(ValueError, match=r"^degree 128 needs exponent 128 of x1, above 127$"):
         verify_presentation(q, nakajima_claimed(q), 128)
     assert q.ring._basis_cache == {}
+
+
+def test_the_oracle_substitutes_no_polynomial(monkeypatch):
+    """The invariant oracle and the span rows map monomials by
+    SubstHom.monomial_images; apply runs only in the invariance checks,
+    one per claimed generator and action generator until the first
+    failure."""
+    calls = []
+    apply = SubstHom.apply
+
+    def counted(hom, f):
+        calls.append(f)
+        return apply(hom, f)
+    spin10, spin9 = spin_action(10), spin_action(9)
+    claim = spin_claimed(spin9, 9)
+    monkeypatch.setattr(SubstHom, "apply", counted)
+    monkeypatch.setattr(SubstHom, "__call__", counted)
+    assert brute_invariant_dimension(spin10, 8) > 0
+    assert calls == []
+    assert verify_presentation(spin9, claim, 8).passed
+    assert len(calls) == len(claim.names) * len(spin9.generators) == 16
+    # x1 is fixed by eps1 and moved by s(1,2), the second generator
+    calls.clear()
+    x1 = ClaimedPresentation(["x1"], [spin9.ring.var("x1")])
+    report = verify_presentation(spin9, x1, 8)
+    assert report.failure == "generator x1 is not invariant under s(1,2)"
+    assert len(calls) == 2
 
 
 def test_concurrent_use_gives_the_serial_answers():

@@ -1,7 +1,8 @@
 """The packed-monomial polynomial core against a schoolbook reference on
 exponent-tuple dicts that lives here, plus the basis walk against a
 filtered itertools.product and its count table, relabelings against
-exponent tuples, and the exponent-overflow guard."""
+exponent tuples, monomial images against substitution, and the
+exponent-overflow guard."""
 
 import itertools
 import random
@@ -10,7 +11,7 @@ import time
 import pytest
 
 from modp.charclass import Derivation, bso_presentation
-from modp.exactalg import PolyRing, SubstHom, gradient, sum_of_products
+from modp.exactalg import Poly, PolyRing, SubstHom, gradient, sum_of_products
 from modp.groupdata import Series
 from modp.quillen import SWRing
 
@@ -162,6 +163,37 @@ def test_grouped_substitution_matches_schoolbook(p, shape):
         tf = rand_terms(rng, p, max_terms=10, max_exp=4)
         f = ring.from_terms(tf)
         assert dict(hom(f).terms) == ref_subst(tf, imgs, p, len(target.names))
+
+
+@pytest.mark.parametrize("shape", ["identity", "permutation", "one moving", "all moving",
+                                   "coefficients", "constants", "wider target",
+                                   "narrower target"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_monomial_images_agree_with_apply(p, shape):
+    rng = random.Random(400 + p)
+    ring = PolyRing(NAMES, WEIGHTS, p)
+    target, imgs = _image_shapes(rng, p)[shape]
+    hom = SubstHom(ring, target, {name: target.from_terms(t) for name, t in zip(NAMES, imgs)})
+    monos = [m for d in range(7) for m in ring.monomials_of_degree(d)]
+    assert hom.monomial_images(monos) == [hom(Poly(ring, {m: 1})).coeffs for m in monos]
+
+
+def test_monomial_images_raise_the_overflow_line_of_apply():
+    ring = PolyRing(["x", "y"], modulus=3)
+    other = PolyRing(["u", "v"], modulus=3)
+    x, y = ring.gens()
+    u, v = other.gens()
+    # y^50 times the y^100 of (x + y)^100, with y still in the same ring
+    # and in another one; and the still head y^128 of x^64
+    for hom, m in ((SubstHom(ring, ring, {"x": x + y, "y": y}), x ** 100 * y ** 50),
+                   (SubstHom(ring, other, {"x": u + v, "y": v}), x ** 100 * y ** 50),
+                   (SubstHom(ring, ring, {"x": y * y, "y": x}), x ** 64)):
+        with pytest.raises(ValueError) as by_apply:
+            hom(m)
+        with pytest.raises(ValueError) as by_images:
+            hom.monomial_images(list(m.coeffs))
+        assert by_images.value.args == by_apply.value.args
+        assert str(by_apply.value).startswith("exponent of ")
 
 
 def test_a_missing_image_is_refused_when_the_hom_is_built():
