@@ -532,11 +532,11 @@ class SubstHom:
     t (its head) and, when c != 1, its (index, c).  Every other one
     ("moving": an image of several terms, or zero) keeps its byte in a
     mask.  Two readers of the plan map polynomials, apply and
-    monomial_images, and both take the head of a term from _head: the sum
-    of the heads of its still exponents, or, when the hom sends every
-    still variable to itself (or to 1), the term less its other
-    exponents.  The image of a term is its head times one product of
-    memoised powers of the moving images."""
+    monomial_images, and both take the heads of their terms from one
+    helper, _heads: the sum of the heads of the still exponents of a
+    term, or, when the hom sends every still variable to itself (or to
+    1), the term less its other exponents.  The image of a term is its
+    head times one product of memoised powers of the moving images."""
 
     __slots__ = ("_source", "_target", "_images", "_powers", "_plan")
 
@@ -589,27 +589,32 @@ class SubstHom:
                     target._check_fields((head,))
         return head
 
-    def _head(self, m: int, c: int) -> tuple[int, int]:
-        """The head of the still part of the packed source monomial m, and
-        the coefficient c times the scales of its still images.  When the
-        plan has drops, the head is m with the exponents of the dropped
+    def _heads(self, monos: Iterable[int]) -> tuple[list[int], list[int]]:
+        """The head of the still part of each packed source monomial, and
+        the product c^e over its scaled still images.  When the plan has
+        drops, each head is the monomial with the exponents of the dropped
         variables taken out, its degree field with them."""
         heads, scaled, _, still, drops = self._plan
         if drops is not None:
+            out = list(monos)
             for off, unit in drops:
-                m -= (m >> off & FIELD_MASK) * unit
-            return m, c
-        if not m & still:
-            return 0, c
+                out = [m - (m >> off & FIELD_MASK) * unit for m in out]
+            return out, [1] * len(out)
         source, target = self._source, self._target
-        exps = (m & source._low).to_bytes(len(source.names), "big")
-        head = sum(map(mul, exps, heads))
-        if head >= target._safe:  # an exponent may have passed the limit
-            head = self._checked_head(exps)
-        p = target.modulus
-        for i, a in scaled:
-            c = c * pow(a, exps[i], p) % p
-        return head, c
+        n, low, safe, p = len(source.names), source._low, target._safe, target.modulus
+        out, scales = [], []
+        for m in monos:
+            head, c = 0, 1
+            if m & still:
+                exps = (m & low).to_bytes(n, "big")
+                head = sum(map(mul, exps, heads))
+                if head >= safe:  # an exponent may have passed the limit
+                    head = self._checked_head(exps)
+                for i, a in scaled:
+                    c = c * pow(a, exps[i], p) % p
+            out.append(head)
+            scales.append(c)
+        return out, scales
 
     def apply(self, f: Poly) -> Poly:
         """The image of f: its terms grouped by their moving exponents,
@@ -617,11 +622,12 @@ class SubstHom:
         accumulator."""
         source, target = self._source, self._target
         source.check_same(f.ring)
-        moving, n, head_of = self._plan[2], len(source.names), self._head
+        moving, n, p = self._plan[2], len(source.names), target.modulus
         groups: dict[int, dict] = {}
         merged = False  # two terms of one group with the same head
-        for m, c in f.coeffs.items():
-            head, c = head_of(m, c)
+        for (m, c), head, scale in zip(f.coeffs.items(), *self._heads(f.coeffs)):
+            if scale != 1:
+                c = c * scale % p
             group = groups.get(m & moving)
             if group is None:
                 groups[m & moving] = {head: c}
@@ -637,17 +643,17 @@ class SubstHom:
             + [power(i, e) for i, e in enumerate(key.to_bytes(n, "big")) if e]
             for key, group in groups.items()])
 
-    def monomial_images(self, monos: Iterable[int]) -> list[dict]:
+    def monomial_images(self, monos: Sequence[int]) -> list[dict]:
         """The coefficient dict of the image of each packed source
         monomial: the head and coefficient of its still part times the
         product of the powers of its moving part, which is built once per
         distinct moving part in this call.  A monomial with no still part
         gets that product's dict itself, so callers only read the dicts."""
         target, n, moving = self._target, len(self._source.names), self._plan[2]
-        p, safe, power, head_of = target.modulus, target._safe, self._power, self._head
+        p, safe, power = target.modulus, target._safe, self._power
         products: dict[int, tuple[dict, int]] = {}  # moving part: (image, its top monomial)
         out = []
-        for m in monos:
+        for m, head, c in zip(monos, *self._heads(monos)):
             key = m & moving
             entry = products.get(key)
             if entry is None:
@@ -655,7 +661,6 @@ class SubstHom:
                     [power(i, e) for i, e in enumerate(key.to_bytes(n, "big")) if e]]).coeffs
                 entry = products[key] = image, max(image, default=0)
             image, top = entry
-            head, c = head_of(m, 1)
             if head + top >= safe:
                 target._check_fields(head + t for t in image)
             if c != 1:
