@@ -651,15 +651,17 @@ class SubstHom:
         gets that product's dict itself, so callers only read the dicts."""
         target, n, moving = self._target, len(self._source.names), self._plan[2]
         p, safe, power = target.modulus, target._safe, self._power
-        products: dict[int, tuple[dict, int]] = {}  # moving part: (image, its top monomial)
+        # the top monomial of a product is at most the sum of the tops of its factors
+        tops = [max(image.coeffs, default=0) for image in self._images.values()]
+        products: dict[int, tuple[dict, int]] = {}  # moving part: (image, a bound on its top)
         out = []
         for m, head, c in zip(monos, *self._heads(monos)):
             key = m & moving
             entry = products.get(key)
             if entry is None:
-                image = sum_of_products(target, [
-                    [power(i, e) for i, e in enumerate(key.to_bytes(n, "big")) if e]]).coeffs
-                entry = products[key] = image, max(image, default=0)
+                exps = key.to_bytes(n, "big")
+                image = sum_of_products(target, [[power(i, e) for i, e in enumerate(exps) if e]])
+                entry = products[key] = image.coeffs, sum(map(mul, exps, tops))
             image, top = entry
             if head + top >= safe:
                 target._check_fields(head + t for t in image)
@@ -973,21 +975,21 @@ class GradedComponent:
     def fixed_combinations(self, fs: Sequence[Poly], hom: SubstHom) -> list[Poly]:
         """A basis of the polynomials in the span of the independent `fs`
         that hom fixes.  Each distinct monomial m of the fs is mapped once,
-        by hom.monomial_images, and packed as the row hom(m) - m; the row
-        of f is the sum of the rows of its terms, each times its
-        coefficient.  These rows are eliminated with the coordinates of f
-        as their tags, so each combination that vanishes comes back as the
-        coordinates of a fixed polynomial, and only these are unpacked."""
-        vector, index, b = self.vector, self.index, self.field.bits
+        by hom.monomial_images, and hom(m) is packed once; the row of f,
+        hom(f) - f, is the sum of the packed images of its terms, each
+        times its coefficient, less f.  These rows are eliminated with the
+        coordinates of f as their tags, so each combination that vanishes
+        comes back as the coordinates of a fixed polynomial, and only
+        these are unpacked."""
+        vector = self.vector
         add, scale = self.field.arithmetic(len(self.basis))
-        minus_one = self.ring.modulus - 1
         monos = list(dict.fromkeys(itertools.chain.from_iterable(f.coeffs for f in fs)))
-        moved = {m: add(vector(image), minus_one << (index[m] * b))
-                 for m, image in zip(monos, hom.monomial_images(monos))}
-        rows = [functools.reduce(add, [moved[m] if c == 1 else scale(moved[m], c)
-                                       for m, c in f.coeffs.items()])
-                for f in fs]
-        fixed = self.field.matrix(rows, len(self.basis)).kernel_basis(
-            tags=[vector(f.coeffs) for f in fs])
+        images = dict(zip(monos, map(vector, hom.monomial_images(monos))))
+        tags = [vector(f.coeffs) for f in fs]
+        minus_one = self.ring.modulus - 1
+        rows = [functools.reduce(add, [images[m] if c == 1 else scale(images[m], c)
+                                       for m, c in f.coeffs.items()], scale(tag, minus_one))
+                for f, tag in zip(fs, tags)]
+        fixed = self.field.matrix(rows, len(self.basis)).kernel_basis(tags=tags)
         return [self.poly(v) for v in fixed]
 
