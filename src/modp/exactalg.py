@@ -559,8 +559,10 @@ class SubstHom:
                 h == u for h, u in zip(heads, source._units) if h):
             drops = tuple((off, u) for h, off, u in zip(heads, source._offsets, source._units)
                           if not h)
+        # the top monomial of a product is at most the sum of the tops of its factors
+        tops = tuple(max(img.coeffs, default=0) for img in self._images.values())
         self._powers: dict = {}
-        self._plan = (tuple(heads), tuple(scaled), moving, source._low ^ moving, drops)
+        self._plan = (tuple(heads), tuple(scaled), moving, source._low ^ moving, drops, tops)
 
     source = property(lambda self: self._source)
     target = property(lambda self: self._target)
@@ -594,7 +596,7 @@ class SubstHom:
         the product c^e over its scaled still images.  When the plan has
         drops, each head is the monomial with the exponents of the dropped
         variables taken out, its degree field with them."""
-        heads, scaled, _, still, drops = self._plan
+        heads, scaled, _, still, drops, _ = self._plan
         if drops is not None:
             out = list(monos)
             for off, unit in drops:
@@ -649,10 +651,8 @@ class SubstHom:
         product of the powers of its moving part, which is built once per
         distinct moving part in this call.  A monomial with no still part
         gets that product's dict itself, so callers only read the dicts."""
-        target, n, moving = self._target, len(self._source.names), self._plan[2]
+        target, n, (_, _, moving, _, _, tops) = self._target, len(self._source.names), self._plan
         p, safe, power = target.modulus, target._safe, self._power
-        # the top monomial of a product is at most the sum of the tops of its factors
-        tops = [max(image.coeffs, default=0) for image in self._images.values()]
         products: dict[int, tuple[dict, int]] = {}  # moving part: (image, a bound on its top)
         out = []
         for m, head, c in zip(monos, *self._heads(monos)):
