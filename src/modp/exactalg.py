@@ -531,12 +531,13 @@ class SubstHom:
     single term c*t ("still") sends x^e to c^e * t^e: it keeps its packed
     t (its head) and, when c != 1, its (index, c).  Every other one
     ("moving": an image of several terms, or zero) keeps its byte in a
-    mask.  Two readers of the plan map polynomials, apply and
-    monomial_images, and both take the heads of their terms from one
-    helper, _heads: the sum of the heads of the still exponents of a
-    term, or, when the hom sends every still variable to itself (or to
-    1), the term less its other exponents.  The image of a term is its
-    head times one product of memoised powers of the moving images."""
+    mask.  The plan also keeps the top monomial of each image.  Two
+    readers of the plan map polynomials, apply and monomial_images, and
+    both take the heads of their terms from one helper, _heads: the sum
+    of the heads of the still exponents of a term, or, when the hom sends
+    every still variable to itself (or to 1), the term less its other
+    exponents.  The image of a term is its head times one product of
+    memoised powers of the moving images."""
 
     __slots__ = ("_source", "_target", "_images", "_powers", "_plan")
 
@@ -552,8 +553,9 @@ class SubstHom:
                 moving ^= FIELD_MASK << source._offsets[i]
                 if c != 1:
                     scaled.append((i, c))
-        # when every variable is moving or sent to itself or to 1: the
-        # (offset, packed unit) of each one not sent to itself
+        # when the target is the source and every variable is moving or is
+        # sent, with coefficient 1, to itself or to 1: the (offset, packed
+        # unit) of each one not sent to itself
         drops = None
         if target == source and not scaled and all(
                 h == u for h, u in zip(heads, source._units) if h):
@@ -651,8 +653,9 @@ class SubstHom:
         product of the powers of its moving part, which is built once per
         distinct moving part in this call.  A monomial with no still part
         gets that product's dict itself, so callers only read the dicts."""
-        target, n, (_, _, moving, _, _, tops) = self._target, len(self._source.names), self._plan
-        p, safe, power = target.modulus, target._safe, self._power
+        _, _, moving, _, _, tops = self._plan
+        target, n, power = self._target, len(self._source.names), self._power
+        p, safe = target.modulus, target._safe
         products: dict[int, tuple[dict, int]] = {}  # moving part: (image, a bound on its top)
         out = []
         for m, head, c in zip(monos, *self._heads(monos)):
