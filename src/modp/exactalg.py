@@ -531,13 +531,12 @@ class SubstHom:
     single term c*t ("still") sends x^e to c^e * t^e: it keeps its packed
     t (its head) and, when c != 1, its (index, c).  Every other one
     ("moving": an image of several terms, or zero) keeps its byte in a
-    mask.  The plan also keeps the top monomial of each image.  Two
-    readers of the plan map polynomials, apply and monomial_images, and
-    both take the heads of their terms from one helper, _heads: the sum
-    of the heads of the still exponents of a term, or, when the hom sends
-    every still variable to itself (or to 1), the term less its other
-    exponents.  The image of a term is its head times one product of
-    memoised powers of the moving images."""
+    mask.  Two readers of the plan map polynomials, apply and
+    monomial_images, and both take the heads of their terms from one
+    helper, _heads: the sum of the heads of the still exponents of a
+    term, or, when the hom sends every still variable to itself (or to
+    1), the term less its other exponents.  The image of a term is its
+    head times one product of memoised powers of the moving images."""
 
     __slots__ = ("_source", "_target", "_images", "_powers", "_plan")
 
@@ -561,10 +560,8 @@ class SubstHom:
                 h == u for h, u in zip(heads, source._units) if h):
             drops = tuple((off, u) for h, off, u in zip(heads, source._offsets, source._units)
                           if not h)
-        # the top monomial of a product is at most the sum of the tops of its factors
-        tops = tuple(max(img.coeffs, default=0) for img in self._images.values())
         self._powers: dict = {}
-        self._plan = (tuple(heads), tuple(scaled), moving, source._low ^ moving, drops, tops)
+        self._plan = (tuple(heads), tuple(scaled), moving, source._low ^ moving, drops)
 
     source = property(lambda self: self._source)
     target = property(lambda self: self._target)
@@ -593,20 +590,20 @@ class SubstHom:
                     target._check_fields((head,))
         return head
 
-    def _heads(self, monos: Iterable[int]) -> tuple[list[int], list[int]]:
-        """The head of the still part of each packed source monomial, and
-        the product c^e over its scaled still images.  When the plan has
-        drops, each head is the monomial with the exponents of the dropped
-        variables taken out, its degree field with them."""
-        heads, scaled, _, still, drops, _ = self._plan
+    def _heads(self, monos: Iterable[int]) -> Iterator[tuple[int, int]]:
+        """For each packed source monomial in turn, the head of its still
+        part and the product c^e over its scaled still images.  When the
+        plan has drops, each head is the monomial with the exponents of
+        the dropped variables taken out, its degree field with them."""
+        heads, scaled, _, still, drops = self._plan
         if drops is not None:
-            out = list(monos)
-            for off, unit in drops:
-                out = [m - (m >> off & FIELD_MASK) * unit for m in out]
-            return out, [1] * len(out)
+            for m in monos:
+                for off, unit in drops:
+                    m -= (m >> off & FIELD_MASK) * unit
+                yield m, 1
+            return
         source, target = self._source, self._target
         n, low, safe, p = len(source.names), source._low, target._safe, target.modulus
-        out, scales = [], []
         for m in monos:
             head, c = 0, 1
             if m & still:
@@ -616,9 +613,7 @@ class SubstHom:
                     head = self._checked_head(exps)
                 for i, a in scaled:
                     c = c * pow(a, exps[i], p) % p
-            out.append(head)
-            scales.append(c)
-        return out, scales
+            yield head, c
 
     def apply(self, f: Poly) -> Poly:
         """The image of f: its terms grouped by their moving exponents,
@@ -629,7 +624,7 @@ class SubstHom:
         moving, n, p = self._plan[2], len(source.names), target.modulus
         groups: dict[int, dict] = {}
         merged = False  # two terms of one group with the same head
-        for (m, c), head, scale in zip(f.coeffs.items(), *self._heads(f.coeffs)):
+        for (m, c), (head, scale) in zip(f.coeffs.items(), self._heads(f.coeffs)):
             if scale != 1:
                 c = c * scale % p
             group = groups.get(m & moving)
@@ -653,18 +648,18 @@ class SubstHom:
         product of the powers of its moving part, which is built once per
         distinct moving part in this call.  A monomial with no still part
         gets that product's dict itself, so callers only read the dicts."""
-        _, _, moving, _, _, tops = self._plan
+        moving = self._plan[2]
         target, n, power = self._target, len(self._source.names), self._power
         p, safe = target.modulus, target._safe
-        products: dict[int, tuple[dict, int]] = {}  # moving part: (image, a bound on its top)
+        products: dict[int, tuple[dict, int]] = {}  # moving part: (image, its top monomial)
         out = []
-        for m, head, c in zip(monos, *self._heads(monos)):
+        for m, (head, c) in zip(monos, self._heads(monos)):
             key = m & moving
             entry = products.get(key)
             if entry is None:
                 exps = key.to_bytes(n, "big")
                 image = sum_of_products(target, [[power(i, e) for i, e in enumerate(exps) if e]])
-                entry = products[key] = image.coeffs, sum(map(mul, exps, tops))
+                entry = products[key] = image.coeffs, max(image.coeffs, default=0)
             image, top = entry
             if head + top >= safe:
                 target._check_fields(head + t for t in image)
