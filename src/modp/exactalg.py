@@ -961,33 +961,33 @@ class GradedComponent:
             v |= c << (index[m + shift] * b)
         return v
 
-    def poly(self, v: int) -> Poly:
-        """The polynomial with coordinates v."""
+    def coeffs(self, v: int) -> dict:
+        """The coefficient dict of the polynomial with coordinates v."""
         basis = self.basis
-        return Poly(self.ring, {basis[i]: c for i, c in self.field.unpack(v)})
+        return {basis[i]: c for i, c in self.field.unpack(v)}
 
     def rank(self, vectors: Sequence[int]) -> int:
         """Dimension of the span of the vectors."""
         return self.field.matrix(vectors, len(self.basis)).rank()
 
-    def fixed_combinations(self, fs: Sequence[Poly], hom: SubstHom) -> list[Poly]:
-        """A basis of the polynomials in the span of the independent `fs`
-        that hom fixes.  Each distinct monomial m of the fs is mapped once,
-        by hom.monomial_images, and hom(m) is packed once; the row of f,
+    def fixed_combinations(self, fs: Sequence[dict], hom: SubstHom) -> list[int]:
+        """The coordinates of a basis of the polynomials in the span of the
+        independent `fs`, given as coefficient dicts, that hom fixes.  Each
+        distinct monomial m of the fs is mapped once, by
+        hom.monomial_images, and hom(m) is packed once; the row of f,
         hom(f) - f, is the sum of the packed images of its terms, each
         times its coefficient, less f.  These rows are eliminated with the
         coordinates of f as their tags, so each combination that vanishes
-        comes back as the coordinates of a fixed polynomial, and only
-        these are unpacked."""
+        comes back as the coordinates of a fixed polynomial, unpacked only
+        by a caller that needs its dict (`coeffs`)."""
         vector = self.vector
         add, scale = self.field.arithmetic(len(self.basis))
-        monos = list(dict.fromkeys(itertools.chain.from_iterable(f.coeffs for f in fs)))
+        monos = list(dict.fromkeys(itertools.chain.from_iterable(fs)))
         images = dict(zip(monos, map(vector, hom.monomial_images(monos))))
-        tags = [vector(f.coeffs) for f in fs]
+        tags = [vector(f) for f in fs]
         minus_one = self.ring.modulus - 1
         rows = [functools.reduce(add, [images[m] if c == 1 else scale(images[m], c)
-                                       for m, c in f.coeffs.items()], scale(tag, minus_one))
+                                       for m, c in f.items()], scale(tag, minus_one))
                 for f, tag in zip(fs, tags)]
-        fixed = self.field.matrix(rows, len(self.basis)).kernel_basis(tags=tags)
-        return [self.poly(v) for v in fixed]
+        return self.field.matrix(rows, len(self.basis)).kernel_basis(tags=tags)
 

@@ -44,10 +44,10 @@ class WeylAction:
     these.  They are sorted once, here: the signed monomial moves of those
     with a `SubstHom.relabeling` (variables sent to variables, with
     coefficient 1 or p - 1) are folded into orbits, and the rest are the
-    homs the oracle eliminates.  So B, C and D at odd p and the rank-2
-    quotient have no such hom, while Spin (whose sign generator sends A to
-    a sum) and the quotients of rank 3 and more
-    (x_r = -(x_1 + ... + x_{r-1})) keep theirs.  Every attribute is
+    homs the oracle eliminates.  So B, C and D and the rank-2 quotient
+    keep none; the quotients of rank 3 and more keep s(r-1,r), which sends
+    x_{r-1} to x_r = -(x_1 + ... + x_{r-1}); and Spin keeps two, s(r-1,r)
+    and its sign generator, which sends A to a sum.  Every attribute is
     read-only, so the sorted homs cannot go stale."""
 
     __slots__ = ("_ring", "_generators", "_xs", "_A", "_label", "_moves", "_linear")
@@ -215,8 +215,9 @@ def brute_invariant_dimension(action: WeylAction, d: int) -> int:
     """dim of the joint kernel of (g - 1) on the weighted-degree-d
     component, under the action's generators: the signed variable
     permutations among them are folded into orbits first, each live
-    orbit giving one invariant, and the fixed signed orbit sums of the
-    rest are found by F_p elimination."""
+    orbit giving one invariant, and the fixed signed orbit sums (as
+    coefficient dicts) of the rest are found by F_p elimination, one hom
+    at a time; the fixed vectors of the last are counted, not unpacked."""
     ring = action.ring
     live = [(orbit, signs) for orbit, signs in
             _orbit_classes(ring.monomials_of_degree(d), action._moves) if signs is not None]
@@ -224,12 +225,11 @@ def brute_invariant_dimension(action: WeylAction, d: int) -> int:
         return len(live)
     comp = GradedComponent(ring, d)
     coeffs = (1, ring.modulus - 1)
-    fixed = [Poly(ring, {m: coeffs[signs[m]] for m in orbit}) for orbit, signs in live]
-    for hom in action._linear:
-        fixed = comp.fixed_combinations(fixed, hom)
-        if not fixed:
-            break
-    return len(fixed)
+    fixed = [{m: coeffs[signs[m]] for m in orbit} for orbit, signs in live]
+    *first, last = action._linear
+    for hom in first:
+        fixed = [comp.coeffs(v) for v in comp.fixed_combinations(fixed, hom)]
+    return len(comp.fixed_combinations(fixed, last))
 
 
 # -- claimed presentations and verification ---------------------------

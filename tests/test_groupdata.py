@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from oracles import series_product
@@ -11,8 +12,10 @@ from modp.charclass import (
     bz2_presentation,
 )
 from modp.groupdata import (
+    _MINIMUM_RANK,
     MATRIX_FAMILIES,
     SIMPLE_FAMILIES,
+    WEYL_MAX_ORDER,
     GroupSpec,
     flag_poincare,
     fundamental_degrees,
@@ -172,6 +175,31 @@ def test_bfs_guard_trips_before_any_enumeration(monkeypatch):
                      (GroupSpec("E8", 8), 696_729_600)]:
         with pytest.raises(ValueError, match=f"order of {g} <= 46080, got {order}$"):
             weyl_length_series(g)
+
+
+def _classical_groups_under_the_order_bound():
+    for family in "ABCD":
+        rank = _MINIMUM_RANK[family]
+        while math.prod(fundamental_degrees(GroupSpec(family, rank))) <= WEYL_MAX_ORDER:
+            yield GroupSpec(family, rank)
+            rank += 1
+
+
+@pytest.mark.parametrize("g", list(_classical_groups_under_the_order_bound()), ids=str)
+def test_walk_matches_flag_poincare_at_every_classical_rank_under_the_bound(g):
+    assert weyl_length_series(g) == flag_poincare(g).as_polynomial()
+
+
+def test_walk_holds_two_lengths_not_all_of_w():
+    # B6 sits at the order bound; a set of all 46,080 elements of W took
+    # about 6.5 MB
+    tracemalloc.start()
+    try:
+        weyl_length_series(GroupSpec("B", 6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
 
 
 def test_isotropic_grassmannian():

@@ -9,7 +9,7 @@ from oracles import (
 )
 
 from modp.exactalg import PackedField, Poly, PolyRing, SubstHom, elementary_symmetric_of
-from modp.groupdata import GroupSpec, fundamental_degrees
+from modp.groupdata import GroupSpec, Series, fundamental_degrees
 from modp.invariants import (
     ClaimedPresentation,
     brute_invariant_dimension,
@@ -657,6 +657,36 @@ def test_several_linear_generators_match_the_stacked_oracle(action, names):
     for d in range(1, 7):
         assert brute_invariant_dimension(small, d) == \
             brute_invariant_dimension_stacked(small.ring, small.generators, d), d
+
+
+def test_linear_hom_counts():
+    # the homs the oracle eliminates: Spin keeps its sign generator and
+    # s(r-1,r), the quotients of rank 3 and more s(r-1,r) alone, and the
+    # rest are signed relabelings, folded into orbits
+    assert [len(spin_action(n)._linear) for n in range(6, 14)] == [2] * 8
+    for p in (2, 3, 5):
+        assert [len(symmetric_quotient_action(r, p)._linear) for r in range(2, 14)] == \
+            [0] + [1] * 11, p
+        for family in "BCD":
+            assert not any(classical_action(family, rank, p)._linear
+                           for rank in range(1, 15)), (family, p)
+
+
+def test_single_hom_quotients_unpack_nothing(monkeypatch):
+    # the fixed vectors of the last linear hom are counted, not unpacked,
+    # and the orbit sums are coefficient dicts, not polynomials
+    import modp.invariants
+
+    def never(*args):
+        raise AssertionError("a fixed vector or an orbit sum was unpacked into a Poly")
+
+    monkeypatch.setattr(PackedField, "unpack", never)
+    monkeypatch.setattr(modp.invariants, "Poly", never)
+    for p in (2, 3, 5):
+        for r in (3, 4, 5):
+            action = symmetric_quotient_action(r, p)
+            assert [brute_invariant_dimension(action, d) for d in range(1, 9)] == \
+                Series((1,), range(2, r + 1)).coefficients(8)[1:], (p, r)
 
 
 def test_public_values_refuse_mutation():
