@@ -191,8 +191,8 @@ def test_walk_matches_flag_poincare_at_every_classical_rank_under_the_bound(g):
 
 
 def test_walk_holds_two_lengths_not_all_of_w():
-    # B6 sits at the order bound; a set of all 46,080 elements of W took
-    # about 6.5 MB
+    # B6 sits at the order bound, where a set of all 46,080 w(rho) would
+    # take over 6 MB
     tracemalloc.start()
     try:
         weyl_length_series(GroupSpec("B", 6))
