@@ -57,8 +57,9 @@ def source_digest() -> str:
 class ResultCache:
     """JSON store with one entry per (operation, parameters).  A hit is
     served only when the stored entry carries the library version and
-    source digest of the running code; any other entry is stale and is
-    recomputed and overwritten in place, so no entry is left behind.
+    source digest of the running code; any other entry, or one that
+    cannot be read or parsed as a JSON object, is stale and is recomputed
+    and overwritten in place where it can be, so no entry is left behind.
     `status` is what the last roundtrip did: "hit", "miss" (no entry, or
     the cache was refreshed), "stale" (an entry that could not be served)
     or "off"; None before any roundtrip."""
@@ -83,12 +84,12 @@ class ResultCache:
             self.status = "stale"
             try:
                 entry = json.loads(path.read_text())
-                if (entry.get("version") == __version__
+                if (isinstance(entry, dict) and entry.get("version") == __version__
                         and entry.get("source") == source_digest()):
                     self.status = "hit"
                     return entry["payload"]
-            except (ValueError, KeyError):
-                pass  # corrupted entry: recompute and overwrite
+            except (OSError, ValueError, KeyError):
+                pass  # an unreadable or corrupted entry: recompute and overwrite
         payload = compute()
         entry = {"schema": SCHEMA, "key": key, "version": __version__,
                  "source": source_digest(),
@@ -97,9 +98,13 @@ class ResultCache:
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-            with os.fdopen(fd, "w") as handle:
-                json.dump(entry, handle, sort_keys=True)
-            os.replace(tmp, path)
+            try:
+                with os.fdopen(fd, "w") as handle:
+                    json.dump(entry, handle, sort_keys=True)
+                os.replace(tmp, path)
+            except OSError:
+                os.unlink(tmp)  # a failed write leaves no temporary file behind
+                raise
         except OSError:
             print(f"modp: cache directory {self.directory} is not writable; "
                   "continuing without cache", file=sys.stderr)

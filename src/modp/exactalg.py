@@ -509,9 +509,6 @@ def sum_of_products(ring: PolyRing, products: Iterable[Iterable[Poly]]) -> Poly:
     return Poly(ring, _reduced(ring, acc))
 
 
-_ONE = {0: 1}  # the coefficient dict of the polynomial 1
-
-
 def check_images(source: PolyRing, target: PolyRing, images: dict) -> None:
     """Refuse, with one ValueError line, images that leave out a variable
     of `source` or lie outside `target`; a name `source` lacks is a KeyError."""
@@ -531,12 +528,13 @@ class SubstHom:
     single term c*t ("still") sends x^e to c^e * t^e: it keeps its packed
     t (its head) and, when c != 1, its (index, c).  Every other one
     ("moving": an image of several terms, or zero) keeps its byte in a
-    mask.  Two readers of the plan map polynomials, apply and
-    monomial_images, and both take the heads of their terms from one
-    helper, _heads: the sum of the heads of the still exponents of a
-    term, or, when the hom sends every still variable to itself (or to
-    1), the term less its other exponents.  The image of a term is its
-    head times one product of memoised powers of the moving images."""
+    mask.  One reader of the plan maps monomials, monomial_images: the
+    image of a monomial is its head (the sum of the heads of its still
+    exponents, or, when the hom sends every still variable to itself or
+    to 1, the monomial less its other exponents) times one product of
+    memoised powers of the moving images.  apply sums the images of the
+    terms of a polynomial.  relabeling reads the plan only to build the
+    monomial move of a signed renaming."""
 
     __slots__ = ("_source", "_target", "_images", "_powers", "_plan")
 
@@ -590,76 +588,60 @@ class SubstHom:
                     target._check_fields((head,))
         return head
 
-    def _heads(self, monos: Iterable[int]) -> Iterator[tuple[int, int]]:
-        """For each packed source monomial in turn, the head of its still
-        part and the product c^e over its scaled still images.  When the
-        plan has drops, each head is the monomial with the exponents of
-        the dropped variables taken out, its degree field with them."""
-        heads, scaled, _, still, drops = self._plan
-        if drops is not None:
-            for m in monos:
-                for off, unit in drops:
-                    m -= (m >> off & FIELD_MASK) * unit
-                yield m, 1
-            return
-        source, target = self._source, self._target
-        n, low, safe, p = len(source.names), source._low, target._safe, target.modulus
+    def apply(self, f: Poly) -> Poly:
+        """The image of f: the monomial_images of its terms, each times
+        its coefficient, summed in one accumulator (a set toggled by
+        parity over F_2, a dict of sums otherwise) and reduced once."""
+        target = self._target
+        self._source.check_same(f.ring)
+        images = self.monomial_images(f.coeffs)
+        if target.modulus == 2:
+            acc = set()
+            for image in images:
+                acc.symmetric_difference_update(image)
+        else:
+            acc = {}
+            get = acc.get
+            for c, image in zip(f.coeffs.values(), images):
+                for t, e in image.items():
+                    acc[t] = get(t, 0) + c * e
+        return Poly(target, _reduced(target, acc))
+
+    def monomial_images(self, monos: Iterable[int]) -> list[dict]:
+        """The coefficient dict of the image of each packed source
+        monomial: its head, the sum of the heads of its still exponents,
+        times the product c^e over its scaled still images, times the
+        product of the memoised powers of its moving part, built once per
+        distinct moving part in this call (1 for none).  When the plan has
+        drops, the head is the monomial with the exponents of the dropped
+        variables taken out, its degree field with them.  A monomial with
+        no still part gets that product's dict itself, so callers only
+        read the dicts."""
+        heads, scaled, moving, still, drops = self._plan
+        source, target, power = self._source, self._target, self._power
+        n, low, p, safe = len(source.names), source._low, target.modulus, target._safe
+        # moving part: (image, its top monomial); no moving part maps to 1
+        products: dict[int, tuple[dict, int]] = {0: ({0: 1}, 0)}
+        out = []
         for m in monos:
             head, c = 0, 1
-            if m & still:
+            if drops is not None:
+                head = m
+                for off, unit in drops:
+                    head -= (m >> off & FIELD_MASK) * unit
+            elif m & still:
                 exps = (m & low).to_bytes(n, "big")
                 head = sum(map(mul, exps, heads))
                 if head >= safe:  # an exponent may have passed the limit
                     head = self._checked_head(exps)
                 for i, a in scaled:
                     c = c * pow(a, exps[i], p) % p
-            yield head, c
-
-    def apply(self, f: Poly) -> Poly:
-        """The image of f: its terms grouped by their moving exponents,
-        each group's heads times the memoised moving powers, summed in one
-        accumulator."""
-        source, target = self._source, self._target
-        source.check_same(f.ring)
-        moving, n, p = self._plan[2], len(source.names), target.modulus
-        groups: dict[int, dict] = {}
-        merged = False  # two terms of one group with the same head
-        for (m, c), (head, scale) in zip(f.coeffs.items(), self._heads(f.coeffs)):
-            if scale != 1:
-                c = c * scale % p
-            group = groups.get(m & moving)
-            if group is None:
-                groups[m & moving] = {head: c}
-            elif head in group:
-                merged = True
-                group[head] += c
-            else:
-                group[head] = c
-        power = self._power
-        # a group that maps to 1 adds no factor
-        return sum_of_products(target, [
-            ([] if group == _ONE else [Poly(target, _reduced(target, group) if merged else group)])
-            + [power(i, e) for i, e in enumerate(key.to_bytes(n, "big")) if e]
-            for key, group in groups.items()])
-
-    def monomial_images(self, monos: Sequence[int]) -> list[dict]:
-        """The coefficient dict of the image of each packed source
-        monomial: the head and coefficient of its still part times the
-        product of the powers of its moving part, which is built once per
-        distinct moving part in this call.  A monomial with no still part
-        gets that product's dict itself, so callers only read the dicts."""
-        moving = self._plan[2]
-        target, n, power = self._target, len(self._source.names), self._power
-        p, safe = target.modulus, target._safe
-        products: dict[int, tuple[dict, int]] = {}  # moving part: (image, its top monomial)
-        out = []
-        for m, (head, c) in zip(monos, self._heads(monos)):
             key = m & moving
             entry = products.get(key)
             if entry is None:
-                exps = key.to_bytes(n, "big")
-                image = sum_of_products(target, [[power(i, e) for i, e in enumerate(exps) if e]])
-                entry = products[key] = image.coeffs, max(image.coeffs, default=0)
+                factors = [power(i, e) for i, e in enumerate(key.to_bytes(n, "big")) if e]
+                image = functools.reduce(mul, factors).coeffs
+                entry = products[key] = image, max(image, default=0)
             image, top = entry
             if head + top >= safe:
                 target._check_fields(head + t for t in image)

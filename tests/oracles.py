@@ -8,6 +8,9 @@ definition:
 - `brute_invariant_dimension_stacked`: the joint kernel of (g - 1) over
   a whole generator list, by one elimination of stacked rows, where the
   library folds orbits and eliminates generator by generator;
+- `substitute`: the image of a monomial under a hom as a product of
+  powers of its images by `Poly` arithmetic, where the library reads the
+  hom's substitution plan;
 - `kernel_dimension_exhaustive`: the kernel of packed rows counted over
   every combination, with no elimination at all;
 - `pack`: a packed vector from its (position, coefficient) pairs;
@@ -58,11 +61,22 @@ def kernel_dimension_exhaustive(rows, p: int) -> int:
     return dim
 
 
+def substitute(hom: SubstHom, mono: int) -> Poly:
+    """hom(m) for the packed monomial m of hom's source: the product of
+    hom.images[name] ** e over the exponents e of m, by `Poly`
+    multiplication and powers alone, so no part of the hom's plan runs."""
+    image = hom.target.one()
+    for name, e in zip(hom.source.names, hom.source.exponents(mono)):
+        image = image * hom.images[name] ** e
+    return image
+
+
 def brute_invariant_dimension_stacked(ring, generators, d: int) -> int:
     """One packed row per degree-d monomial m of `ring`: the images
-    (g - 1)(m) under every (name, hom) pair of `generators`, side by side.
-    The invariants are the combinations of rows that vanish, so their
-    dimension is the number of monomials minus the rank."""
+    (g - 1)(m) under every (name, hom) pair of `generators`, side by side,
+    each by `substitute`.  The invariants are the combinations of rows
+    that vanish, so their dimension is the number of monomials minus the
+    rank."""
     basis = ring.monomials_of_degree(d)
     index = {m: i for i, m in enumerate(basis)}
     n = len(basis)
@@ -72,7 +86,7 @@ def brute_invariant_dimension_stacked(ring, generators, d: int) -> int:
         m = Poly(ring, {mono: 1})
         rows.append(pack(field, ((k * n + index[t], c)
                                  for k, (_, hom) in enumerate(generators)
-                                 for t, c in (hom(m) - m).coeffs.items())))
+                                 for t, c in (substitute(hom, mono) - m).coeffs.items())))
     return field.matrix(rows, n * len(generators)).kernel_dimension()
 
 

@@ -100,10 +100,12 @@ def test_cache_roundtrip_and_transparency(capsys, tmp_path, monkeypatch):
     assert warm == cold
     code, uncached = run_cli(capsys, "spin-compare", "--json", "--no-cache")
     assert uncached == cold
-    # corrupted entry: recompute and still answer identically
-    entries[0].write_text("{ not json")
-    code, healed = run_cli(capsys, "spin-compare", "--json")
-    assert healed == cold
+    # corrupted entry, or valid JSON that is no object: recompute and
+    # still answer identically
+    for corrupt in ("{ not json", "[]", "null", "1"):
+        entries[0].write_text(corrupt)
+        code, healed = run_cli(capsys, "spin-compare", "--json")
+        assert (code, healed) == (0, cold), corrupt
     # stale version: must be a miss
     entry = {"schema": "modp/1", "version": "0.0.0",
              "payload": {"D_top": -1, "D_low": -1, "D_dR_lower": -1,
@@ -773,6 +775,37 @@ def test_a_cache_dir_that_is_a_file_warns_and_answers(capsys, tmp_path, monkeypa
     assert captured.out == uncached
     assert captured.err == (f"modp: cache directory {blocker} is not writable; "
                             "continuing without cache\n")
+
+
+def test_an_entry_that_is_a_directory_warns_and_answers(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("MODP_CACHE_DIR", str(tmp_path))
+    argv = ["quillen", "--n", "11", "--dims", "3"]
+    code, cold = run_cli(capsys, *argv)
+    (entry,) = tmp_path.glob("*.json")
+    entry.unlink()
+    entry.mkdir()
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == cold
+    assert captured.err == (f"modp: cache directory {tmp_path} is not writable; "
+                            "continuing without cache\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [entry.name]
+
+
+def test_a_failed_cache_write_leaves_no_temporary_file(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("MODP_CACHE_DIR", str(tmp_path))
+    argv = ["quillen", "--n", "11", "--dims", "0..8"]
+    code, uncached = run_cli(capsys, *argv, "--no-cache")
+
+    def full(src, dst):
+        raise OSError(28, "No space left on device")
+    monkeypatch.setattr(cli.os, "replace", full)
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == uncached
+    assert captured.err == (f"modp: cache directory {tmp_path} is not writable; "
+                            "continuing without cache\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_refresh_cache_recomputes_a_warm_entry(capsys, tmp_path, monkeypatch):

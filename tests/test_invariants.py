@@ -6,6 +6,7 @@ from oracles import (
     kernel_dimension_exhaustive,
     pack,
     sign_names,
+    substitute,
 )
 
 from modp.exactalg import PackedField, Poly, PolyRing, SubstHom, elementary_symmetric_of
@@ -272,7 +273,8 @@ def test_eps1_degree2_kernel_cross_check():
     rows = []
     for mono in basis:
         m = Poly(ring, {mono: 1})
-        rows.append(pack(field, ((index[t], c) for t, c in (hom(m) - m).coeffs.items())))
+        rows.append(pack(field, ((index[t], c)
+                                 for t, c in (substitute(hom, mono) - m).coeffs.items())))
     assert len(rows) == 6
     assert dim == kernel_dimension_exhaustive(rows, 2)
 
@@ -479,6 +481,22 @@ def test_the_oracle_substitutes_no_polynomial(monkeypatch):
     report = verify_presentation(spin9, x1, 8)
     assert report.failure == "generator x1 is not invariant under s(1,2)"
     assert len(calls) == 2
+
+
+def test_the_stacked_oracle_reads_no_substitution_plan(monkeypatch):
+    """The stacked oracle substitutes by Poly arithmetic alone: with the
+    SubstHom methods that map polynomials made to raise, it still gives
+    the answers of the incremental oracle, which maps by the plan."""
+    actions = [spin_action(9), classical_action("B", 3, 3), symmetric_quotient_action(4, 5)]
+    want = [[brute_invariant_dimension(a, d) for d in range(1, 7)] for a in actions]
+    generators = [full_generators(a) for a in actions]
+
+    def refuse(*args):
+        raise AssertionError("the stacked oracle mapped by the substitution plan")
+    for name in ("apply", "__call__", "monomial_images", "_power", "_checked_head"):
+        monkeypatch.setattr(SubstHom, name, refuse)
+    assert [[brute_invariant_dimension_stacked(a.ring, gens, d) for d in range(1, 7)]
+            for a, gens in zip(actions, generators)] == want
 
 
 def test_concurrent_use_gives_the_serial_answers():
