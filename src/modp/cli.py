@@ -57,9 +57,10 @@ def source_digest() -> str:
 class ResultCache:
     """JSON store with one entry per (operation, parameters).  A hit is
     served only when the stored entry carries the library version and
-    source digest of the running code; any other entry, or one that
-    cannot be read or parsed as a JSON object, is stale and is recomputed
-    and overwritten in place where it can be, so no entry is left behind.
+    source digest of the running code, and the sha256 of its payload's
+    canonical JSON; any other entry, or one that cannot be read or parsed
+    as a JSON object, is stale and is recomputed and overwritten in place
+    where it can be, so no entry is left behind.
     `status` is what the last roundtrip did: "hit", "miss" (no entry, or
     the cache was refreshed), "stale" (an entry that could not be served)
     or "off"; None before any roundtrip."""
@@ -69,9 +70,12 @@ class ResultCache:
         self.policy = policy
         self.status = None
 
+    @staticmethod
+    def _digest(value) -> str:
+        return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+
     def _key(self, op: str, params: dict) -> str:
-        blob = json.dumps([op, params], sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return self._digest([op, params])
 
     def roundtrip(self, op: str, params: dict, compute):
         if self.policy == "off":
@@ -85,14 +89,15 @@ class ResultCache:
             try:
                 entry = json.loads(path.read_text())
                 if (isinstance(entry, dict) and entry.get("version") == __version__
-                        and entry.get("source") == source_digest()):
+                        and entry.get("source") == source_digest()
+                        and entry.get("digest") == self._digest(entry.get("payload"))):
                     self.status = "hit"
                     return entry["payload"]
             except (OSError, ValueError, KeyError):
                 pass  # an unreadable or corrupted entry: recompute and overwrite
         payload = compute()
         entry = {"schema": SCHEMA, "key": key, "version": __version__,
-                 "source": source_digest(),
+                 "source": source_digest(), "digest": self._digest(payload),
                  "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
                  "payload": payload}
         try:

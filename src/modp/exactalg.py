@@ -309,8 +309,7 @@ def check_monomial_guard(ring: PolyRing, degrees: Iterable[int]) -> int:
             raise ValueError(f"degree {d} needs {counts[d]} monomials (> guard {MONOMIAL_GUARD})")
         for name, w in zip(ring.names, ring.weights):
             if d >= EXPONENT_LIMIT * w and counts[d - EXPONENT_LIMIT * w]:
-                top = next(e for e in range(d // w, 0, -1)
-                           if counts[d - e * w] > (counts[d - e * w - w] if e * w + w <= d else 0))
+                top = next(e for e in range(d // w, 0, -1) if counts[d - e * w])
                 raise ValueError(f"degree {d} needs exponent {top} of {name}, "
                                  f"above {EXPONENT_LIMIT - 1}")
         total += counts[d]
@@ -478,34 +477,15 @@ class Poly:
 def sum_of_products(ring: PolyRing, products: Iterable[Iterable[Poly]]) -> Poly:
     """The sum over `products` of the product of each sequence of factors
     (an empty sequence is 1), accumulated in one dict and reduced once.
-    One-term factors are folded into a single term first (a monomial sum
-    and a coefficient product); the last factor with several terms is
-    multiplied straight into the accumulator."""
-    p, guard = ring.modulus, ring._guard
-    acc = set() if p == 2 else {}
+    All factors but the last are multiplied by Poly.__mul__, and the last
+    one straight into the accumulator."""
+    acc = set() if ring.modulus == 2 else {}
     for factors in products:
-        mono, coeff, polys = 0, 1, []
+        factors = tuple(factors)
         for f in factors:
             ring.check_same(f.ring)
-            if len(f.coeffs) == 1:
-                ((m, c),) = f.coeffs.items()
-                mono += m
-                coeff *= c
-                if mono & guard:
-                    ring._check_fields((mono,))
-            elif f.coeffs:
-                polys.append(f.coeffs)
-            else:
-                break  # a zero factor
-        else:
-            if mono or coeff != 1 or not polys:
-                polys.insert(0, {mono: coeff})
-            head = polys[0]
-            for g in polys[1:-1]:
-                part = set() if p == 2 else {}
-                _mul_into(ring, part, head, g)
-                head = _reduced(ring, part)
-            _mul_into(ring, acc, head, polys[-1] if len(polys) > 1 else {0: 1})
+        head = functools.reduce(mul, factors[:-1]).coeffs if len(factors) > 1 else {0: 1}
+        _mul_into(ring, acc, head, factors[-1].coeffs if factors else {0: 1})
     return Poly(ring, _reduced(ring, acc))
 
 
@@ -709,10 +689,16 @@ def elementary_symmetric(ring: PolyRing, a: int, names: Sequence[str] | None = N
     return Poly(ring, {sum(comb): 1 for comb in itertools.combinations(units, a)})
 
 
-def elementary_symmetric_of(ring: PolyRing, a: int, values: Sequence[Poly]) -> Poly:
-    """e_a of polynomial values: the sum of the products of every a of
-    them (e_0 = 1)."""
-    return sum_of_products(ring, itertools.combinations(values, a))
+def elementary_symmetric_of(ring: PolyRing, top: int, values: Sequence[Poly]) -> list[Poly]:
+    """[e_0, ..., e_top] of polynomial values, read off the product of
+    (1 + v*t) over the values: the k-th value v sets e_a = e_a + v * e_(a-1)
+    for a from min(k, top) down to 1, as e_a of fewer than a values is 0."""
+    check_size("top", top, 0, math.inf)
+    es = [ring.one()] + [ring.zero()] * top
+    for k, v in enumerate(values, 1):
+        for a in range(min(k, top), 0, -1):
+            es[a] = es[a] + v * es[a - 1]
+    return es
 
 
 def gradient(f: Poly) -> list[Poly]:
@@ -750,7 +736,6 @@ def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
     for r in rows:
         for entry in r:
             ring.check_same(entry.ring)
-    minus_one = ring.const(-1)
     minors = {0: ring.one()}  # the nonzero minors on the first j columns, by row mask
     for j in range(n):
         products: dict[int, list] = {}
@@ -761,7 +746,7 @@ def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
                     # i is row k = popcount(mask below i) of the new subset
                     odd = (j - (mask & ((1 << i) - 1)).bit_count()) % 2
                     products.setdefault(mask | 1 << i, []).append(
-                        (entry, minor, minus_one) if odd else (entry, minor))
+                        (-entry if odd else entry, minor))
         minors = {mask: m for mask, terms in products.items()
                   if (m := sum_of_products(ring, terms))}
     return minors.get((1 << n) - 1, ring.zero())

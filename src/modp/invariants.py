@@ -22,9 +22,10 @@ from .exactalg import (
 from .groupdata import Series
 
 # The claimed invariants grow as 2^size: eta/mu is a product of up to
-# 2^(r-1) factors, and each e_i of r values a sum of C(r, i) products.
-# `modp invariants ... --max-degree 2` takes about 1.0-1.4 s at each
-# bound, and the cost more than doubles with each step above it.
+# 2^(r-1) factors, and e_0..e_r of r values hold 2^r terms together, each
+# mapped by every generator when the claim is checked to be invariant.
+# `modp invariants ... --max-degree 2` takes about 0.7-0.9 s at each bound
+# as a whole process, and the cost at least doubles with each step above it.
 SPIN_MAX_N = 13
 QUOTIENT_MAX_R = 13
 CLASSICAL_MAX_RANK = 14
@@ -102,7 +103,7 @@ def _quotient_ring_xs(r: int, p: int, extra: tuple[str, ...] = ()) -> tuple[Poly
     names = [f"x{i}" for i in range(1, r)] + list(extra)
     ring = PolyRing(names, modulus=p)
     xs = [ring.var(f"x{i}") for i in range(1, r)]
-    return ring, xs + [-elementary_symmetric_of(ring, 1, xs)]
+    return ring, xs + [-sum(xs, ring.zero())]
 
 
 def spin_action(n: int, p: int = 2) -> WeylAction:
@@ -259,9 +260,8 @@ def _symmetric_claim(ring: PolyRing, values: Sequence[Poly], low: int, high: int
                      prefix: str = "c", step: int = 1) -> tuple[list[str], list[Poly]]:
     """The names prefix{step*i} and the values e_i(values), for i from
     low to high."""
-    indices = range(low, high + 1)
-    return ([f"{prefix}{step * i}" for i in indices],
-            [elementary_symmetric_of(ring, i, values) for i in indices])
+    return ([f"{prefix}{step * i}" for i in range(low, high + 1)],
+            elementary_symmetric_of(ring, high, values)[low:])
 
 
 def spin_claimed(action: WeylAction, n: int) -> ClaimedPresentation:
@@ -299,7 +299,7 @@ def classical_claimed(action: WeylAction, family: str, rank: int, p: int) -> Cla
     names, values = _symmetric_claim(ring, [x * x for x in xs], 1, top, "d", 2)
     if family == "D":
         names.append(f"e{rank}")
-        values.append(elementary_symmetric_of(ring, rank, xs))
+        values.append(elementary_symmetric_of(ring, rank, xs)[rank])
     return ClaimedPresentation(names, values)
 
 

@@ -11,6 +11,9 @@ definition:
 - `substitute`: the image of a monomial under a hom as a product of
   powers of its images by `Poly` arithmetic, where the library reads the
   hom's substitution plan;
+- `elementary_symmetric_by_definition`: e_a of polynomial values as the
+  sum of the products of every a of them, where the library runs the
+  recurrence e_a += v * e_(a-1);
 - `kernel_dimension_exhaustive`: the kernel of packed rows counted over
   every combination, with no elimination at all;
 - `pack`: a packed vector from its (position, coefficient) pairs;
@@ -69,6 +72,18 @@ def substitute(hom: SubstHom, mono: int) -> Poly:
     for name, e in zip(hom.source.names, hom.source.exponents(mono)):
         image = image * hom.images[name] ** e
     return image
+
+
+def elementary_symmetric_by_definition(ring, a: int, values) -> Poly:
+    """e_a(values): the sum over every a of the values of their product,
+    by `Poly` multiplication and addition alone (e_0 = 1)."""
+    total = ring.zero()
+    for combo in itertools.combinations(values, a):
+        product = ring.one()
+        for v in combo:
+            product = product * v
+        total = total + product
+    return total
 
 
 def brute_invariant_dimension_stacked(ring, generators, d: int) -> int:

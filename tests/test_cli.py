@@ -106,6 +106,14 @@ def test_cache_roundtrip_and_transparency(capsys, tmp_path, monkeypatch):
         entries[0].write_text(corrupt)
         code, healed = run_cli(capsys, "spin-compare", "--json")
         assert (code, healed) == (0, cold), corrupt
+    # an entry of this code whose payload no longer matches its digest
+    doc = json.loads(entries[0].read_text())
+    for payload in ({}, [], {"h": "x"}):
+        entries[0].write_text(json.dumps(dict(doc, payload=payload)))
+        assert main(["spin-compare", "--json", "--verbose"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == cold, payload
+        assert "modp: cache stale" in captured.err.splitlines(), payload
     # stale version: must be a miss
     entry = {"schema": "modp/1", "version": "0.0.0",
              "payload": {"D_top": -1, "D_low": -1, "D_dR_lower": -1,
@@ -815,7 +823,9 @@ def test_refresh_cache_recomputes_a_warm_entry(capsys, tmp_path, monkeypatch):
     assert code == 0
     (entry,) = tmp_path.glob("*.json")
     doc = json.loads(entry.read_text())
-    entry.write_text(json.dumps(dict(doc, payload=dict(doc["payload"], h=-1))))
+    payload = dict(doc["payload"], h=-1)
+    digest = cli.ResultCache._digest(payload)
+    entry.write_text(json.dumps(dict(doc, payload=payload, digest=digest)))
     code, served = run_cli(capsys, *argv)
     assert json.loads(served)["result"]["h"] == -1  # a warm entry is served as it is
     assert main(argv + ["--refresh-cache", "--verbose"]) == 0

@@ -8,6 +8,7 @@ import threading
 import pytest
 from oracles import (
     brute_invariant_dimension_stacked,
+    elementary_symmetric_by_definition,
     kernel_dimension_exhaustive,
     pack,
     substitute,
@@ -26,6 +27,7 @@ from modp.exactalg import (
     elementary_symmetric,
     elementary_symmetric_of,
     gradient,
+    sum_of_products,
 )
 
 
@@ -260,8 +262,57 @@ def test_elementary_symmetric():
     assert elementary_symmetric(r, 0) == r.one()
     assert elementary_symmetric(r, 3) == r.poly("t1*t2*t3")
     assert elementary_symmetric(r, 4).is_zero()
-    for a in range(5):
-        assert elementary_symmetric_of(r, a, r.gens()) == elementary_symmetric(r, a)
+    for top in range(5):
+        assert elementary_symmetric_of(r, top, r.gens()) == [
+            elementary_symmetric(r, a) for a in range(top + 1)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_elementary_symmetric_recurrence_matches_the_definition(p):
+    ring = PolyRing(["x", "y", "z"], modulus=p)
+    x, y, z = ring.gens()
+    lists = [
+        [],
+        [x, y, z],  # one-term values
+        [x + y, y * z + x * x, x - z],  # multi-term values
+        [x, ring.zero(), y + z],  # a zero value
+        [x + y, x + y, x + y],  # repeated values
+        [x + z, -(x + z), y, -y],  # negated values
+        [ring.const(2) * x, ring.one(), x * y + z * z, ring.const(-1)],
+    ]
+    for values in lists:
+        for top in range(len(values) + 3):  # top above len(values) too
+            es = elementary_symmetric_of(ring, top, values)
+            assert es == [elementary_symmetric_by_definition(ring, a, values)
+                          for a in range(top + 1)], (values, top)
+    with pytest.raises(ValueError, match="top"):
+        elementary_symmetric_of(ring, -1, [x])
+
+
+def test_sum_of_products_edge_cases():
+    ring = PolyRing(["x", "y"], modulus=3)
+    other = PolyRing(["x", "y"], modulus=5)
+    x, y = ring.gens()
+    assert sum_of_products(ring, []) == ring.zero()
+    assert sum_of_products(ring, [()]) == ring.one()  # an empty product is 1
+    assert sum_of_products(ring, [(), (x + y, x - y)]) == 1 + x * x - y * y
+    # a zero factor, first, in the middle or last, zeroes its product alone
+    for zero_at in range(3):
+        factors = [x + y, y, x * y + 1]
+        factors[zero_at] = ring.zero()
+        assert sum_of_products(ring, [factors, (x, x)]) == x * x
+    assert sum_of_products(ring, [(x + 1, y + 2, x - y)]) == (x + 1) * (y + 2) * (x - y)
+    # a factor of another ring raises in any place, also after a zero
+    # factor, with the products given as a generator of generators
+    for bad_at in range(3):
+        def products():
+            for k in range(2):
+                factors = [x + y, ring.zero(), y]
+                if k:
+                    factors[bad_at] = other.var("x")
+                yield (f for f in factors)
+        with pytest.raises(RingMismatchError):
+            sum_of_products(ring, products())
 
 
 def test_partial_derivative():

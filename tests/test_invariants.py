@@ -9,7 +9,7 @@ from oracles import (
     substitute,
 )
 
-from modp.exactalg import PackedField, Poly, PolyRing, SubstHom, elementary_symmetric_of
+from modp.exactalg import PackedField, Poly, PolyRing, SubstHom, elementary_symmetric
 from modp.groupdata import GroupSpec, Series, fundamental_degrees
 from modp.invariants import (
     ClaimedPresentation,
@@ -378,14 +378,15 @@ def test_odd_p_claims_equal_the_squaring_hom(p):
     for family in "BCD":
         for rank in range(1, 6):
             action = classical_action(family, rank, p)
-            ring, xs = action.ring, action.xs
+            ring = action.ring
+            assert tuple(action.xs) == ring.gens()
             square = SubstHom(ring, ring, {n: ring.var(n) * ring.var(n) for n in ring.names})
             top = rank if family in "BC" else rank - 1
             names = [f"d{2 * i}" for i in range(1, top + 1)]
-            values = [square(elementary_symmetric_of(ring, i, xs)) for i in range(1, top + 1)]
+            values = [square(elementary_symmetric(ring, i)) for i in range(1, top + 1)]
             if family == "D":
                 names.append(f"e{rank}")
-                values.append(elementary_symmetric_of(ring, rank, xs))
+                values.append(elementary_symmetric(ring, rank))
             cp = classical_claimed(action, family, rank, p)
             assert (cp.names, cp.values) == (tuple(names), tuple(values)), (family, rank)
 

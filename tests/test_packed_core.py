@@ -345,6 +345,9 @@ def test_a_degree_past_the_ceiling_is_refused_without_a_table():
     # up to the ceiling, the message names the exponent and the variable
     with pytest.raises(ValueError, match=r"^degree 128 needs exponent 128 of x, above 127$"):
         PolyRing(["x"]).monomials_of_degree(128)
+    # of mixed weights: 301 = 2*149 + 3 is the most of degree 301 that x can take
+    with pytest.raises(ValueError, match=r"^degree 301 needs exponent 149 of x, above 127$"):
+        PolyRing(["x", "y"], [2, 3]).monomials_of_degree(301)
 
 
 def test_a_degree_past_a_saturated_run_is_refused_by_count():
