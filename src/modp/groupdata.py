@@ -243,7 +243,8 @@ def weyl_length_series(g: GroupSpec) -> list[int]:
     nodes joined to i in the Dynkin diagram, and l(s_i w) = l(w) + 1
     exactly when c_i > 0 (the descent lemma: Humphreys, Reflection Groups
     and Coxeter Groups, 1.6-1.7 and 5.4).  Each w != 1 has a descent, so
-    length l + 1 is the set of those s_i c over the c of length l."""
+    length l + 1 is the set of those s_i c over the c of length l.  A walk
+    past WEYL_MAX_ORDER elements is not one of W and raises RuntimeError."""
     check_size(f"the Weyl group order of {g}", math.prod(fundamental_degrees(g)),
                1, WEYL_MAX_ORDER)
     a = cartan_matrix(*_root_system(g))
@@ -257,8 +258,10 @@ def weyl_length_series(g: GroupSpec) -> list[int]:
             sc[k] -= c[i] * aki
         return tuple(sc)
 
-    counts, level = [], {(1,) * rank}
+    counts, level, total = [], {(1,) * rank}, 0
     while level:
         counts.append(len(level))
+        if (total := total + len(level)) > WEYL_MAX_ORDER:
+            raise RuntimeError(f"the length walk of {g} passed {WEYL_MAX_ORDER} elements")
         level = {reflect(c, i) for c in level for i in range(rank) if c[i] > 0}
     return counts

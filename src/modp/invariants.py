@@ -5,7 +5,6 @@ against a brute-force kernel oracle."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -21,11 +20,10 @@ from .exactalg import (
 )
 from .groupdata import Series
 
-# The claimed invariants grow as 2^size: eta/mu is a product of up to
-# 2^(r-1) factors, and e_0..e_r of r values hold 2^r terms together, each
-# mapped by every generator when the claim is checked to be invariant.
-# `modp invariants ... --max-degree 2` takes about 0.7-0.9 s at each bound
-# as a whole process, and the cost at least doubles with each step above it.
+# The claims grow as 2^size: eta/mu has degree up to 2^(r-1), and e_0..e_r
+# hold 2^r terms.  `modp invariants ... --max-degree 2` takes 0.11 s (Spin),
+# 0.29 s (quotient) and 0.19-0.23 s (B, C, D) at each bound as a whole
+# process, and the cost at least doubles with each step above it.
 SPIN_MAX_N = 13
 QUOTIENT_MAX_R = 13
 CLASSICAL_MAX_RANK = 14
@@ -42,14 +40,15 @@ class WeylAction:
 
     `generators` is the one generating set: the incremental invariant
     oracle and the invariance check of `verify_presentation` apply exactly
-    these.  They are sorted once, here: the signed monomial moves of those
-    with a `SubstHom.relabeling` (variables sent to variables, with
-    coefficient 1 or p - 1) are folded into orbits, and the rest are the
-    homs the oracle eliminates.  So B, C and D and the rank-2 quotient
-    keep none; the quotients of rank 3 and more keep s(r-1,r), which sends
-    x_{r-1} to x_r = -(x_1 + ... + x_{r-1}); and Spin keeps two, s(r-1,r)
-    and its sign generator, which sends A to a sum.  Every attribute is
-    read-only, so the sorted homs cannot go stale."""
+    these (at most four, see `_weyl_action`).  They are sorted once, here:
+    the signed monomial moves of those with a `SubstHom.relabeling`
+    (variables sent to variables, with coefficient 1 or p - 1) are folded
+    into orbits, and the rest are the homs the oracle eliminates.  So B, C
+    and D and the rank-2 quotient keep none; the quotients of rank 3 and
+    more keep s(r-1,r), which sends x_{r-1} to x_r = -(x_1 + ... +
+    x_{r-1}); and Spin keeps two, s(r-1,r) and its sign generator, which
+    sends A to a sum.  Every attribute is read-only, so the sorted homs
+    cannot go stale."""
 
     __slots__ = ("_ring", "_generators", "_xs", "_A", "_label", "_moves", "_linear")
 
@@ -77,24 +76,28 @@ class WeylAction:
 def _weyl_action(ring: PolyRing, xs: list[Poly], sign: tuple[str, dict] | None,
                  label: str, A: Poly | None = None) -> WeylAction:
     """The action generated by the sign generator `sign`, given by the
-    images it changes, then the adjacent transpositions s(1,2), ...,
-    s(r-1,r) of x_i and x_{i+1} (x_r may be the eliminated coordinate); a
-    generator fixes every variable it does not change.  The transpositions
-    generate S_r, and S_r conjugates eps_1 (or eps_1 eps_2) to every eps_i
-    (or eps_i eps_j), so these generate the whole group (Humphreys,
-    Reflection Groups and Coxeter Groups, 1 and 2.10).  Every s(i,j) and
-    sign change is built only in tests/oracles.py, for the stacked
-    oracle."""
+    images it changes, then s(1,2), the cycle c(1..k) x_i -> x_{i mod k + 1}
+    of the k >= 3 coordinates that are ring variables, and s(r-1,r) when
+    x_r is eliminated (k = r - 1 >= 2); a generator fixes every variable it
+    does not change.  (1 2) and (1 2 ... k) generate S_k (Coxeter-Moser,
+    Generators and Relations for Discrete Groups, ch. 6), (k k+1) extends
+    it to S_r, and S_r conjugates eps_1 (or eps_1 eps_2) to every eps_i (or
+    eps_i eps_j), so these generate the whole group (Humphreys, Reflection
+    Groups and Coxeter Groups, 1 and 2.10).  Every s(i,j) and sign change
+    is built only in tests/oracles.py, for the stacked oracle."""
     fixed = {name: ring.var(name) for name in ring.names}
-
-    def generator(name: str, changes: dict) -> tuple[str, SubstHom]:
-        return name, SubstHom(ring, ring, dict(fixed, **changes))
-
-    adjacent = [generator(f"s({i},{i + 1})",
-                          {f"x{k}": xs[t - 1] for k, t in ((i, i + 1), (i + 1, i))
-                           if f"x{k}" in fixed})
-                for i in range(1, len(xs))]
-    return WeylAction(ring, ([generator(*sign)] if sign else []) + adjacent, xs, A, label)
+    r = len(xs)
+    k = r if f"x{r}" in fixed else r - 1
+    cycles = [("s(1,2)", (1, 2))] if r >= 2 else []
+    if k >= 3:
+        cycles.append((f"c(1..{k})", tuple(range(1, k + 1))))
+    if k == r - 1 >= 2:
+        cycles.append((f"s({r - 1},{r})", (r - 1, r)))
+    changes = ([sign] if sign else []) + [
+        (name, {f"x{i}": xs[t - 1] for i, t in zip(c, c[1:] + c[:1]) if f"x{i}" in fixed})
+        for name, c in cycles]
+    return WeylAction(ring, [(name, SubstHom(ring, ring, dict(fixed, **images)))
+                             for name, images in changes], xs, A, label)
 
 
 def _quotient_ring_xs(r: int, p: int, extra: tuple[str, ...] = ()) -> tuple[PolyRing, list[Poly]]:
@@ -146,32 +149,34 @@ def symmetric_quotient_action(r: int, p: int = 2) -> WeylAction:
     return _weyl_action(ring, xs, None, f"S{r} on quotient mod {p}")
 
 
-def _subset_product(action: WeylAction, name: str, j: int, high: int, step: int) -> Poly:
-    """prod over the subsets I of {1..j} of a size divisible by `step` of
-    (A - sum_I x_i), for an index j in 1..high."""
+def _span_product(action: WeylAction, name: str, j: int, high: int, every: bool) -> Poly:
+    """prod over the subsets I of {1..j}, of every size or of even size,
+    of (A - sum_I x_i), for an index j in 1..high.  Mod 2 the sums run over
+    the F_2-combinations of y = x_1..x_j, or of y = x_1 + x_i for i = 2..j,
+    and their product P(T) is additive (Ore, Trans. AMS 1933), so adding y
+    gives P(T) * P(T + y) = P(T) * (P(T) + P(y)): the y are taken off one
+    at a time, each value v left becoming v * (v + y), in j steps."""
     if action.A is None:
         raise ValueError(f"{name} needs the spin model with the A variable")
     check_size(f"{name} index", j, 1, high)
-    out = action.ring.one()
-    for k in range(0, j + 1, step):
-        for I in itertools.combinations(range(j), k):
-            factor = action.A
-            for i in I:
-                factor = factor - action.xs[i]
-            out = out * factor
-    return out
+    xs = action.xs[:j]
+    values = [action.A, *(xs if every else [xs[0] + x for x in xs[1:]])]
+    while len(values) > 1:
+        y = values.pop()
+        values = [v * (v + y) for v in values]
+    return values[0]
 
 
 def eta(action: WeylAction, j: int) -> Poly:
     """eta_j = prod over all subsets I of {1..j} of (A - sum_I x_i);
     degree 2^j, invariant under eps_1..eps_j."""
-    return _subset_product(action, "eta", j, len(action.xs) - 1, 1)
+    return _span_product(action, "eta", j, len(action.xs) - 1, True)
 
 
 def mu(action: WeylAction, j: int) -> Poly:
     """mu_j = prod over even-size subsets I of {1..j} of (A - sum_I x_i);
     degree 2^(j-1), mu_1 = A, invariant under the eps_1 eps_i."""
-    return _subset_product(action, "mu", j, len(action.xs), 2)
+    return _span_product(action, "mu", j, len(action.xs), False)
 
 
 # -- brute-force invariant dimensions ---------------------------------

@@ -4,7 +4,7 @@ definition:
 
 - `full_generators`: every transposition s(i,j) and every sign change
   of a Weyl action, read off their definitions, where the library builds
-  only the first sign change and the adjacent transpositions;
+  only the first sign change, s(1,2), one cycle and s(r-1,r);
 - `brute_invariant_dimension_stacked`: the joint kernel of (g - 1) over
   a whole generator list, by one elimination of stacked rows, where the
   library folds orbits and eliminates generator by generator;
@@ -14,6 +14,9 @@ definition:
 - `elementary_symmetric_by_definition`: e_a of polynomial values as the
   sum of the products of every a of them, where the library runs the
   recurrence e_a += v * e_(a-1);
+- `_subset_product`: eta_j and mu_j as the product of their 2^j or
+  2^(j-1) factors A - sum_I x_i, where the library takes j steps of the
+  span recurrence;
 - `kernel_dimension_exhaustive`: the kernel of packed rows counted over
   every combination, with no elimination at all;
 - `pack`: a packed vector from its (position, coefficient) pairs;
@@ -86,6 +89,19 @@ def elementary_symmetric_by_definition(ring, a: int, values) -> Poly:
     return total
 
 
+def _subset_product(action, j: int, step: int) -> Poly:
+    """prod over the subsets I of {1..j} of a size divisible by `step` of
+    (A - sum_I x_i): eta_j for step 1 and mu_j for step 2."""
+    out = action.ring.one()
+    for k in range(0, j + 1, step):
+        for I in itertools.combinations(range(j), k):
+            factor = action.A
+            for i in I:
+                factor = factor - action.xs[i]
+            out = out * factor
+    return out
+
+
 def brute_invariant_dimension_stacked(ring, generators, d: int) -> int:
     """One packed row per degree-d monomial m of `ring`: the images
     (g - 1)(m) under every (name, hom) pair of `generators`, side by side,
@@ -108,7 +124,8 @@ def brute_invariant_dimension_stacked(ring, generators, d: int) -> int:
 def defined_images(action, name) -> dict:
     """The image of every ring variable under the generator `name`, read
     off its definition: s(i,j) swaps x_i and x_j (x_r = -(x_1 + ... +
-    x_{r-1}) when x_r is eliminated) and fixes A; eps_i sends A to A + x_i
+    x_{r-1}) when x_r is eliminated) and fixes A; c(1..k) sends x_i to
+    x_{i+1} for i < k and x_k to x_1; eps_i sends A to A + x_i
     in the spin model and x_i to -x_i otherwise; eps1*eps_j does both of
     eps_1 and eps_j."""
     ring = action.ring
@@ -121,6 +138,11 @@ def defined_images(action, name) -> dict:
         for k, t in ((i, j), (j, i)):
             if f"x{k}" in images:
                 images[f"x{k}"] = coords[t - 1]
+        return images
+    if name.startswith("c(1.."):
+        k = int(name[5:-1])
+        for i in range(1, k + 1):
+            images[f"x{i}"] = coords[i % k]
         return images
     for factor in name.split("*"):
         i = int(factor[3:])

@@ -177,6 +177,18 @@ def test_bfs_guard_trips_before_any_enumeration(monkeypatch):
             weyl_length_series(g)
 
 
+def test_a_runaway_walk_is_stopped_by_its_count(monkeypatch):
+    # with the diagonal of G2's Cartan matrix set to 1 the walk never
+    # reaches an empty length; its running count stops it, not a degree
+    import modp.groupdata
+
+    cartan = modp.groupdata.cartan_matrix
+    monkeypatch.setattr(modp.groupdata, "cartan_matrix",
+                        lambda *a: [[1, -1], [-3, 1]] if a[0] == "G2" else cartan(*a))
+    with pytest.raises(RuntimeError, match="walk of G2 passed 46080 elements$"):
+        weyl_length_series(GroupSpec("G2", 2))
+
+
 def _classical_groups_under_the_order_bound():
     for family in "ABCD":
         rank = _MINIMUM_RANK[family]

@@ -1,5 +1,6 @@
 import pytest
 from oracles import (
+    _subset_product,
     brute_invariant_dimension_stacked,
     defined_images,
     full_generators,
@@ -12,6 +13,9 @@ from oracles import (
 from modp.exactalg import PackedField, Poly, PolyRing, SubstHom, elementary_symmetric
 from modp.groupdata import GroupSpec, Series, fundamental_degrees
 from modp.invariants import (
+    CLASSICAL_MAX_RANK,
+    QUOTIENT_MAX_R,
+    SPIN_MAX_N,
     ClaimedPresentation,
     brute_invariant_dimension,
     classical_action,
@@ -66,12 +70,19 @@ def test_spin_action_preconditions():
 
 
 def test_generators_are_involutions():
-    for action in (spin_action(7), spin_action(8), classical_action("B", 2, 3),
-                   classical_action("D", 3, 2), symmetric_quotient_action(3)):
+    # every transposition and sign change is an involution, and the cycle
+    # c(1..k) has order exactly k: x1 comes back after k steps, and no fewer
+    for action in (spin_action(7), spin_action(8), spin_action(13), classical_action("B", 2, 3),
+                   classical_action("D", 3, 2), classical_action("C", 5, 3),
+                   symmetric_quotient_action(3), symmetric_quotient_action(6)):
         for name, h in action.generators + tuple(full_generators(action)):
+            order = int(name[5:-1]) if name.startswith("c(") else 2
             for v in action.ring.names:
-                x = action.ring.var(v)
-                assert h(h(x)) == x, (action.label, name, v)
+                x = image = action.ring.var(v)
+                for step in range(1, order):
+                    image = h(image)
+                    assert v != "x1" or order == 2 or image != x, (action.label, name, step)
+                assert h(image) == x, (action.label, name, v)
 
 
 def test_eps_involution_on_A():
@@ -118,6 +129,21 @@ def test_mu_values_and_degrees():
             assert gens[f"eps1*eps{i}"](mj) == mj
     with pytest.raises(ValueError):
         mu(a, 7)
+
+
+def test_the_span_recurrence_is_the_subset_product():
+    # eta_j and mu_j in j steps against the product of their 2^j or
+    # 2^(j-1) factors: every index up to 4 and the claimed one, for each n
+    for n in range(6, SPIN_MAX_N + 1):
+        a = spin_action(n)
+        r = len(a.xs)
+        cp = spin_claimed(a, n)
+        j = r - 1 if n % 2 or r % 2 == 0 else r
+        assert cp.values[-1] == _subset_product(a, j, 2 - n % 2), n
+        for j in range(1, min(r - 1, 4) + 1):
+            assert eta(a, j) == _subset_product(a, j, 1), (n, j)
+        for j in range(1, min(r, 4) + 1):
+            assert mu(a, j) == _subset_product(a, j, 2), (n, j)
 
 
 def test_classical_action_examples():
@@ -222,7 +248,8 @@ def test_minimal_generators_generate_the_same_group():
     cases = [(spin_action(7), 24), (spin_action(8), 96), (spin_action(9), 192),
              (classical_action("B", 3, 3), 48), (classical_action("C", 4, 3), 384),
              (classical_action("D", 4, 3), 192), (classical_action("D", 3, 2), 6),
-             (symmetric_quotient_action(4), 24), (symmetric_quotient_action(5), 120)]
+             (symmetric_quotient_action(4), 24), (symmetric_quotient_action(5), 120),
+             (symmetric_quotient_action(6), 720)]
     for action, order in cases:
         full = full_generators(action)
         assert len(action.generators) < len(full), action.label
@@ -233,15 +260,31 @@ def test_minimal_generators_generate_the_same_group():
 
 def test_minimal_generators_per_action():
     assert [n for n, _ in spin_action(9).generators] == \
-        ["eps1", "s(1,2)", "s(2,3)", "s(3,4)"]
+        ["eps1", "s(1,2)", "c(1..3)", "s(3,4)"]
     assert [n for n, _ in spin_action(10).generators] == \
-        ["eps1*eps2", "s(1,2)", "s(2,3)", "s(3,4)", "s(4,5)"]
+        ["eps1*eps2", "s(1,2)", "c(1..4)", "s(4,5)"]
+    assert [n for n, _ in spin_action(13).generators] == \
+        ["eps1", "s(1,2)", "c(1..5)", "s(5,6)"]
     assert [n for n, _ in classical_action("C", 3, 3).generators] == \
-        ["eps1", "s(1,2)", "s(2,3)"]
+        ["eps1", "s(1,2)", "c(1..3)"]
     assert [n for n, _ in classical_action("D", 3, 3).generators] == \
-        ["eps1*eps2", "s(1,2)", "s(2,3)"]
+        ["eps1*eps2", "s(1,2)", "c(1..3)"]
+    assert [n for n, _ in classical_action("B", 2, 3).generators] == ["eps1", "s(1,2)"]
+    assert [n for n, _ in classical_action("B", 1, 3).generators] == ["eps1"]
     assert [n for n, _ in symmetric_quotient_action(4).generators] == \
-        ["s(1,2)", "s(2,3)", "s(3,4)"]
+        ["s(1,2)", "c(1..3)", "s(3,4)"]
+    assert [n for n, _ in symmetric_quotient_action(3).generators] == ["s(1,2)", "s(2,3)"]
+    assert [n for n, _ in symmetric_quotient_action(2).generators] == ["s(1,2)"]
+
+
+def test_every_action_up_to_its_bound_has_at_most_four_generators():
+    actions = ([spin_action(n) for n in range(6, SPIN_MAX_N + 1)]
+               + [symmetric_quotient_action(r, p) for r in range(2, QUOTIENT_MAX_R + 1)
+                  for p in (2, 3, 5)]
+               + [classical_action(f, rank, p) for f in "BCD"
+                  for rank in range(1, CLASSICAL_MAX_RANK + 1) for p in (2, 3)])
+    for action in actions:
+        assert len(action.generators) <= 4, action.label
 
 
 def test_an_action_of_chosen_homs_applies_every_one():
@@ -612,10 +655,13 @@ ACTIONS = ([spin_action(n) for n in range(6, 14)]
 
 @pytest.mark.parametrize("action", ACTIONS, ids=lambda a: a.label)
 def test_each_generator_is_its_definition(action):
-    # the first sign change, then the adjacent transpositions
+    # the first sign change, s(1,2), the cycle of the k coordinates that
+    # are ring variables, and s(r-1,r) when x_r is eliminated
     r = len(action.xs)
-    adjacent = [f"s({i},{i + 1})" for i in range(1, r)]
-    assert [n for n, _ in action.generators] == sign_names(action)[:1] + adjacent
+    k = sum(f"x{i}" in action.ring.names for i in range(1, r + 1))
+    names = (sign_names(action)[:1] + ["s(1,2)"] * (r >= 2) + [f"c(1..{k})"] * (k >= 3)
+             + [f"s({r - 1},{r})"] * (k < r and r >= 3))
+    assert [n for n, _ in action.generators] == names
     for name, hom in action.generators:
         images = defined_images(action, name)
         assert {v: hom(action.ring.var(v)) for v in action.ring.names} == images, name
