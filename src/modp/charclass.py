@@ -468,7 +468,7 @@ def jacobian_certificate(r: int, variant: str = "O") -> JacobianReport:
         gens = ring.gens()
         to_bh = SubstHom(rest.hom.target, ring, dict(zip(
             rest.hom.target.names,
-            gens[:r - 1] + (elementary_symmetric(ring, 1, xs),) + gens[r - 1:])))
+            gens[:r - 1] + (sum(gens[:r - 1], ring.zero()),) + gens[r - 1:])))
         odd = [to_bh(rest.image_of(f"u{m}")) for m in range(3, 2 * r, 2)]
         row_factors = tuple(ring.var(f"t{j}") + ring.var(f"t{r}") for j in range(1, r))
     grads = [gradient(f) for f in odd]

@@ -55,15 +55,15 @@ def source_digest() -> str:
 
 
 class ResultCache:
-    """JSON store with one entry per (operation, parameters).  A hit is
-    served only when the stored entry carries the library version and
-    source digest of the running code, and the sha256 of its payload's
-    canonical JSON; any other entry, or one that cannot be read or parsed
-    as a JSON object, is stale and is recomputed and overwritten in place
-    where it can be, so no entry is left behind.
-    `status` is what the last roundtrip did: "hit", "miss" (no entry, or
-    the cache was refreshed), "stale" (an entry that could not be served)
-    or "off"; None before any roundtrip."""
+    """JSON store with one entry per (operation, parameters).  An entry is
+    {"digest", "payload"}, and it is served only when its digest is the
+    sha256 of the canonical JSON of [source_digest(), payload], so a result
+    is never served to different code; any other entry, or one that cannot
+    be read or parsed as a JSON object, is stale and is recomputed and
+    overwritten in place where it can be, so no entry is left behind.
+    `status` is what the last roundtrip did: "hit", "miss" (no entry),
+    "stale" (an entry that could not be served) or "off"; None before any
+    roundtrip."""
 
     def __init__(self, directory: Path, policy: str = "use"):
         self.directory = directory
@@ -74,32 +74,24 @@ class ResultCache:
     def _digest(value) -> str:
         return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
 
-    def _key(self, op: str, params: dict) -> str:
-        return self._digest([op, params])
-
     def roundtrip(self, op: str, params: dict, compute):
         if self.policy == "off":
             self.status = "off"
             return compute()
-        key = self._key(op, params)
-        path = self.directory / f"{key}.json"
+        path = self.directory / f"{self._digest([op, params])}.json"
         self.status = "miss"
-        if self.policy == "use" and path.exists():
+        if path.exists():
             self.status = "stale"
             try:
                 entry = json.loads(path.read_text())
-                if (isinstance(entry, dict) and entry.get("version") == __version__
-                        and entry.get("source") == source_digest()
-                        and entry.get("digest") == self._digest(entry.get("payload"))):
+                if (isinstance(entry, dict) and entry.get("digest")
+                        == self._digest([source_digest(), entry.get("payload")])):
                     self.status = "hit"
                     return entry["payload"]
             except (OSError, ValueError, KeyError):
                 pass  # an unreadable or corrupted entry: recompute and overwrite
         payload = compute()
-        entry = {"schema": SCHEMA, "key": key, "version": __version__,
-                 "source": source_digest(), "digest": self._digest(payload),
-                 "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-                 "payload": payload}
+        entry = {"digest": self._digest([source_digest(), payload]), "payload": payload}
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
@@ -515,9 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
     # `doc` serves all but selftest, `table` the four commands that write CSV
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--verbose", action="store_true")
-    policy = common.add_mutually_exclusive_group()
-    for flag, const in (("--no-cache", "off"), ("--refresh-cache", "refresh")):
-        policy.add_argument(flag, dest="policy", action="store_const", const=const, default="use")
+    common.add_argument("--no-cache", dest="policy", action="store_const", const="off",
+                        default="use")
     doc, table = (argparse.ArgumentParser(add_help=False, parents=[common]) for _ in range(2))
     output = table.add_mutually_exclusive_group()
     for group in (doc, output):

@@ -96,6 +96,9 @@ def test_cache_roundtrip_and_transparency(capsys, tmp_path, monkeypatch):
     assert code == 0
     entries = list(tmp_path.glob("*.json"))
     assert len(entries) == 1
+    doc = json.loads(entries[0].read_text())
+    assert set(doc) == {"digest", "payload"}
+    assert doc["digest"] == cli.ResultCache._digest([cli.source_digest(), doc["payload"]])
     code, warm = run_cli(capsys, "spin-compare", "--json")
     assert warm == cold
     code, uncached = run_cli(capsys, "spin-compare", "--json", "--no-cache")
@@ -114,7 +117,7 @@ def test_cache_roundtrip_and_transparency(capsys, tmp_path, monkeypatch):
         captured = capsys.readouterr()
         assert captured.out == cold, payload
         assert "modp: cache stale" in captured.err.splitlines(), payload
-    # stale version: must be a miss
+    # an entry with no digest: recomputed
     entry = {"schema": "modp/1", "version": "0.0.0",
              "payload": {"D_top": -1, "D_low": -1, "D_dR_lower": -1,
                          "D_explicit_degree32": -1, "verdict": "stale"}}
@@ -309,14 +312,14 @@ REFUSED = {
          "modp: error: --group classical does not read --r"),
         ("ring --name bz2 --n 5", "modp: error: --name bz2 does not read --n"),
         ("ring --name bmu --n 5", "modp: error: --name bmu does not read --n"),
-        # an output or cache flag that the command does not read, or two that
-        # exclude each other
+        # an output flag that the command does not read, a flag that is gone,
+        # or two that exclude each other
         ("jacobian --r 2 --csv", "modp: error: unrecognized arguments: --csv"),
         ("degrees --family B --rank 3 --json --csv", "modp: error: unrecognized arguments: --csv"),
         ("quillen --n 11 --dims 3 --json --csv",
          "modp: error: argument --csv: not allowed with argument --json"),
         ("quillen --n 11 --dims 3 --no-cache --refresh-cache --verbose",
-         "modp: error: argument --refresh-cache: not allowed with argument --no-cache"),
+         "modp: error: unrecognized arguments: --refresh-cache"),
         ("selftest --json", "modp: error: unrecognized arguments: --json"),
         # argparse usage errors: one line, as every other exit 2
         "degrees --family B --rank x",
@@ -558,7 +561,7 @@ def test_json_bytes_match_golden(case, capsys, tmp_path, monkeypatch):
         assert out == case["stdout"]
 
 
-COMMON_FLAGS = {"-h", "--help", "--verbose", "--no-cache", "--refresh-cache"}
+COMMON_FLAGS = {"-h", "--help", "--verbose", "--no-cache"}
 GROUP_OPTIONS = {"--family", "--rank", "--json"}
 # the flags each subcommand reads besides COMMON_FLAGS; --csv only where a
 # table is written
@@ -588,8 +591,7 @@ def test_each_subcommand_declares_only_the_flags_it_reads():
         assert flags == SURFACE[name] | COMMON_FLAGS, name
         exclusive = {tuple(s for action in group._group_actions for s in action.option_strings)
                      for group in parser._mutually_exclusive_groups}
-        assert exclusive == ({("--no-cache", "--refresh-cache")}
-                             | ({("--json", "--csv")} if "--csv" in flags else set())), name
+        assert exclusive == ({("--json", "--csv")} if "--csv" in flags else set()), name
     assert set(subparsers.choices) == set(SURFACE)
 
 
@@ -637,13 +639,14 @@ def test_cache_misses_when_the_source_changes(capsys, tmp_path, monkeypatch):
     assert calls == []  # warm: served from the entry
     monkeypatch.setattr(modp.cli, "source_digest", lambda: "0" * 64)
     # the entry under the command's key, written by other code, is stale
-    key = modp.cli.ResultCache(tmp_path)._key("quillen", {"n": 11, "dims": list(range(9))})
+    key = modp.cli.ResultCache._digest(["quillen", {"n": 11, "dims": list(range(9))}])
     new_path = tmp_path / f"{key}.json"
     new_path.write_text(old_entry.read_text())
     assert run_cli(capsys, *argv) == (0, cold)
     assert calls and set(calls) == {11}  # stale: recomputed
     recomputed = len(calls)
-    assert json.loads(new_path.read_text())["source"] == "0" * 64
+    doc = json.loads(new_path.read_text())
+    assert doc["digest"] == modp.cli.ResultCache._digest(["0" * 64, doc["payload"]])
     assert run_cli(capsys, *argv) == (0, cold)
     assert len(calls) == recomputed  # warm again
     assert len(list(tmp_path.glob("*.json"))) == 1  # the stale entry was overwritten
@@ -671,9 +674,20 @@ def test_verbose_reports_each_cache_status(capsys, tmp_path, monkeypatch):
     entry.unlink()
     assert status_of("--verbose") == "miss"
     doc = json.loads(entry.read_text())
-    entry.write_text(json.dumps(dict(doc, version="0.0.0")))
+    # one payload value changed under the digest it was written with
+    entry.write_text(json.dumps(dict(doc, payload=dict(doc["payload"], h=-1))))
     assert status_of("--verbose") == "stale"
     assert status_of("--verbose") == "hit"
+    # an entry in the earlier seven-field format, whose digest covered the
+    # payload alone: stale once, then overwritten in place
+    payload = doc["payload"]
+    entry.write_text(json.dumps({
+        "schema": "modp/1", "key": entry.stem, "version": cli.__version__,
+        "source": cli.source_digest(), "digest": cli.ResultCache._digest(payload),
+        "created_at": "2026-01-01T00:00:00Z", "payload": payload}))
+    assert status_of("--verbose") == "stale"
+    assert status_of("--verbose") == "hit"
+    assert json.loads(entry.read_text()) == doc
     assert status_of("--verbose", "--no-cache") == "off"
     assert status_of("--no-cache") is None
 
@@ -816,7 +830,8 @@ def test_a_failed_cache_write_leaves_no_temporary_file(capsys, tmp_path, monkeyp
     assert list(tmp_path.iterdir()) == []
 
 
-def test_refresh_cache_recomputes_a_warm_entry(capsys, tmp_path, monkeypatch):
+def test_a_warm_entry_is_served_as_written_and_no_cache_recomputes(capsys, tmp_path,
+                                                                    monkeypatch):
     monkeypatch.setenv("MODP_CACHE_DIR", str(tmp_path))
     argv = ["quillen", "--n", "11", "--dims", "0..8", "--json"]
     code, cold = run_cli(capsys, *argv)
@@ -824,15 +839,16 @@ def test_refresh_cache_recomputes_a_warm_entry(capsys, tmp_path, monkeypatch):
     (entry,) = tmp_path.glob("*.json")
     doc = json.loads(entry.read_text())
     payload = dict(doc["payload"], h=-1)
-    digest = cli.ResultCache._digest(payload)
-    entry.write_text(json.dumps(dict(doc, payload=payload, digest=digest)))
+    digest = cli.ResultCache._digest([cli.source_digest(), payload])
+    written = json.dumps({"digest": digest, "payload": payload})
+    entry.write_text(written)
     code, served = run_cli(capsys, *argv)
     assert json.loads(served)["result"]["h"] == -1  # a warm entry is served as it is
-    assert main(argv + ["--refresh-cache", "--verbose"]) == 0
+    assert main(argv + ["--no-cache", "--verbose"]) == 0
     captured = capsys.readouterr()
     assert captured.out == cold
-    assert "modp: cache miss" in captured.err.splitlines()
-    assert json.loads(entry.read_text())["payload"] == json.loads(cold)["result"]
+    assert "modp: cache off" in captured.err.splitlines()
+    assert entry.read_text() == written  # --no-cache leaves the entry alone
 
 
 def test_an_exceptional_weyl_group_has_no_elements_count(capsys, tmp_path, monkeypatch):
@@ -890,8 +906,8 @@ def fuzzed_argv(rng):
         else:
             value = rng.choice(list(outside) + [HUGE, "1.5", "x", "", token])
         argv += [flag, str(value)]
-    return argv + [flag for flag in ("--json", "--csv", "--verbose", "--no-cache",
-                                     "--refresh-cache") if rng.random() < 0.2]
+    return argv + [flag for flag in ("--json", "--csv", "--verbose", "--no-cache")
+                   if rng.random() < 0.2]
 
 
 def test_fuzzed_argv_exit_0_1_or_2(capsys, tmp_path, monkeypatch):
