@@ -504,17 +504,20 @@ class SubstHom:
     checked by check_images and kept in source order; `source`, `target`
     and `images` are read-only, as the plan and power memo come from them.
 
-    The plan, built once here, sorts the variables.  One whose image is a
-    single term c*t ("still") sends x^e to c^e * t^e: it keeps its packed
-    t (its head) and, when c != 1, its (index, c).  Every other one
-    ("moving": an image of several terms, or zero) keeps its byte in a
-    mask.  One reader of the plan maps monomials, monomial_images: the
-    image of a monomial is its head (the sum of the heads of its still
-    exponents, or, when the hom sends every still variable to itself or
-    to 1, the monomial less its other exponents) times one product of
-    memoised powers of the moving images.  apply sums the images of the
-    terms of a polynomial.  relabeling reads the plan only to build the
-    monomial move of a signed renaming."""
+    The plan, built once here, maps a source monomial to its head.  A
+    variable whose image is one term c*t is "still", with head t, and its
+    (byte offset, c) is in `scaled` when c != 1; every other one is
+    "moving" (several terms, or zero), with head 1 and its byte in a mask.
+    The moves shift the degree field, and the byte of each variable sent
+    to a unit of its own weight that no other variable is sent to, to
+    their target fields, one mask per distance.  Every other variable has
+    a change, its head less its own byte and its weight in the degree
+    field, and the head of m is m, plus for each distance the bytes that
+    move that far less themselves, plus e * change for each other variable
+    of exponent e.  That is an exact integer sum: a moved field lands only
+    on 0 or on the byte of a variable that is not renamed, which its
+    change subtracts, and two exponents <= 127 cannot carry.  relabeling
+    reads only the moves; apply sums the monomial_images of a polynomial."""
 
     __slots__ = ("_source", "_target", "_images", "_powers", "_plan")
 
@@ -523,23 +526,37 @@ class SubstHom:
         self._source = source
         self._target = target
         self._images = MappingProxyType({name: images[name] for name in source.names})
-        heads, scaled, moving = [0] * len(source.names), [], source._low
-        for i, img in enumerate(self._images.values()):
+        heads, scaled, moving, sent = [0] * len(source.names), [], source._low, {}
+        for i, (img, off) in enumerate(zip(self._images.values(), source._offsets)):
             if len(img.coeffs) == 1:
-                ((heads[i], c),) = img.coeffs.items()
-                moving ^= FIELD_MASK << source._offsets[i]
+                ((h, c),) = img.coeffs.items()
+                heads[i], sent[h] = h, sent.get(h, 0) + 1
+                moving ^= FIELD_MASK << off
                 if c != 1:
-                    scaled.append((i, c))
-        # when the target is the source and every variable is moving or is
-        # sent, with coefficient 1, to itself or to 1: the (offset, packed
-        # unit) of each one not sent to itself
-        drops = None
-        if target == source and not scaled and all(
-                h == u for h, u in zip(heads, source._units) if h):
-            drops = tuple((off, u) for h, off, u in zip(heads, source._offsets, source._units)
-                          if not h)
+                    scaled.append((off, c))
+        # the bytes that move, by distance, and the change of each other still variable
+        shifts, changes = {target._shift - source._shift: ~source._low}, []
+        for h, w, off in zip(heads, source.weights, source._offsets):
+            j = target._unit_index.get(h)
+            if j is not None and sent[h] == 1 and target.weights[j] == w:
+                d = target._offsets[j] - off
+                shifts[d] = shifts.get(d, 0) | FIELD_MASK << off
+            elif not moving >> off & 1:
+                changes.append((off, h - (1 << off) - (w << target._shift)))
+        keep = ~sum(mask for d, mask in shifts.items() if d)  # the masks are disjoint
+        left = [(mask, d) for d, mask in shifts.items() if d > 0]
+        right = [(mask, -d) for d, mask in shifts.items() if d < 0]
+
+        def move(m: int) -> int:
+            out = m & keep
+            for mask, d in left:
+                out += (m & mask) << d
+            for mask, d in right:
+                out += (m & mask) >> d
+            return out
+        move.mask = sum(1 << off for off, _ in scaled)
         self._powers: dict = {}
-        self._plan = (tuple(heads), tuple(scaled), moving, source._low ^ moving, drops)
+        self._plan = (tuple(heads), tuple(scaled), tuple(changes), moving, move, left + right)
 
     source = property(lambda self: self._source)
     target = property(lambda self: self._target)
@@ -557,11 +574,11 @@ class SubstHom:
             self._powers[(i, k)] = power
         return power
 
-    def _checked_head(self, exps: bytes) -> int:
-        """The head of a term built one monomial addition at a time, so
-        that an exponent over the limit raises instead of carrying."""
+    def _checked_head(self, m: int) -> int:
+        """The head of m built one monomial addition at a time, so that
+        an exponent over the limit raises instead of carrying."""
         target, head = self._target, 0
-        for e, t in zip(exps, self._plan[0]):
+        for e, t in zip(self._source.exponents(m), self._plan[0]):
             for _ in range(e):
                 head += t
                 if head & target._guard:
@@ -589,40 +606,38 @@ class SubstHom:
 
     def monomial_images(self, monos: Iterable[int]) -> list[dict]:
         """The coefficient dict of the image of each packed source
-        monomial: its head, the sum of the heads of its still exponents,
-        times the product c^e over its scaled still images, times the
-        product of the memoised powers of its moving part, built once per
-        distinct moving part in this call (1 for none).  When the plan has
-        drops, the head is the monomial with the exponents of the dropped
-        variables taken out, its degree field with them.  A monomial with
-        no still part gets that product's dict itself, so callers only
-        read the dicts."""
-        heads, scaled, moving, still, drops = self._plan
+        monomial: its head by the plan's map, times the product c^e over
+        its scaled exponents, times the product of the memoised powers of
+        its moving part (1 for none).  The product, and `drop`, minus the
+        changes of the part, are built once per distinct moving part in the
+        call, and the moves are called only when the plan has some.  A head
+        that may pass the exponent limit is redone by _checked_head; a
+        monomial with no still part gets the product's dict itself."""
+        _, scaled, changes, moving, move, moves = self._plan
         source, target, power = self._source, self._target, self._power
-        n, low, p, safe = len(source.names), source._low, target.modulus, target._safe
-        # moving part: (image, its top monomial); no moving part maps to 1
-        products: dict[int, tuple[dict, int]] = {0: ({0: 1}, 0)}
+        n, still, p, safe = len(source.names), source._low ^ moving, target.modulus, target._safe
+        # moving part: (image, its top monomial, drop); none maps to 1
+        products: dict[int, tuple[dict, int, int]] = {0: ({0: 1}, 0, 0)}
         out = []
         for m in monos:
-            head, c = 0, 1
-            if drops is not None:
-                head = m
-                for off, unit in drops:
-                    head -= (m >> off & FIELD_MASK) * unit
-            elif m & still:
-                exps = (m & low).to_bytes(n, "big")
-                head = sum(map(mul, exps, heads))
-                if head >= safe:  # an exponent may have passed the limit
-                    head = self._checked_head(exps)
-                for i, a in scaled:
-                    c = c * pow(a, exps[i], p) % p
             key = m & moving
             entry = products.get(key)
             if entry is None:
-                factors = [power(i, e) for i, e in enumerate(key.to_bytes(n, "big")) if e]
+                exps = key.to_bytes(n, "big")
+                factors = [power(i, e) for i, e in enumerate(exps) if e]
                 image = functools.reduce(mul, factors).coeffs
-                entry = products[key] = image, max(image, default=0)
-            image, top = entry
+                drop = key + (sum(map(mul, exps, source.weights)) << target._shift)
+                entry = products[key] = image, max(image, default=0), drop
+            image, top, drop = entry
+            head, c = 0, 1
+            if m & still:
+                head = (move(m) if moves else m) - drop
+                for off, change in changes:
+                    head += (m >> off & FIELD_MASK) * change
+                if head >= safe:  # an exponent may have passed the limit
+                    head = self._checked_head(m)
+                for off, a in scaled:
+                    c = c * pow(a, m >> off & FIELD_MASK, p) % p
             if head + top >= safe:
                 target._check_fields(head + t for t in image)
             if c != 1:
@@ -635,42 +650,23 @@ class SubstHom:
     __call__ = apply
 
     def relabeling(self) -> Callable[[int], int] | None:
-        """The map of this hom on packed monomials, up to sign, if its plan
-        has no moving byte, no coefficient other than 1 and p - 1, and
-        heads that are distinct units of the target: a one-to-one signed
-        renaming of variables, each to one of the same weight (else
-        ValueError).  Else None.  The fields that keep their bit offset
-        (the degree field among them) are copied in one mask, and the
-        others are moved in one mask per distance.  The move carries a
-        parity mask `move.mask`, the low bit of the byte of each variable
-        sent to minus a variable, so the hom sends m to move(m) times
-        (-1) ** ((m & move.mask).bit_count() & 1); it is 0 when no
-        variable is negated."""
+        """The moves of the plan, the hom on packed monomials up to sign,
+        if the plan has no moving byte, no coefficient other than 1 and
+        p - 1, and heads that are distinct units of the target: a
+        one-to-one signed renaming of variables, each to one of the same
+        weight (else ValueError), so that no variable has a change.  Else
+        None.  The parity mask `move.mask` holds the low bit of the byte
+        of each variable sent to minus a variable, so the hom sends m to
+        move(m) times (-1) ** ((m & move.mask).bit_count() & 1)."""
         source, target = self._source, self._target
-        heads, scaled, moving, *_ = self._plan
+        heads, scaled, _, moving, move, _ = self._plan
         index = [target._unit_index.get(h) for h in heads]
         if (moving or None in index or len(set(index)) < len(index)
                 or any(c != target.modulus - 1 for _, c in scaled)):
             return None
-        shifts = {target._shift - source._shift: ~source._low}
         for i, j in enumerate(index):
             if source.weights[i] != target.weights[j]:
                 raise ValueError(f"{source.names[i]} and {target.names[j]} differ in weight")
-            src = source._offsets[i]
-            d = target._offsets[j] - src
-            shifts[d] = shifts.get(d, 0) | FIELD_MASK << src
-        keep = shifts.pop(0, 0)
-        left = [(mask, d) for d, mask in shifts.items() if d > 0]
-        right = [(mask, -d) for d, mask in shifts.items() if d < 0]
-
-        def move(m: int) -> int:
-            out = m & keep
-            for mask, d in left:
-                out |= (m & mask) << d
-            for mask, d in right:
-                out |= (m & mask) >> d
-            return out
-        move.mask = sum(1 << source._offsets[i] for i, _ in scaled)
         return move
 
     def __repr__(self):
@@ -679,13 +675,14 @@ class SubstHom:
 
 
 def elementary_symmetric(ring: PolyRing, a: int, names: Sequence[str] | None = None) -> Poly:
-    """e_a in the given variables; e_0 = 1 and e_a = 0 for a > #vars."""
+    """e_a in the given variables, which must be distinct (see
+    elementary_symmetric_of); e_0 = 1 and e_a = 0 for a > #vars."""
     if a < 0:
         raise ValueError("negative index")
     names = tuple(names) if names is not None else ring.names
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate variable names in {names}")
     units = [ring._units[ring.var_index(n)] for n in names]
-    if a > len(units):
-        return ring.zero()
     return Poly(ring, {sum(comb): 1 for comb in itertools.combinations(units, a)})
 
 

@@ -21,9 +21,9 @@ from .exactalg import (
 from .groupdata import Series
 
 # The claims grow as 2^size: eta/mu has degree up to 2^(r-1), and e_0..e_r
-# hold 2^r terms.  `modp invariants ... --max-degree 2` takes 0.11 s (Spin),
-# 0.29 s (quotient) and 0.19-0.23 s (B, C, D) at each bound as a whole
-# process, and the cost at least doubles with each step above it.
+# hold 2^r terms.  `modp invariants ... --max-degree 2` takes 0.14 s (Spin),
+# 0.28 s (quotient) and 0.18-0.20 s (B, C, D) at each bound as a whole
+# process (min of 5), and the cost at least doubles with each step above it.
 SPIN_MAX_N = 13
 QUOTIENT_MAX_R = 13
 CLASSICAL_MAX_RANK = 14
@@ -48,7 +48,7 @@ class WeylAction:
     more keep s(r-1,r), which sends x_{r-1} to x_r = -(x_1 + ... +
     x_{r-1}); and Spin keeps two, s(r-1,r) and its sign generator, which
     sends A to a sum.  Every attribute is read-only, so the sorted homs
-    cannot go stale."""
+    cannot go stale, and a generator of another ring is refused."""
 
     __slots__ = ("_ring", "_generators", "_xs", "_A", "_label", "_moves", "_linear")
 
@@ -56,6 +56,9 @@ class WeylAction:
                  xs: Sequence[Poly], A: Poly | None = None, label: str = ""):
         self._ring = ring
         self._generators = tuple(generators)
+        for _, hom in self._generators:
+            ring.check_same(hom.source)
+            ring.check_same(hom.target)
         self._xs = tuple(xs)
         self._A = A
         self._label = label

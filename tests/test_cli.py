@@ -15,7 +15,12 @@ from modp import cli
 from modp.charclass import Generator, GradedPresentation
 from modp.cli import main
 from modp.groupdata import _EXCEPTIONAL_RANK, _MINIMUM_RANK, Series
-from modp.invariants import ClaimedPresentation
+from modp.invariants import (
+    CLASSICAL_MAX_RANK,
+    QUOTIENT_MAX_R,
+    SPIN_MAX_N,
+    ClaimedPresentation,
+)
 
 
 def run_cli(capsys, *argv):
@@ -244,10 +249,15 @@ REFUSED = {
         "invariants --group classical --family E --rank 3",
         "invariants --group nakajima --r 8 --max-degree 40",
         "invariants --group nakajima --r 2 --max-degree 1000000000",
-        "invariants --group spin --n 14 --max-degree 2",
+        # the first input past each bound of the claims
+        (f"invariants --group spin --n {SPIN_MAX_N + 1} --max-degree 2",
+         f"modp: error: need n <= {SPIN_MAX_N}, got {SPIN_MAX_N + 1}"),
         "invariants --group spin --n 200 --max-degree 2",
-        "invariants --group nakajima --r 14 --max-degree 2",
-        "invariants --group classical --family B --rank 15 --p 3 --max-degree 2",
+        (f"invariants --group nakajima --r {QUOTIENT_MAX_R + 1} --max-degree 2",
+         f"modp: error: need r <= {QUOTIENT_MAX_R}, got {QUOTIENT_MAX_R + 1}"),
+        (f"invariants --group classical --family B --rank {CLASSICAL_MAX_RANK + 1} --p 3 "
+         "--max-degree 2",
+         f"modp: error: need rank <= {CLASSICAL_MAX_RANK}, got {CLASSICAL_MAX_RANK + 1}"),
         "invariants --group classical --family D --rank 150 --max-degree 2",
         "jacobian --r 9",
         "restrict --n 8 --target K",

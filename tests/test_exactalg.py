@@ -267,6 +267,20 @@ def test_elementary_symmetric():
             elementary_symmetric(r, a) for a in range(top + 1)]
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_elementary_symmetric_takes_distinct_names_only(p):
+    ring = PolyRing(["x", "y", "z"], modulus=p)
+    # e_1(x, x) = 2x, which a sum over the distinct monomials would miss
+    for names in (["x", "x"], ["x", "y", "x"]):
+        with pytest.raises(ValueError) as info:
+            elementary_symmetric(ring, 1, names)
+        assert info.value.args == (f"duplicate variable names in {tuple(names)}",)
+    for names in (["x"], ["z", "x"], ["y", "z", "x"]):
+        values = [ring.var(n) for n in names]
+        assert [elementary_symmetric(ring, a, names) for a in range(len(names) + 2)] == \
+            elementary_symmetric_of(ring, len(names) + 1, values)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_elementary_symmetric_recurrence_matches_the_definition(p):
     ring = PolyRing(["x", "y", "z"], modulus=p)

@@ -10,7 +10,14 @@ from oracles import (
     substitute,
 )
 
-from modp.exactalg import PackedField, Poly, PolyRing, SubstHom, elementary_symmetric
+from modp.exactalg import (
+    PackedField,
+    Poly,
+    PolyRing,
+    RingMismatchError,
+    SubstHom,
+    elementary_symmetric,
+)
 from modp.groupdata import GroupSpec, Series, fundamental_degrees
 from modp.invariants import (
     CLASSICAL_MAX_RANK,
@@ -277,14 +284,50 @@ def test_minimal_generators_per_action():
     assert [n for n, _ in symmetric_quotient_action(2).generators] == ["s(1,2)"]
 
 
+def _actions_up_to_the_bounds() -> list[WeylAction]:
+    return ([spin_action(n) for n in range(6, SPIN_MAX_N + 1)]
+            + [symmetric_quotient_action(r, p) for r in range(2, QUOTIENT_MAX_R + 1)
+               for p in (2, 3, 5)]
+            + [classical_action(f, rank, p) for f in "BCD"
+               for rank in range(1, CLASSICAL_MAX_RANK + 1) for p in (2, 3)])
+
+
 def test_every_action_up_to_its_bound_has_at_most_four_generators():
-    actions = ([spin_action(n) for n in range(6, SPIN_MAX_N + 1)]
-               + [symmetric_quotient_action(r, p) for r in range(2, QUOTIENT_MAX_R + 1)
-                  for p in (2, 3, 5)]
-               + [classical_action(f, rank, p) for f in "BCD"
-                  for rank in range(1, CLASSICAL_MAX_RANK + 1) for p in (2, 3)])
-    for action in actions:
+    for action in _actions_up_to_the_bounds():
         assert len(action.generators) <= 4, action.label
+
+
+def test_each_move_is_the_monomial_image_of_its_hom():
+    # monomial_images and relabeling read one plan: under a generator
+    # with a move, m goes to move(m) with the sign that move.mask reads
+    for action in _actions_up_to_the_bounds():
+        ring = action.ring
+        signs = (1, ring.modulus - 1)
+        basis = ring.monomials_of_degree(3)
+        for name, hom in action.generators:
+            move = hom.relabeling()
+            if move is not None:
+                assert hom.monomial_images(basis) == [
+                    {move(m): signs[(m & move.mask).bit_count() & 1]} for m in basis], \
+                    (action.label, name)
+
+
+LARGEST = [
+    (spin_action(SPIN_MAX_N), lambda a: spin_claimed(a, SPIN_MAX_N)),
+    (symmetric_quotient_action(QUOTIENT_MAX_R, 2), nakajima_claimed),
+    (symmetric_quotient_action(QUOTIENT_MAX_R, 3), nakajima_claimed),
+    (classical_action("B", CLASSICAL_MAX_RANK, 3),
+     lambda a: classical_claimed(a, "B", CLASSICAL_MAX_RANK, 3)),
+    (classical_action("D", CLASSICAL_MAX_RANK, 3),
+     lambda a: classical_claimed(a, "D", CLASSICAL_MAX_RANK, 3)),
+    (classical_action("C", CLASSICAL_MAX_RANK, 2),
+     lambda a: classical_claimed(a, "C", CLASSICAL_MAX_RANK, 2)),
+]
+
+
+@pytest.mark.parametrize("action, claim", [pytest.param(a, c, id=a.label) for a, c in LARGEST])
+def test_each_largest_action_verifies_its_claim(action, claim):
+    assert verify_presentation(action, claim(action), 2).passed
 
 
 def test_an_action_of_chosen_homs_applies_every_one():
@@ -617,6 +660,21 @@ def test_a_variable_map_that_is_not_one_to_one_is_no_permutation():
     for d in range(1, 6):
         assert brute_invariant_dimension(action, d) == \
             brute_invariant_dimension_stacked(ring, action.generators, d) == 1
+
+
+def test_weyl_action_refuses_a_hom_of_another_ring():
+    # a swap on another ring once made every monomial its own orbit, and a
+    # linear hom on it raised a bare KeyError in the oracle
+    ring, other = PolyRing(["x", "y"]), PolyRing(["u", "v", "w"])
+    x, y = ring.gens()
+    u, v, w = other.gens()
+    swap = SubstHom(other, other, {"u": v, "v": u, "w": w})
+    linear = SubstHom(other, other, {"u": u + v, "v": v, "w": w})
+    into = SubstHom(ring, other, {"x": u, "y": v})
+    for hom in (swap, linear, into):
+        with pytest.raises(RingMismatchError) as info:
+            WeylAction(ring, [("g", hom)], [x, y])
+        assert info.value.args == ("ring mismatch: F2[x,y] vs F2[u,v,w]",)
 
 
 def test_weyl_action_is_built_whole():

@@ -147,12 +147,21 @@ def _image_shapes(rng, p):
                                 _reduce({(0, 2, 0, 0, 1): -1}, p), {(0,) * 5: 1}]),
         "narrower target": (narrow, [{(1,): 1}, _reduce({(2,): 2}, p), {(1,): 1, (0,): 1},
                                      {}]),
+        # x and z onto z: neither is renamed, so both are changed
+        "two onto one": (ring, [{unit[2]: 1}, {unit[1]: 1}, _reduce({unit[2]: -1}, p),
+                                _several_terms(rng, p, n)]),
+        # x is renamed to z, whose byte stays until its own change, and the
+        # others are sent to units of other weights
+        "other weights": (ring, [{unit[2]: 1}, {unit[3]: 1}, {unit[1]: 1},
+                                 _reduce({unit[0]: -1}, p)]),
     }
 
 
-@pytest.mark.parametrize("shape", ["identity", "permutation", "one moving", "all moving",
-                                   "coefficients", "constants", "wider target",
-                                   "narrower target"])
+SHAPES = ["identity", "permutation", "one moving", "all moving", "coefficients", "constants",
+          "wider target", "narrower target", "two onto one", "other weights"]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_grouped_substitution_matches_schoolbook(p, shape):
     rng = random.Random(300 + p)
@@ -165,9 +174,7 @@ def test_grouped_substitution_matches_schoolbook(p, shape):
         assert dict(hom(f).terms) == ref_subst(tf, imgs, p, len(target.names))
 
 
-@pytest.mark.parametrize("shape", ["identity", "permutation", "one moving", "all moving",
-                                   "coefficients", "constants", "wider target",
-                                   "narrower target"])
+@pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_monomial_images_agree_with_apply(p, shape):
     rng = random.Random(400 + p)
@@ -175,11 +182,12 @@ def test_monomial_images_agree_with_apply(p, shape):
     target, imgs = _image_shapes(rng, p)[shape]
     hom = SubstHom(ring, target, {name: target.from_terms(t) for name, t in zip(NAMES, imgs)})
     monos = [m for d in range(7) for m in ring.monomials_of_degree(d)]
-    # apply sums these images, so they are checked against the schoolbook
+    # apply sums these images, so they are checked against the schoolbook,
+    # packed so that the degree field is compared too
     n = len(target.names)
-    assert [{target.exponents(t): c for t, c in image.items()}
-            for image in hom.monomial_images(monos)] == \
-        [ref_subst({ring.exponents(m): 1}, imgs, p, n) for m in monos]
+    assert hom.monomial_images(monos) == [
+        {target.monomial(e): c for e, c in ref_subst({ring.exponents(m): 1}, imgs, p, n).items()}
+        for m in monos]
 
 
 def test_monomial_images_raise_the_overflow_line_of_apply():
