@@ -128,12 +128,12 @@ class GradedPresentation:
     def dim_degree(self, d: int) -> int:
         """Exact dimension of the degree-d component of the quotient:
         count of ambient monomials minus the rank of all relation
-        multiples in that degree."""
+        multiples mono * rel in that degree, packed as (mono, 1, rel.coeffs)."""
         if d < 0:
             return 0
         comp = GradedComponent(self.ring, d)
-        rows = [comp.vector(rel.coeffs, shift=mono) for rel in self._all_relations()
-                for mono in self.ring.monomials_of_degree(d - rel.degree())]
+        rows = comp.vectors((mono, 1, rel.coeffs) for rel in self._all_relations()
+                            for mono in self.ring.monomials_of_degree(d - rel.degree()))
         return len(comp.basis) - comp.rank(rows)
 
     def to_json(self) -> dict:

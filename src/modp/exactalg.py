@@ -517,7 +517,8 @@ class SubstHom:
     of exponent e.  That is an exact integer sum: a moved field lands only
     on 0 or on the byte of a variable that is not renamed, which its
     change subtracts, and two exponents <= 127 cannot carry.  relabeling
-    reads only the moves; apply sums the monomial_images of a polynomial."""
+    reads only the moves; monomial_images gives each image as c * x^head
+    times the memoised image of the moving part, and apply sums them."""
 
     __slots__ = ("_source", "_target", "_images", "_powers", "_plan")
 
@@ -587,32 +588,36 @@ class SubstHom:
 
     def apply(self, f: Poly) -> Poly:
         """The image of f: the monomial_images of its terms, each times
-        its coefficient, summed in one accumulator (a set toggled by
-        parity over F_2, a dict of sums otherwise) and reduced once."""
+        its coefficient a, summed in one accumulator and reduced once: over
+        F_2 each toggles the monomials head + t of a set, otherwise a*c*e
+        is added to the sum at head + t."""
         target = self._target
         self._source.check_same(f.ring)
         images = self.monomial_images(f.coeffs)
         if target.modulus == 2:
             acc = set()
-            for image in images:
-                acc.symmetric_difference_update(image)
+            for head, _, image in images:
+                acc.symmetric_difference_update(map(head.__add__, image) if head else image)
         else:
             acc = {}
             get = acc.get
-            for c, image in zip(f.coeffs.values(), images):
+            for a, (head, c, image) in zip(f.coeffs.values(), images):
+                a *= c
                 for t, e in image.items():
-                    acc[t] = get(t, 0) + c * e
+                    t += head
+                    acc[t] = get(t, 0) + a * e
         return Poly(target, _reduced(target, acc))
 
-    def monomial_images(self, monos: Iterable[int]) -> list[dict]:
-        """The coefficient dict of the image of each packed source
-        monomial: its head by the plan's map, times the product c^e over
-        its scaled exponents, times the product of the memoised powers of
-        its moving part (1 for none).  The product, and `drop`, minus the
-        changes of the part, are built once per distinct moving part in the
-        call, and the moves are called only when the plan has some.  A head
-        that may pass the exponent limit is redone by _checked_head; a
-        monomial with no still part gets the product's dict itself."""
+    def monomial_images(self, monos: Iterable[int]) -> list[tuple[int, int, dict]]:
+        """The image of each packed source monomial as a triple (head, c,
+        product), the image being c * x^head * product: the head by the
+        plan's map, c in 1..p-1 the product of c^e over its scaled
+        exponents, and product the coefficient dict of the memoised powers
+        of its moving part multiplied ({0: 1} for none).  The product, and
+        `drop`, minus the changes of the part, are built once per distinct
+        moving part in the call and shared, never to be changed by a caller;
+        the moves are called only when the plan has some.  A head that may
+        pass the exponent limit is redone by _checked_head."""
         _, scaled, changes, moving, move, moves = self._plan
         source, target, power = self._source, self._target, self._power
         n, still, p, safe = len(source.names), source._low ^ moving, target.modulus, target._safe
@@ -640,11 +645,7 @@ class SubstHom:
                     c = c * pow(a, m >> off & FIELD_MASK, p) % p
             if head + top >= safe:
                 target._check_fields(head + t for t in image)
-            if c != 1:
-                image = {head + t: c * e % p for t, e in image.items()}
-            elif head:
-                image = {head + t: e for t, e in image.items()}
-            out.append(image)  # with no still part, the product itself
+            out.append((head, c, image))
         return out
 
     __call__ = apply
@@ -916,14 +917,23 @@ class GradedComponent:
         self.basis = ring.monomials_of_degree(d)
         self.index = {m: i for i, m in enumerate(self.basis)}
 
-    def vector(self, coeffs: dict, shift: int = 0) -> int:
-        """Coordinates of the polynomial with the coefficient dict `coeffs`
-        (a Poly's `coeffs`, or an image from SubstHom.monomial_images), or
-        of it times the packed monomial `shift`."""
-        index, b, v = self.index, self.field.bits, 0
-        for m, c in coeffs.items():
-            v |= c << (index[m + shift] * b)
-        return v
+    def vector(self, coeffs: dict) -> int:
+        """Coordinates of the polynomial with the coefficient dict `coeffs`."""
+        return self.vectors([(0, 1, coeffs)])[0]
+
+    def vectors(self, terms: Iterable[tuple[int, int, dict]]) -> list[int]:
+        """Coordinates of c * x^head * product for each triple (head, c,
+        product) of terms, as SubstHom.monomial_images gives them, in one
+        walk of each product, which is scaled only when c != 1."""
+        index, b, p, out = self.index, self.field.bits, self.ring.modulus, []
+        for head, c, coeffs in terms:
+            if c != 1:
+                coeffs = {m: c * e % p for m, e in coeffs.items()}
+            v = 0
+            for m, e in coeffs.items():
+                v |= e << (index[head + m] * b)
+            out.append(v)
+        return out
 
     def coeffs(self, v: int) -> dict:
         """The coefficient dict of the polynomial with coordinates v."""
@@ -938,17 +948,17 @@ class GradedComponent:
         """The coordinates of a basis of the polynomials in the span of the
         independent `fs`, given as coefficient dicts, that hom fixes.  Each
         distinct monomial m of the fs is mapped once, by
-        hom.monomial_images, and hom(m) is packed once; the row of f,
-        hom(f) - f, is the sum of the packed images of its terms, each
-        times its coefficient, less f.  These rows are eliminated with the
-        coordinates of f as their tags, so each combination that vanishes
-        comes back as the coordinates of a fixed polynomial, unpacked only
-        by a caller that needs its dict (`coeffs`)."""
-        vector = self.vector
+        hom.monomial_images, and its triple is packed once by `vectors`, as
+        is each f, as the triple (0, 1, f); the row of f, hom(f) - f, is the
+        sum of the packed images of its terms, each times its coefficient,
+        less f.  These rows are eliminated with the coordinates of f as
+        their tags, so each combination that vanishes comes back as the
+        coordinates of a fixed polynomial, unpacked only by a caller that
+        needs its dict (`coeffs`)."""
         add, scale = self.field.arithmetic(len(self.basis))
         monos = list(dict.fromkeys(itertools.chain.from_iterable(fs)))
-        images = dict(zip(monos, map(vector, hom.monomial_images(monos))))
-        tags = [vector(f) for f in fs]
+        images = dict(zip(monos, self.vectors(hom.monomial_images(monos))))
+        tags = self.vectors([(0, 1, f) for f in fs])
         minus_one = self.ring.modulus - 1
         rows = [functools.reduce(add, [images[m] if c == 1 else scale(images[m], c)
                                        for m, c in f.items()], scale(tag, minus_one))

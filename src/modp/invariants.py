@@ -158,15 +158,21 @@ def _span_product(action: WeylAction, name: str, j: int, high: int, every: bool)
     the F_2-combinations of y = x_1..x_j, or of y = x_1 + x_i for i = 2..j,
     and their product P(T) is additive (Ore, Trans. AMS 1933), so adding y
     gives P(T) * P(T + y) = P(T) * (P(T) + P(y)): the y are taken off one
-    at a time, each value v left becoming v * (v + y), in j steps."""
+    at a time, each value v left becoming v * (v + y) = v^2 + v * y, in j
+    steps, with the square mod 2 the Frobenius map, each monomial doubled."""
     if action.A is None:
         raise ValueError(f"{name} needs the spin model with the A variable")
     check_size(f"{name} index", j, 1, high)
     xs = action.xs[:j]
     values = [action.A, *(xs if every else [xs[0] + x for x in xs[1:]])]
+    ring = action.ring
     while len(values) > 1:
         y = values.pop()
-        values = [v * (v + y) for v in values]
+        for k, v in enumerate(values):
+            square = [2 * m for m in v.coeffs]
+            if max(square) >= ring._safe:
+                ring._check_fields(square)
+            values[k] = Poly(ring, dict.fromkeys(square, 1)) + v * y
     return values[0]
 
 
@@ -359,8 +365,7 @@ def verify_presentation(action: WeylAction, cp: ClaimedPresentation,
     rows = []
     for d in range(1, dmax + 1):
         comp = GradedComponent(ring, d)
-        vectors = [comp.vector(image)
-                   for image in span.monomial_images(products.monomials_of_degree(d))]
+        vectors = comp.vectors(span.monomial_images(products.monomials_of_degree(d)))
         rows.append(DegreeRow(d, brute_invariant_dimension(action, d),
                               comp.rank(vectors), coeffs[d]))
     return VerifyReport(label, cp.names, tuple(rows))

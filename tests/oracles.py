@@ -20,6 +20,9 @@ definition:
 - `kernel_dimension_exhaustive`: the kernel of packed rows counted over
   every combination, with no elimination at all;
 - `pack`: a packed vector from its (position, coefficient) pairs;
+- `expand`: a factored monomial image (head, c, product) as the
+  coefficient dict of c * x^head * product, one term at a time, where
+  the library packs or sums the triple without building that dict;
 - `series_product`: the product of two graded series, read off the
   definition of a product of quotients, where the library builds a
   Kunneth product's series from its generators alone."""
@@ -37,6 +40,13 @@ def pack(field: PackedField, coords) -> int:
     for i, c in coords:
         v |= c << (i * b)
     return v
+
+
+def expand(image, p: int) -> dict:
+    """The coefficient dict of c * x^head * product for a triple (head, c,
+    product) of SubstHom.monomial_images, each coefficient reduced mod p."""
+    head, c, product = image
+    return {head + t: c * e % p for t, e in product.items()}
 
 
 def series_product(a: Series, b: Series) -> Series:

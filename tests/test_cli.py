@@ -11,9 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from modp import cli
-from modp.charclass import Generator, GradedPresentation
-from modp.cli import main
+from modp import cli, quillen
+from modp.charclass import (
+    PRESENTATION_MAX_N,
+    RESTRICTION_MAX_N,
+    Generator,
+    GradedPresentation,
+)
+from modp.cli import DIMS_MAX_DEGREE, SERIES_MAX_DEGREE, main
+from modp.exactalg import MODULUS_LIMIT, MONOMIAL_GUARD
 from modp.groupdata import _EXCEPTIONAL_RANK, _MINIMUM_RANK, Series
 from modp.invariants import (
     CLASSICAL_MAX_RANK,
@@ -230,9 +236,14 @@ HUGE = "1000000000000000003"
 # writes no cache entry; an entry (argv, line) also gives that line.  An
 # argv is split on spaces.  The two sections run under two test names, so
 # that each case keeps its test id.
+def past(argv: str, what: str, bound: int) -> tuple[str, str]:
+    """argv with its {} set to the first value past `bound`, and the line
+    that refuses it."""
+    return argv.format(bound + 1), f"modp: error: need {what} <= {bound}, got {bound + 1}"
+
+
 REFUSED = {
     "precondition": [
-        "quillen --n 18 --dims 0..4",
         "quillen --n 11 --dims 3..x",
         "quillen --n 11 --dims 3..",
         "quillen --n 11 --dims 0..1000000000",
@@ -249,31 +260,35 @@ REFUSED = {
         "invariants --group classical --family E --rank 3",
         "invariants --group nakajima --r 8 --max-degree 40",
         "invariants --group nakajima --r 2 --max-degree 1000000000",
-        # the first input past each bound of the claims
-        (f"invariants --group spin --n {SPIN_MAX_N + 1} --max-degree 2",
-         f"modp: error: need n <= {SPIN_MAX_N}, got {SPIN_MAX_N + 1}"),
+        # the first input past each bound, built from the bound, with its line
+        past("invariants --group spin --n {} --max-degree 2", "n", SPIN_MAX_N),
         "invariants --group spin --n 200 --max-degree 2",
-        (f"invariants --group nakajima --r {QUOTIENT_MAX_R + 1} --max-degree 2",
-         f"modp: error: need r <= {QUOTIENT_MAX_R}, got {QUOTIENT_MAX_R + 1}"),
-        (f"invariants --group classical --family B --rank {CLASSICAL_MAX_RANK + 1} --p 3 "
-         "--max-degree 2",
-         f"modp: error: need rank <= {CLASSICAL_MAX_RANK}, got {CLASSICAL_MAX_RANK + 1}"),
+        past("invariants --group nakajima --r {} --max-degree 2", "r", QUOTIENT_MAX_R),
+        past("invariants --group classical --family B --rank {} --p 3 --max-degree 2", "rank",
+             CLASSICAL_MAX_RANK),
+        past("quillen --n {} --dims 0..4", "n", quillen.MAX_N),
+        past("ring --name bso --n {}", "n", PRESENTATION_MAX_N),
+        past("ring --name bo --n {}", "n", PRESENTATION_MAX_N),
+        past("restrict --n {}", "n", RESTRICTION_MAX_N),
+        past("ring --name bso --n 11 --series-to {}", "--series-to", SERIES_MAX_DEGREE),
+        past("quillen --n 11 --dims 0..{}", "the high end of --dims", DIMS_MAX_DEGREE),
+        past("invariants --group classical --family B --rank 3 --p {}", "modulus",
+             MODULUS_LIMIT - 1),
+        past("invariants --group nakajima --r 3 --p {}", "modulus", MODULUS_LIMIT - 1),
+        # the largest --dims is refused first by the monomial guard
+        (f"quillen --n 11 --dims {DIMS_MAX_DEGREE}..{DIMS_MAX_DEGREE}",
+         f"modp: error: degree {DIMS_MAX_DEGREE} needs more than {MONOMIAL_GUARD} monomials"),
         "invariants --group classical --family D --rank 150 --max-degree 2",
         "jacobian --r 9",
         "restrict --n 8 --target K",
-        "restrict --n 30",
         "restrict --n 1000000001 --target K",
         "ring --name bso",
-        "ring --name bso --n 1001",
         "ring --name bso --n 1000000",
         "ring --name bo --n 1000000",
-        "ring --name bso --n 11 --series-to 10001",
         "ring --name bso --n 11 --series-to 20000000",
         "ring --name bmu --series-to 20000000",
         "quillen --n 11 --dims 0..143",
         "quillen --n 11 --dims 0..281",
-        "invariants --group classical --family B --rank 3 --p 2147483659",
-        "invariants --group nakajima --r 3 --p 2147483659",
         "weyl --family B --rank 7",
         "weyl --family B --rank 9",
         "weyl --family E6",

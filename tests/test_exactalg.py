@@ -9,6 +9,7 @@ import pytest
 from oracles import (
     brute_invariant_dimension_stacked,
     elementary_symmetric_by_definition,
+    expand,
     kernel_dimension_exhaustive,
     pack,
     substitute,
@@ -541,7 +542,8 @@ def test_graded_component_coordinates(p):
         f = random_element(comp.basis)
         assert comp.coeffs(comp.vector(f.coeffs)) == f.coeffs
         g = random_element(GradedComponent(ring, 4).basis)
-        assert comp.vector(g.coeffs, shift=shift) == comp.vector((g * ring.var("x")).coeffs)
+        # the triple (shift, 1, g) packs g times the monomial shift
+        assert comp.vectors([(shift, 1, g.coeffs)]) == [comp.vector((g * ring.var("x")).coeffs)]
     assert Poly(ring, comp.coeffs(pack(comp.field, [(0, 1), (2, 1)]))) == ring.from_terms(
         {ring.exponents(comp.basis[0]): 1, ring.exponents(comp.basis[2]): 1})
     for _ in range(10):
@@ -576,3 +578,28 @@ def test_graded_component_coordinates(p):
         vectors = [full.vector(f.coeffs) for f in fs + fixed]
         assert full.rank(vectors[len(fs):]) == len(fixed)
         assert full.rank(vectors) == len(fs)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_vectors_pack_the_expanded_images(p):
+    # c * x^head * product for random heads and products, and every c in
+    # 1..p-1, against the oracle's pack of the image expanded term by
+    # term; a batch of c = 1 alone, and one that mixes every c; the
+    # products, which monomial_images shares, are left as they were
+    rng = random.Random(34 + p)
+    ring = PolyRing(["x", "y", "z", "w"], weights=(1, 1, 2, 1), modulus=p)
+    d = 6
+    comp = GradedComponent(ring, d)
+    triples = []
+    for _ in range(40):
+        k = rng.randrange(d + 1)
+        head = rng.choice(ring.monomials_of_degree(k))
+        monos = ring.monomials_of_degree(d - k)
+        product = {m: rng.randrange(1, p) for m in rng.sample(monos, rng.randrange(len(monos)) + 1)}
+        triples += [(head, c, product) for c in range(1, p)]
+    products = [dict(product) for _, _, product in triples]
+    for batch in ([t for t in triples if t[1] == 1], triples):
+        assert comp.vectors(batch) == [
+            pack(comp.field, [(comp.basis.index(m), c) for m, c in expand(t, p).items()])
+            for t in batch]
+    assert [product for _, _, product in triples] == products

@@ -1,8 +1,11 @@
+from types import SimpleNamespace
+
 import pytest
 from oracles import (
     _subset_product,
     brute_invariant_dimension_stacked,
     defined_images,
+    expand,
     full_generators,
     kernel_dimension_exhaustive,
     pack,
@@ -37,6 +40,7 @@ from modp.invariants import (
     verify_presentation,
     WeylAction,
     _orbit_classes,
+    _span_product,
 )
 
 
@@ -151,6 +155,20 @@ def test_the_span_recurrence_is_the_subset_product():
             assert eta(a, j) == _subset_product(a, j, 1), (n, j)
         for j in range(1, min(r, 4) + 1):
             assert mu(a, j) == _subset_product(a, j, 2), (n, j)
+
+
+def test_the_frobenius_square_raises_the_exponent_line_of_a_product():
+    # no action up to the bounds squares past the exponent limit, so a
+    # stand-in whose A is x^64 takes the one step to x^128
+    ring = PolyRing(["x", "y"])
+    x, y = ring.gens()
+    stand_in = SimpleNamespace(ring=ring, A=x ** 64, xs=[y])
+    with pytest.raises(ValueError) as by_product:
+        x ** 64 * (x ** 64 + y)
+    with pytest.raises(ValueError) as by_square:
+        _span_product(stand_in, "eta", 1, 1, True)
+    assert by_square.value.args == by_product.value.args
+    assert str(by_square.value) == "exponent of x exceeds 127 in F2[x,y]"
 
 
 def test_classical_action_examples():
@@ -299,7 +317,8 @@ def test_every_action_up_to_its_bound_has_at_most_four_generators():
 
 def test_each_move_is_the_monomial_image_of_its_hom():
     # monomial_images and relabeling read one plan: under a generator
-    # with a move, m goes to move(m) with the sign that move.mask reads
+    # with a move, m goes to move(m) with the sign that move.mask reads,
+    # once its triple (head, c, product) is expanded
     for action in _actions_up_to_the_bounds():
         ring = action.ring
         signs = (1, ring.modulus - 1)
@@ -307,7 +326,7 @@ def test_each_move_is_the_monomial_image_of_its_hom():
         for name, hom in action.generators:
             move = hom.relabeling()
             if move is not None:
-                assert hom.monomial_images(basis) == [
+                assert [expand(t, ring.modulus) for t in hom.monomial_images(basis)] == [
                     {move(m): signs[(m & move.mask).bit_count() & 1]} for m in basis], \
                     (action.label, name)
 

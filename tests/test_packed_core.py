@@ -9,6 +9,7 @@ import random
 import time
 
 import pytest
+from oracles import expand
 
 from modp.charclass import Derivation, bso_presentation
 from modp.exactalg import PolyRing, SubstHom, gradient, sum_of_products
@@ -182,10 +183,11 @@ def test_monomial_images_agree_with_apply(p, shape):
     target, imgs = _image_shapes(rng, p)[shape]
     hom = SubstHom(ring, target, {name: target.from_terms(t) for name, t in zip(NAMES, imgs)})
     monos = [m for d in range(7) for m in ring.monomials_of_degree(d)]
-    # apply sums these images, so they are checked against the schoolbook,
-    # packed so that the degree field is compared too
+    # apply sums these images, so each triple (head, c, product), expanded
+    # term by term, is checked against the schoolbook, packed so that the
+    # degree field is compared too
     n = len(target.names)
-    assert hom.monomial_images(monos) == [
+    assert [expand(image, p) for image in hom.monomial_images(monos)] == [
         {target.monomial(e): c for e, c in ref_subst({ring.exponents(m): 1}, imgs, p, n).items()}
         for m in monos]
 
