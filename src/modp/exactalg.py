@@ -180,13 +180,17 @@ class PolyRing:
         return basis
 
     def _enumerate(self, d: int) -> list[int]:
-        """Walk the variables in order, each exponent descending, keeping
-        only the choices whose remaining degree the later variables can
-        still reach; the walk meets every monomial once, in order.  A
-        partial monomial keeps the degree still to place in its top field,
-        so choosing exponent e of a variable is one integer addition.
-        Only monomials_of_degree calls it, after the guard, which lets
-        through no nonempty degree past the ceiling."""
+        """Walk the variables but the last in order, each exponent
+        descending, keeping only the choices whose remaining degree the
+        later variables can still reach; the walk meets every monomial
+        once, in order.  A partial monomial keeps the degree still to place
+        in its top field, so choosing exponent e of a variable is one
+        integer addition.  The count table keeps only the states whose
+        remaining degree rem the last weight w divides, so each state has
+        one completion, rem // w in the last field and d in the top one,
+        and the walk ends in one pass over the states.  Only
+        monomials_of_degree calls it, after the guard, which lets through
+        no nonempty degree past the ceiling."""
         if not 0 <= d <= self._ceiling:
             return []
         counts = self._count_table(d)
@@ -194,7 +198,9 @@ class PolyRing:
             return []
         shift = self._shift
         states = [d << shift]
-        for w, off, after in zip(self.weights, self._offsets, counts[1:]):
+        if not self.weights:  # the empty ring holds the monomial 1 in degree 0
+            return states
+        for w, off, after in zip(self.weights[:-1], self._offsets, counts[1:-1]):
             steps: dict[int, list[int]] = {}
             nxt: list[int] = []
             for s in states:
@@ -205,8 +211,8 @@ class PolyRing:
                                          for e in range(rem // w, -1, -1) if after[rem - e * w]]
                 nxt += [s + x for x in step]
             states = nxt
-        top = d << shift
-        return [s + top for s in states]
+        w, low, top = self.weights[-1], self._low, d << shift
+        return [(s & low) + (s >> shift) // w + top for s in states]
 
     def _count_table(self, d: int) -> list[list[int]]:
         """counts[k][e]: the number of monomials of degree e in the
@@ -556,6 +562,7 @@ class SubstHom:
                 out += (m & mask) >> d
             return out
         move.mask = sum(1 << off for off, _ in scaled)
+        move.identity = not (left or right)
         self._powers: dict = {}
         self._plan = (tuple(heads), tuple(scaled), tuple(changes), moving, move, left + right)
 
@@ -658,7 +665,9 @@ class SubstHom:
         weight (else ValueError), so that no variable has a change.  Else
         None.  The parity mask `move.mask` holds the low bit of the byte
         of each variable sent to minus a variable, so the hom sends m to
-        move(m) times (-1) ** ((m & move.mask).bit_count() & 1)."""
+        move(m) times (-1) ** ((m & move.mask).bit_count() & 1).  The mark
+        `move.identity` is true when no byte moves, so that move(m) is m
+        and the hom, a sign change such as eps1, only checks that parity."""
         source, target = self._source, self._target
         heads, scaled, _, moving, move, _ = self._plan
         index = [target._unit_index.get(h) for h in heads]
@@ -916,10 +925,6 @@ class GradedComponent:
         self.field = PackedField(ring.modulus)
         self.basis = ring.monomials_of_degree(d)
         self.index = {m: i for i, m in enumerate(self.basis)}
-
-    def vector(self, coeffs: dict) -> int:
-        """Coordinates of the polynomial with the coefficient dict `coeffs`."""
-        return self.vectors([(0, 1, coeffs)])[0]
 
     def vectors(self, terms: Iterable[tuple[int, int, dict]]) -> list[int]:
         """Coordinates of c * x^head * product for each triple (head, c,

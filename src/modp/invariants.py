@@ -204,8 +204,13 @@ def _orbit_classes(basis: Sequence[int], moves: Sequence[Callable[[int], int]]
     itself, and no invariant is supported on the orbit.  The signed sums
     of the live orbits are a basis of the invariants that the moves alone
     fix (invariants of monomial groups: Derksen-Kemper, Computational
-    Invariant Theory, 2nd ed. 2015; Stanley, Bull. AMS 1979).  Signs are
-    compared only when some move flips one."""
+    Invariant Theory, 2nd ed. 2015; Stanley, Bull. AMS 1979).  A move
+    marked `identity` sends each monomial to plus or minus itself, so it
+    adds no monomial to an orbit and is not walked: an orbit is dead when
+    one of its monomials has an odd parity under its mask.  Signs are
+    compared only when some walked move flips one."""
+    flips = [move.mask for move in moves if move.identity and move.mask]
+    moves = [move for move in moves if not move.identity]
     seen: dict[int, int] = {}
     signed = any(move.mask for move in moves)
     classes = []
@@ -222,6 +227,9 @@ def _orbit_classes(basis: Sequence[int], moves: Sequence[Callable[[int], int]]
                     orbit.append(t)
                 elif signed and seen[t] != seen[m] ^ (m & move.mask).bit_count() & 1:
                     live = False
+        for mask in flips:
+            if live and any((m & mask).bit_count() & 1 for m in orbit):
+                live = False
         classes.append((orbit, seen if live else None))
     return classes
 

@@ -25,9 +25,17 @@ definition:
   the library packs or sums the triple without building that dict;
 - `series_product`: the product of two graded series, read off the
   definition of a product of quotients, where the library builds a
-  Kunneth product's series from its generators alone."""
+  Kunneth product's series from its generators alone;
+- `monomials_by_product`: the packed monomials of one degree, filtered
+  out of every exponent tuple in a box, where the library walks the
+  variables under its count table and finishes the last in closed form;
+- `orbit_classes_by_every_move`: the signed orbits of a basis by a
+  breadth-first walk of every move, where the library walks only the
+  moves that change a monomial and reads each sign change as a parity
+  check."""
 
 import itertools
+import operator
 
 from modp.exactalg import PackedField, Poly, SubstHom, check_size
 from modp.groupdata import Series
@@ -47,6 +55,42 @@ def expand(image, p: int) -> dict:
     product) of SubstHom.monomial_images, each coefficient reduced mod p."""
     head, c, product = image
     return {head + t: c * e % p for t, e in product.items()}
+
+
+def monomials_by_product(ring, d: int) -> list[int]:
+    """The packed monomials of weighted degree d of `ring`, highest
+    first: every exponent tuple with e_i * w_i <= d for each variable,
+    kept when its weighted degree is d (small boxes only)."""
+    ranges = [range(max(d, 0) // w + 1) for w in ring.weights]
+    return sorted((ring.monomial(e) for e in itertools.product(*ranges)
+                   if sum(map(operator.mul, e, ring.weights)) == d), reverse=True)
+
+
+def orbit_classes_by_every_move(basis, moves) -> list:
+    """The (orbit, signs) pairs of `invariants._orbit_classes`, by a
+    breadth-first walk that applies every move to every monomial of an
+    orbit, sign changes included.  A move sends m to minus move(m) when
+    (m & move.mask).bit_count() is odd; each monomial gets a sign bit
+    relative to the orbit's first, and an orbit that reaches one of its
+    monomials with both signs is dead, its signs None."""
+    seen = {}
+    signed = any(move.mask for move in moves)
+    classes = []
+    for mono in basis:
+        if mono in seen:
+            continue
+        seen[mono] = 0
+        orbit, live = [mono], True
+        for m in orbit:
+            for move in moves:
+                t = move(m)
+                if t not in seen:
+                    seen[t] = signed and seen[m] ^ (m & move.mask).bit_count() & 1
+                    orbit.append(t)
+                elif signed and seen[t] != seen[m] ^ (m & move.mask).bit_count() & 1:
+                    live = False
+        classes.append((orbit, seen if live else None))
+    return classes
 
 
 def series_product(a: Series, b: Series) -> Series:

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import random
 import signal
@@ -18,9 +19,15 @@ from modp.charclass import (
     Generator,
     GradedPresentation,
 )
-from modp.cli import DIMS_MAX_DEGREE, SERIES_MAX_DEGREE, main
+from modp.cli import (
+    DIMS_MAX_DEGREE,
+    SERIES_MAX_DEGREE,
+    UCLASS_MAX_TRUNCATION,
+    UCLASS_MAX_VARS,
+    main,
+)
 from modp.exactalg import MODULUS_LIMIT, MONOMIAL_GUARD
-from modp.groupdata import _EXCEPTIONAL_RANK, _MINIMUM_RANK, Series
+from modp.groupdata import _EXCEPTIONAL_RANK, _MINIMUM_RANK, WEYL_MAX_ORDER, Series
 from modp.invariants import (
     CLASSICAL_MAX_RANK,
     QUOTIENT_MAX_R,
@@ -164,23 +171,25 @@ def uclass(truncation, size=1):
 def test_whitney_answers_on_a_ring_of_1000_variables(capsys, tmp_path, monkeypatch):
     # as many variables as bo_presentation(1000), the largest cataloged ring
     monkeypatch.setenv("MODP_CACHE_DIR", str(tmp_path))
-    code, out = run_cli(capsys, "whitney", "--e", uclass(1, 1000), "--f",
-                        '{"components":["1","a999"]}', "--json")
+    last = f"a{UCLASS_MAX_VARS - 1}"
+    code, out = run_cli(capsys, "whitney", "--e", uclass(1, UCLASS_MAX_VARS), "--f",
+                        f'{{"components":["1","{last}"]}}', "--json")
     assert code == 0
     result = json.loads(out)["result"]
-    assert (len(result["ring"]["vars"]), result["components"]) == (1000, ["1", "a999"])
+    assert (len(result["ring"]["vars"]), result["components"]) == (UCLASS_MAX_VARS, ["1", last])
 
 
 def test_whitney_refuses_a_truncation_above_1000(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("MODP_CACHE_DIR", str(tmp_path))
+    top = UCLASS_MAX_TRUNCATION
     t0 = time.perf_counter()
-    assert main(["whitney", "--e", uclass(1001), "--f", uclass(1001)]) == 2
+    assert main(["whitney", "--e", uclass(top + 1), "--f", uclass(top + 1)]) == 2
     assert time.perf_counter() - t0 < 0.1
     assert capsys.readouterr().err == ("modp: error: bad u-class input: need the truncation "
-                                       "of a u-class <= 1000, got 1001\n")
-    code, out = run_cli(capsys, "whitney", "--e", uclass(1000), "--f", uclass(1000), "--json")
+                                       f"of a u-class <= {top}, got {top + 1}\n")
+    code, out = run_cli(capsys, "whitney", "--e", uclass(top), "--f", uclass(top), "--json")
     assert code == 0
-    assert json.loads(out)["result"]["components"] == ["1"] + ["0"] * 1000
+    assert json.loads(out)["result"]["components"] == ["1"] + ["0"] * top
 
 
 def test_a_modulus_of_0_is_refused_before_any_generator(capsys, tmp_path, monkeypatch):
@@ -289,7 +298,10 @@ REFUSED = {
         "ring --name bmu --series-to 20000000",
         "quillen --n 11 --dims 0..143",
         "quillen --n 11 --dims 0..281",
-        "weyl --family B --rank 7",
+        # |W(B7)| = 2^7 * 7! is the first order of B past the bound
+        ("weyl --family B --rank 7",
+         f"modp: error: need the Weyl group order of B7 <= {WEYL_MAX_ORDER}, "
+         f"got {2 ** 7 * math.factorial(7)}"),
         "weyl --family B --rank 9",
         "weyl --family E6",
         "weyl --family E8",
@@ -303,12 +315,15 @@ REFUSED = {
         "whitney --e [] --f {}",
         'whitney --e {"ring":{"vars":["a"],"weights":["x"]},"components":["1"]} --f {}',
         'whitney --e {"ring":{"vars":["a"],"weights":[1]},"components":[1]} --f {}',
-        pytest.param((f"whitney --e {uclass(1001)} --f {uclass(1001)}",
+        pytest.param((f"whitney --e {uclass(UCLASS_MAX_TRUNCATION + 1)} "
+                      f"--f {uclass(UCLASS_MAX_TRUNCATION + 1)}",
                       "modp: error: bad u-class input: need the truncation of a u-class "
-                      "<= 1000, got 1001"), id="whitney truncation 1001"),
-        pytest.param((f"whitney --e {uclass(1, 1001)} --f {uclass(1)}",
+                      f"<= {UCLASS_MAX_TRUNCATION}, got {UCLASS_MAX_TRUNCATION + 1}"),
+                     id=f"whitney truncation {UCLASS_MAX_TRUNCATION + 1}"),
+        pytest.param((f"whitney --e {uclass(1, UCLASS_MAX_VARS + 1)} --f {uclass(1)}",
                       "modp: error: bad u-class input: need the number of u-class variables "
-                      "<= 1000, got 1001"), id="whitney 1001 variables"),
+                      f"<= {UCLASS_MAX_VARS}, got {UCLASS_MAX_VARS + 1}"),
+                     id=f"whitney {UCLASS_MAX_VARS + 1} variables"),
         # a sign with no term after it
         'whitney --e {"ring":{"vars":["a"],"weights":[1]},"components":["1","a+"]} '
         '--f {"components":["1","0"]}',

@@ -540,14 +540,16 @@ def test_graded_component_coordinates(p):
     shift = ring.monomial((1, 0, 0, 0))
     for _ in range(20):
         f = random_element(comp.basis)
-        assert comp.coeffs(comp.vector(f.coeffs)) == f.coeffs
+        assert comp.coeffs(comp.vectors([(0, 1, f.coeffs)])[0]) == f.coeffs
         g = random_element(GradedComponent(ring, 4).basis)
         # the triple (shift, 1, g) packs g times the monomial shift
-        assert comp.vectors([(shift, 1, g.coeffs)]) == [comp.vector((g * ring.var("x")).coeffs)]
+        assert comp.vectors([(shift, 1, g.coeffs)]) == [
+            comp.vectors([(0, 1, (g * ring.var("x")).coeffs)])[0]]
     assert Poly(ring, comp.coeffs(pack(comp.field, [(0, 1), (2, 1)]))) == ring.from_terms(
         {ring.exponents(comp.basis[0]): 1, ring.exponents(comp.basis[2]): 1})
     for _ in range(10):
-        rows = [comp.vector(random_element(comp.basis).coeffs) for _ in range(rng.randrange(1, n))]
+        rows = [comp.vectors([(0, 1, random_element(comp.basis).coeffs)])[0]
+                for _ in range(rng.randrange(1, n))]
         m = F2Matrix(rows, n) if p == 2 else FpMatrix(rows, n, p)
         assert comp.rank(rows) == rank_by_columns(m)
     assert comp.rank([]) == 0
@@ -571,11 +573,11 @@ def test_graded_component_coordinates(p):
               for a, b in zip(basis, basis[1:])]
         fixed = [Poly(ring, full.coeffs(v))
                  for v in full.fixed_combinations([f.coeffs for f in fs], hom)]
-        moved = [full.vector((image(f) - f).coeffs) for f in fs]
+        moved = [full.vectors([(0, 1, (image(f) - f).coeffs)])[0] for f in fs]
         assert len(fixed) == len(fs) - full.rank(moved), (p, d)
         assert all(image(f) == f for f in fixed)
         # independent, and inside the span of the fs
-        vectors = [full.vector(f.coeffs) for f in fs + fixed]
+        vectors = [full.vectors([(0, 1, f.coeffs)])[0] for f in fs + fixed]
         assert full.rank(vectors[len(fs):]) == len(fixed)
         assert full.rank(vectors) == len(fs)
 

@@ -8,6 +8,7 @@ from oracles import (
     expand,
     full_generators,
     kernel_dimension_exhaustive,
+    orbit_classes_by_every_move,
     pack,
     sign_names,
     substitute,
@@ -666,6 +667,56 @@ def test_orbit_classes_match_the_closure_under_the_homs(action):
             classes = [orbit for orbit, _ in _orbit_classes(basis, ms)]
             assert sorted(m for orbit in classes for m in orbit) == sorted(basis)
             assert {frozenset(orbit) for orbit in classes} == closure
+
+
+def _signed_renaming(sign: bool) -> WeylAction:
+    """F_3[x, y] under x -> -y, y -> x, which moves bytes and flips a
+    sign, and, with `sign`, also under the sign change x -> -x."""
+    ring = PolyRing(["x", "y"], modulus=3)
+    x, y = ring.gens()
+    homs = [("r", SubstHom(ring, ring, {"x": -y, "y": x}))]
+    if sign:
+        homs.append(("eps", SubstHom(ring, ring, {"x": -x, "y": y})))
+    return WeylAction(ring, homs, [x, y], label=f"signed renaming{' and eps' * sign}")
+
+
+def _as_compared(classes) -> list:
+    """Each orbit with its signs restricted to it, or None when dead."""
+    return [(orbit, None if signs is None else {m: signs[m] for m in orbit})
+            for orbit, signs in classes]
+
+
+@pytest.mark.parametrize("action", [
+    classical_action(family, rank, p) for family in "BCD" for rank in range(1, 6)
+    for p in (3, 5)] + [symmetric_quotient_action(2, 3)]
+    + [spin_action(n) for n in range(7, 12)] + [_signed_renaming(False), _signed_renaming(True)],
+    ids=lambda a: a.label)
+def test_the_folded_orbit_walk_matches_the_walk_of_every_move(action):
+    # the walk that reads sign changes as a parity check gives the same
+    # orbits, in the same order, and the same live/dead verdicts and
+    # signs as the breadth-first walk that applies every move
+    ring = action.ring
+    for move in action._moves:
+        if move.identity:  # a sign change sends each monomial to itself
+            assert move.mask and all(move(m) == m for m in ring.monomials_of_degree(3))
+    for d in range(9):
+        basis = ring.monomials_of_degree(d)
+        assert _as_compared(_orbit_classes(basis, action._moves)) == _as_compared(
+            orbit_classes_by_every_move(basis, action._moves)), d
+
+
+def test_sign_changes_are_the_moves_that_move_no_byte():
+    # eps1 of B and C, eps1*eps2 of D and s(1,2) of the rank-2 quotient at
+    # odd p are sign changes; at p = 2 they are the identity, with no mask
+    marks = {a.label: [move.identity for move in a._moves] for a in (
+        classical_action("B", 3, 3), classical_action("D", 3, 5),
+        symmetric_quotient_action(2, 3), symmetric_quotient_action(3, 3), spin_action(9))}
+    assert marks == {"B3 mod 3": [True, False, False], "D3 mod 5": [True, False, False],
+                     "S2 on quotient mod 3": [True], "S3 on quotient mod 3": [False],
+                     "Spin(9) mod 2": [False, False]}
+    (eps,) = [m for m in classical_action("C", 2, 2)._moves if m.identity]
+    assert eps.mask == 0
+    assert [m.identity for m in _signed_renaming(True)._moves] == [False, True]
 
 
 def test_a_variable_map_that_is_not_one_to_one_is_no_permutation():

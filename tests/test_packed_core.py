@@ -1,6 +1,7 @@
 """The packed-monomial polynomial core against a schoolbook reference on
 exponent-tuple dicts that lives here, plus the basis walk against a
-filtered itertools.product and its count table, relabelings against
+filtered itertools.product (here and in `oracles.monomials_by_product`)
+and its count table, relabelings against
 exponent tuples, monomial images against the schoolbook substitution,
 and the exponent-overflow guard."""
 
@@ -9,8 +10,9 @@ import random
 import time
 
 import pytest
-from oracles import expand
+from oracles import expand, monomials_by_product
 
+import modp.exactalg
 from modp.charclass import Derivation, bso_presentation
 from modp.exactalg import PolyRing, SubstHom, gradient, sum_of_products
 from modp.groupdata import Series
@@ -310,6 +312,52 @@ def test_basis_walk_matches_filtered_product(names, weights, p):
     # weights with gaps: no degree 1 or 5 beside the multiples of 2 and 3
     gaps = PolyRing(["a", "b"], (2, 3))
     assert [len(gaps.monomials_of_degree(d)) for d in range(8)] == [1, 0, 1, 1, 1, 1, 2, 1]
+
+
+def test_basis_walk_matches_the_product_oracle_on_random_rings():
+    # 300 rings of 1-6 variables of weights 1-5, 8 degrees each (-1 among
+    # them), small enough that the oracle's box stays a few thousand tuples
+    rng = random.Random(35)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        ring = PolyRing([f"v{i}" for i in range(n)], [rng.randint(1, 5) for _ in range(n)],
+                        rng.choice((2, 3, 5)))
+        for d in rng.sample(range(-1, 11), 8):
+            assert ring.monomials_of_degree(d) == monomials_by_product(ring, d), (ring.weights, d)
+
+
+def test_basis_walk_of_the_empty_ring_and_of_one_variable():
+    # the empty ring holds only the monomial 1, in degree 0
+    empty = PolyRing([], [], 2)
+    assert empty.monomials_of_degree(0) == [0] == monomials_by_product(empty, 0)
+    assert empty.monomials_of_degree(3) == [] == monomials_by_product(empty, 3)
+    # x of weight 3 has one monomial in each multiple of 3 and none between
+    ring = PolyRing(["x"], [3], 3)
+    for d in range(-1, 40):
+        assert ring.monomials_of_degree(d) == monomials_by_product(ring, d), d
+    assert ring.monomials_of_degree(9) == [ring.monomial((3,))]
+
+
+@pytest.mark.parametrize("weights", [(1, 2, 2), (2, 3, 5)])
+def test_basis_walk_on_a_table_that_ends_in_a_saturated_run(monkeypatch, weights):
+    # a guard of 40 saturates the first table of 64 degrees; a degree past
+    # the run is refused by count, and every degree of the table is
+    # either the oracle's list or refused as over the guard
+    monkeypatch.setattr(modp.exactalg, "MONOMIAL_GUARD", 40)
+    ring = PolyRing(["a", "b", "c"], weights)
+    with pytest.raises(ValueError, match=r"^degree 500 needs more than 40 monomials$"):
+        ring.monomials_of_degree(500)
+    limit, counts = ring._count_cache
+    assert limit == 64 and min(counts[0][-min(weights):]) > 40
+    for d in range(limit + 1):
+        if counts[0][d] > 40:
+            with pytest.raises(ValueError, match=rf"^degree {d} needs \d+ monomials"):
+                ring.monomials_of_degree(d)
+        else:
+            assert ring.monomials_of_degree(d) == monomials_by_product(ring, d), d
+    for d in (limit + 1, limit + 2, 500):
+        with pytest.raises(ValueError, match=rf"^degree {d} needs more than 40 monomials$"):
+            ring.monomials_of_degree(d)
 
 
 @pytest.mark.parametrize("ring", [
