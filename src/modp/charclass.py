@@ -24,6 +24,8 @@ from .exactalg import (
     elementary_symmetric_of,
     gradient,
     sum_of_products,
+    _mul_into,
+    _reduced,
 )
 from .groupdata import Series, _times_binomial
 
@@ -266,17 +268,27 @@ def unit_uclass(presentation: GradedPresentation, truncation: int) -> UClass:
 
 def whitney_sum(uE: UClass, uF: UClass) -> UClass:
     """The direct-sum formula over the pairs of nonzero components: even
-    classes convolve through even inputs only, odd classes through all."""
+    classes convolve through even inputs only, odd classes through all.
+    Each degree's pairs are multiplied into one accumulator, reduced once;
+    the components were checked against the ring when each class was
+    built."""
     if uE.presentation is not uF.presentation and \
             uE.presentation.ring != uF.presentation.ring:
         raise ValueError("classes live in different presentations")
     ring = uE.presentation.ring
     trunc = min(uE.truncation, uF.truncation)
-    nonzero = [j for j in range(trunc + 1) if uE[j]]
+    e = [c.coeffs for c in uE.components[:trunc + 1]]
+    f = [c.coeffs for c in uF.components[:trunc + 1]]
+    nonzero = [j for j, c in enumerate(e) if c]
     comps = [ring.one()]
     for m in range(1, trunc + 1):
-        comps.append(sum_of_products(ring, [(uE[j], uF[m - j]) for j in nonzero
-                                            if j <= m and (m % 2 or j % 2 == 0) and uF[m - j]]))
+        acc: set = set()  # a presentation's ring is over F_2
+        for j in nonzero:
+            if j > m:
+                break
+            if (m % 2 or j % 2 == 0) and f[m - j]:
+                _mul_into(ring, acc, e[j], f[m - j])
+        comps.append(Poly(ring, _reduced(ring, acc)))
     return UClass(uE.presentation, comps)
 
 
@@ -385,24 +397,76 @@ def restriction_to_K(n: int) -> RestrictionHom:
 class Derivation:
     """A derivation given by its value on every variable (check_images),
     extended by the Leibniz rule with exponent arithmetic in the
-    coefficient field; `ring` and `images` are read-only."""
+    coefficient field; `ring` and `images` are read-only, as the plan
+    memo comes from them.
 
-    __slots__ = ("_ring", "_images")
+    D(x^m) = sum_i e_i x^(m - u_i) D(x_i) depends on m only through its
+    exponents mod p, so each residue class met is planned once: its plan
+    holds the offsets t - u_i over the terms c x^t of each D(x_i) with
+    e_i != 0 mod p, each with its coefficient e_i c summed and reduced
+    mod p, and the largest offset.  An offset is below zero when D(x_i)
+    is a constant; m plus it is still a monomial, since e_i >= 1."""
+
+    __slots__ = ("_ring", "_images", "_residues", "_plans")
 
     def __init__(self, ring: PolyRing, images: dict):
         check_images(ring, ring, images)
         self._ring = ring
-        self._images = MappingProxyType(dict(images))
+        self._images = MappingProxyType({name: images[name] for name in ring.names})
+        # byte e -> e mod p, so that a monomial's exponent bytes translate
+        # into the key of its residue class
+        self._residues = bytes(e % ring.modulus for e in range(256))
+        self._plans: dict[bytes, tuple[tuple, int]] = {}
 
     ring = property(lambda self: self._ring)
     images = property(lambda self: self._images)
 
+    def _plan(self, key: bytes) -> tuple[tuple, int]:
+        """Build and memoise the plan of the residue class `key`: its
+        offsets over F_2, where every coefficient is 1, else its (offset,
+        coefficient) pairs, and the largest offset.  Each entry is written
+        once with its final value, so threads sharing the derivation at
+        worst build one twice."""
+        ring = self._ring
+        rel: dict[int, int] = {}
+        for r, u, img in zip(key, ring._units, self._images.values()):
+            if r:
+                for t, c in img.coeffs.items():
+                    rel[t - u] = rel.get(t - u, 0) + r * c
+        rel = _reduced(ring, rel)
+        plan = self._plans[key] = (tuple(rel) if ring.modulus == 2 else tuple(rel.items()),
+                                   max(rel, default=0))
+        return plan
+
     def __call__(self, f: Poly) -> Poly:
-        """D(f) = sum_i (df/dx_i) D(x_i), summed in one accumulator."""
-        ring, images = self._ring, self._images
+        """D(f): each term a x^m adds a times its class's plan, shifted by
+        m, to one accumulator, reduced once: over F_2 the monomials m + t
+        toggle a set, otherwise a*c is added to the sum at m + t.  A shift
+        that may pass the exponent limit is checked first."""
+        ring = self._ring
         ring.check_same(f.ring)
-        return sum_of_products(ring, [(part, images[name])
-                                      for name, part in zip(ring.names, gradient(f)) if part])
+        low, n, residues, safe = ring._low, len(ring.names), self._residues, ring._safe
+        plans, plan_of = self._plans, self._plan
+        if ring.modulus == 2:
+            acc = set()
+            for m in f.coeffs:
+                key = (m & low).to_bytes(n, "big").translate(residues)
+                rel, top = plans.get(key) or plan_of(key)
+                if m + top >= safe:
+                    ring._check_fields(m + t for t in rel)
+                acc.symmetric_difference_update(map(m.__add__, rel))
+        else:
+            acc = {}
+            get = acc.get
+            for m, a in f.coeffs.items():
+                key = (m & low).to_bytes(n, "big").translate(residues)
+                rel, top = plans.get(key) or plan_of(key)
+                if m + top >= safe:
+                    ring._check_fields(m + t for t, _ in rel)
+                for t, c in rel:
+                    t += m
+                    acc[t] = get(t, 0) + a * c
+        return Poly(ring, _reduced(ring, acc))
 
 
 def bockstein(r: int) -> Derivation:

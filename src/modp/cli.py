@@ -446,6 +446,27 @@ def cmd_spin_compare(args) -> int:
     return 0
 
 
+def _bockstein_check() -> bool:
+    """beta(fg) = beta(f) g + f beta(g) and beta^2 = 0 on BO(2)^3, with
+    exponents of both parities."""
+    beta = charclass.bockstein(3)
+    f = beta.ring.poly("s1^3*t2 + s2*t3^2 + t1*t2*t3 + s3^2")
+    g = beta.ring.poly("s1*t1^3 + s2^2*s3 + t3")
+    return (beta(f * g) == beta(f) * g + f * beta(g)
+            and not beta(beta(f)) and not beta(beta(g)) and bool(beta(f * g)))
+
+
+def _whitney_check() -> bool:
+    """u(E + F) = u(F + E), and the unit class changes nothing."""
+    pres = charclass.GradedPresentation([charclass.Generator("a", 1),
+                                         charclass.Generator("b", 2)])
+    e = charclass.UClass(pres, [pres.ring.poly(t) for t in ("1", "a", "b", "a*b", "b^2")])
+    f = charclass.UClass(pres, [pres.ring.poly(t) for t in ("1", "0", "a^2 + b", "a^3", "a^4")])
+    s = charclass.whitney_sum(e, f)
+    return (s == charclass.whitney_sum(f, e) and s != e
+            and charclass.whitney_sum(e, charclass.unit_uclass(pres, 4)) == e)
+
+
 def cmd_selftest(args) -> int:
     checks: list[tuple[str, bool]] = []
 
@@ -474,6 +495,8 @@ def cmd_selftest(args) -> int:
         8).passed)
     check("lemma inv2 to degree 6", lambda: invariants.lemma_inv2_check(
         PolyRing(["y", "x"]), PolyRing(["y", "x"]).var("y"), "x", 6).passed)
+    check("bockstein Leibniz and square zero r=3", _bockstein_check)
+    check("whitney commutative, with unit", _whitney_check)
     check("jacobian O r=3", lambda: charclass.jacobian_certificate(3, "O").ok)
     check("jacobian SO r=4", lambda: charclass.jacobian_certificate(4, "SO").ok)
     check("quillen regularity n=11 to 20",

@@ -32,12 +32,15 @@ definition:
 - `orbit_classes_by_every_move`: the signed orbits of a basis by a
   breadth-first walk of every move, where the library walks only the
   moves that change a monomial and reads each sign change as a parity
-  check."""
+  check;
+- `derivation_by_gradient`: D(f) as the sum over the variables of the
+  partial derivative times the image, where the library shifts one
+  memoised plan per exponent class mod p."""
 
 import itertools
 import operator
 
-from modp.exactalg import PackedField, Poly, SubstHom, check_size
+from modp.exactalg import PackedField, Poly, SubstHom, check_size, gradient, sum_of_products
 from modp.groupdata import Series
 
 
@@ -129,6 +132,14 @@ def substitute(hom: SubstHom, mono: int) -> Poly:
     for name, e in zip(hom.source.names, hom.source.exponents(mono)):
         image = image * hom.images[name] ** e
     return image
+
+
+def derivation_by_gradient(derivation, f: Poly) -> Poly:
+    """D(f) = sum_i (df/dx_i) D(x_i), each product taken whole and summed
+    by sum_of_products, so no part of the derivation's plan runs."""
+    ring = derivation.ring
+    return sum_of_products(ring, [(part, derivation.images[name])
+                                  for name, part in zip(ring.names, gradient(f)) if part])
 
 
 def elementary_symmetric_by_definition(ring, a: int, values) -> Poly:

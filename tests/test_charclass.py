@@ -26,6 +26,7 @@ from modp.charclass import (
 from modp.exactalg import (
     PolyRing,
     SubstHom,
+    _mul_into,
     determinant,
     elementary_symmetric,
     gradient,
@@ -201,18 +202,26 @@ def test_whitney_matches_the_full_convolution_on_sparse_classes():
 
 
 def test_whitney_pairs_only_nonzero_components(monkeypatch):
+    # each pair the sum multiplies goes through _mul_into once
     import modp.charclass
     pres = GradedPresentation([Generator("a", 1)])
+    ring = pres.ring
     pairs = []
 
-    def counting(ring, products):
-        products = list(products)
-        pairs.extend(products)
-        return sum_of_products(ring, products)
-    monkeypatch.setattr(modp.charclass, "sum_of_products", counting)
+    def counting(ring, acc, f, g):
+        pairs.append((ring.exponents(max(f)), ring.exponents(max(g))))
+        _mul_into(ring, acc, f, g)
+    monkeypatch.setattr(modp.charclass, "_mul_into", counting)
     zero = unit_uclass(pres, 1000)
     assert whitney_sum(zero, zero) == zero
     assert pairs == []
+    # e = 1 + a + a^3 and f = 1 + a^2: the pairs (1, 0) in degree 1,
+    # (0, 2) but not (1, 1) in degree 2, and (1, 2) and (3, 0) in degree 3
+    a = ring.var("a")
+    e = UClass(pres, [ring.one(), a, ring.zero(), a ** 3])
+    f = UClass(pres, [ring.one(), ring.zero(), a ** 2, ring.zero()])
+    assert whitney_sum(e, f).components == (ring.one(), a, a ** 2, ring.zero())
+    assert pairs == [((1,), (0,)), ((0,), (2,)), ((1,), (2,)), ((3,), (0,))]
 
 
 def test_whitney_rejects_bad_unit():

@@ -559,7 +559,7 @@ def test_closed_stdout_exits_1_without_a_traceback(capsys, tmp_path, monkeypatch
 
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "9/9 selftests passed"
+    assert capsys.readouterr().out.splitlines()[-1] == "11/11 selftests passed"
 
 
 def test_route_mismatch_exits_1(capsys, tmp_path, monkeypatch):

@@ -607,11 +607,15 @@ def test_the_stacked_oracle_reads_no_substitution_plan(monkeypatch):
 
 
 def test_concurrent_use_gives_the_serial_answers():
-    """Four threads share one fresh action, then the cleared memos of
-    modp.quillen, and each gets the answers of a serial run."""
+    """Four threads share one fresh action, then one fresh bockstein(4),
+    then the cleared memos of modp.quillen, and each gets the answers of a
+    serial run."""
     from concurrent.futures import ThreadPoolExecutor
 
+    import sys
+
     import modp.quillen
+    from modp.charclass import bockstein
 
     alone = spin_action(9)
     serial = verify_presentation(alone, spin_claimed(alone, 9), 10)
@@ -620,6 +624,25 @@ def test_concurrent_use_gives_the_serial_answers():
     with ThreadPoolExecutor(max_workers=4) as pool:
         reports = list(pool.map(lambda _: verify_presentation(shared, claim, 10), range(4)))
     assert reports == [serial] * 4
+
+    # every fifth monomial of each degree, from five starts; each thread
+    # takes the inputs from another start, so the threads meet the plans
+    # of the residue classes in different orders
+    beta = bockstein(4)
+    ring = beta.ring
+    inputs = [Poly(ring, dict.fromkeys(ring.monomials_of_degree(d)[k::5], 1))
+              for d in range(1, 9) for k in range(5)]
+    want = [beta(f) for f in inputs]
+    shared_beta = bockstein(4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads switch inside the plan memo's check and write
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda k: [shared_beta(f) for f in
+                                           inputs[10 * k:] + inputs[:10 * k]], range(4)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want[10 * k:] + want[:10 * k] for k in range(4)]
 
     memos = [v for v in vars(modp.quillen).values() if hasattr(v, "cache_clear")]
     want = [modp.quillen.quillen_dim(11, d) for d in range(41)]

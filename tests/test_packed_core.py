@@ -3,18 +3,19 @@ exponent-tuple dicts that lives here, plus the basis walk against a
 filtered itertools.product (here and in `oracles.monomials_by_product`)
 and its count table, relabelings against
 exponent tuples, monomial images against the schoolbook substitution,
-and the exponent-overflow guard."""
+derivations against the schoolbook and the gradient route of
+`oracles.derivation_by_gradient`, and the exponent-overflow guard."""
 
 import itertools
 import random
 import time
 
 import pytest
-from oracles import expand, monomials_by_product
+from oracles import derivation_by_gradient, expand, monomials_by_product
 
 import modp.exactalg
-from modp.charclass import Derivation, bso_presentation
-from modp.exactalg import PolyRing, SubstHom, gradient, sum_of_products
+from modp.charclass import Derivation, bockstein, bso_presentation
+from modp.exactalg import EXPONENT_LIMIT, PolyRing, SubstHom, gradient, sum_of_products
 from modp.groupdata import Series
 from modp.quillen import SWRing
 
@@ -72,6 +73,14 @@ def ref_subst(f, images, p, n):
     return out
 
 
+def ref_derivation(f, images, p):
+    """sum_i (df/dx_i) * images[i] on exponent-tuple dicts."""
+    out = {}
+    for i, image in enumerate(images):
+        out = ref_add(out, ref_mul(ref_partial(f, i, p), image, p), p)
+    return out
+
+
 def rand_terms(rng, p, n=len(NAMES), max_terms=6, max_exp=3):
     terms = {}
     for _ in range(rng.randrange(max_terms + 1)):
@@ -115,10 +124,22 @@ def test_substitution_and_derivation_match_schoolbook(p):
         imgs = [rand_terms(rng, p, max_terms=3, max_exp=2) for _ in NAMES]
         polys = {name: ring.from_terms(t) for name, t in zip(NAMES, imgs)}
         assert dict(SubstHom(ring, ring, polys)(f).terms) == ref_subst(tf, imgs, p, n)
-        want = {}
-        for i in range(n):
-            want = ref_add(want, ref_mul(ref_partial(tf, i, p), imgs[i], p), p)
-        assert dict(Derivation(ring, polys)(f).terms) == want
+        derivation = Derivation(ring, polys)
+        assert dict(derivation(f).terms) == ref_derivation(tf, imgs, p)
+        assert derivation(f) == derivation_by_gradient(derivation, f)
+    # one derivation on many inputs: exponents up to 2p + 1, so some are
+    # multiples of p above 0, and a zero and a constant image, whose plan
+    # offsets lie below 0
+    imgs = [_several_terms(rng, p, n), {}, {(0,) * n: p - 1}, {(0, 1, 1, 0): 1}]
+    derivation = Derivation(ring, {name: ring.from_terms(t) for name, t in zip(NAMES, imgs)})
+    inputs = [{(p, 2 * p, 1, p + 1): 1, (2 * p, 0, 0, 1): p - 1}]
+    inputs += [rand_terms(rng, p, max_terms=8, max_exp=2 * p + 2) for _ in range(60)]
+    for tf in inputs + inputs:  # the second round finds every plan memoised
+        f = ring.from_terms(tf)
+        assert dict(derivation(f).terms) == ref_derivation(tf, imgs, p), tf
+        assert derivation(f) == derivation_by_gradient(derivation, f)
+    classes = {bytes(e % p for e in tf_m) for tf in inputs for tf_m in tf}
+    assert set(derivation._plans) == classes
 
 
 def _several_terms(rng, p, n):
@@ -390,6 +411,42 @@ def test_exponent_overflow_raises_instead_of_carrying():
     over2 = PolyRing(["x", "y"])
     with pytest.raises(ValueError, match="x"):
         over2.var("x") ** 200
+
+
+def test_the_exponent_limit_on_both_sides():
+    # the largest exponent a monomial holds, and the first one refused,
+    # with its whole line
+    ring = PolyRing(["x"])
+    top = EXPONENT_LIMIT - 1
+    assert ring.exponents(ring.monomial((top,))) == (top,)
+    with pytest.raises(ValueError) as info:
+        ring.monomial((EXPONENT_LIMIT,))
+    assert info.value.args == (f"exponent {EXPONENT_LIMIT} of x is outside 0..{top}",)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_derivation_raises_the_overflow_line_of_the_gradient_route(p):
+    # over F_2 the Bockstein: beta(t1^127) = s1*t1^127 and beta(s1^125) =
+    # s1^126 answer, and beta(s1^127) = s1^128 overflows; over F_3, x -> x^2
+    top = EXPONENT_LIMIT - 1
+    if p == 2:
+        derivation = bockstein(1)
+        s1, t1 = derivation.ring.gens()
+        assert derivation(t1 ** top) == s1 * t1 ** top
+        assert derivation(s1 ** (top - 2)) == s1 ** (top - 1)
+        over = s1 ** top
+    else:
+        ring = PolyRing(["x", "y"], modulus=3)
+        x, y = ring.gens()
+        derivation = Derivation(ring, {"x": x * x, "y": x})
+        assert derivation(x ** (top - 1)) == (top - 1) * x ** top
+        over = y * x ** top
+    with pytest.raises(ValueError) as by_plan:
+        derivation(over)
+    with pytest.raises(ValueError) as by_gradient:
+        derivation_by_gradient(derivation, over)
+    assert by_plan.value.args == by_gradient.value.args == (
+        f"exponent of {derivation.ring.names[0]} exceeds {top} in {derivation.ring}",)
 
 
 def test_a_degree_past_the_ceiling_is_refused_without_a_table():
