@@ -7,6 +7,7 @@ certificates."""
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Sequence
@@ -24,7 +25,6 @@ from .exactalg import (
     elementary_symmetric_of,
     gradient,
     sum_of_products,
-    _mul_into,
     _reduced,
 )
 from .groupdata import Series, _times_binomial
@@ -234,7 +234,7 @@ class UClass:
             raise ValueError("u_0 must equal 1")
         for m, f in enumerate(components):
             ring.check_same(f.ring)
-            if f and (not f.is_homogeneous() or f.degree() != m):
+            if f.coeffs and not m == min(f.coeffs) >> ring._shift == max(f.coeffs) >> ring._shift:
                 raise ValueError(f"component {m} is not homogeneous of degree {m}")
         self._components = tuple(components)
 
@@ -267,29 +267,32 @@ def unit_uclass(presentation: GradedPresentation, truncation: int) -> UClass:
 
 
 def whitney_sum(uE: UClass, uF: UClass) -> UClass:
-    """The direct-sum formula over the pairs of nonzero components: even
-    classes convolve through even inputs only, odd classes through all.
-    Each degree's pairs are multiplied into one accumulator, reduced once;
-    the components were checked against the ring when each class was
-    built."""
+    """Even part E_even F_even, odd part E_even F_odd + E_odd F_even, over the
+    parity halves in degree order: each term a of the shorter half toggles, in
+    one F_2 set, a + b for the prefix of the other with a + b < top, a bound on
+    degree alone.  Kept sums past the safe degree are checked in the order the
+    per-degree route meets them, so an overflow raises its line."""
     if uE.presentation is not uF.presentation and \
             uE.presentation.ring != uF.presentation.ring:
         raise ValueError("classes live in different presentations")
     ring = uE.presentation.ring
-    trunc = min(uE.truncation, uF.truncation)
-    e = [c.coeffs for c in uE.components[:trunc + 1]]
-    f = [c.coeffs for c in uF.components[:trunc + 1]]
-    nonzero = [j for j, c in enumerate(e) if c]
-    comps = [ring.one()]
-    for m in range(1, trunc + 1):
-        acc: set = set()  # a presentation's ring is over F_2
-        for j in nonzero:
-            if j > m:
-                break
-            if (m % 2 or j % 2 == 0) and f[m - j]:
-                _mul_into(ring, acc, e[j], f[m - j])
-        comps.append(Poly(ring, _reduced(ring, acc)))
-    return UClass(uE.presentation, comps)
+    shift, trunc = ring._shift, min(uE.truncation, uF.truncation)
+    top = (trunc + 1) << shift
+    e, f = ([c.coeffs for c in u.components[:trunc + 1]] for u in (uE, uF))
+    if top > ring._safe:
+        nonzero = [j for j, c in enumerate(e) if c]
+        ring._check_fields(a + b for m in range(trunc + 1) for j in nonzero
+                           if j <= m and not j & (m - j) & 1 for a in e[j] for b in f[m - j])
+    e_even, e_odd, f_even, f_odd = ([*itertools.chain(*x[i::2])] for x in (e, f) for i in (0, 1))
+    acc: set = set()
+    for pair in ((e_even, f_even), (e_even, f_odd), (e_odd, f_even)):
+        left, right = sorted(pair, key=len)
+        for a in left:
+            acc ^= {a + b for b in right[:bisect_left(right, top - a)]}
+    comps: list[dict] = [{} for _ in range(trunc + 1)]
+    for m in acc:
+        comps[m >> shift][m] = 1
+    return UClass(uE.presentation, [Poly(ring, c) for c in comps])
 
 
 # -- restrictions to diagonal subgroups --------------------------------

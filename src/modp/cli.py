@@ -307,9 +307,8 @@ def cmd_ring(args) -> int:
 
 _UCLASS_SHAPE = '{"ring": {"vars": [str], "weights": [int]}, "components": [str]}'
 
-# The Whitney sum multiplies only pairs of nonzero components, but their
-# number stays quadratic in the truncation for dense classes, so the
-# length of a u-class is still bounded.
+# The Whitney sum pairs each term with those of the other class below the
+# truncation, quadratic in it for dense classes, so the length is bounded.
 UCLASS_MAX_TRUNCATION = 1000
 # as many as the largest cataloged ring, bo_presentation(1000)
 UCLASS_MAX_VARS = 1000

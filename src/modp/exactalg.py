@@ -133,25 +133,23 @@ class PolyRing:
     def from_terms(self, terms: dict) -> "Poly":
         """The polynomial with the given {exponent tuple: coefficient}."""
         p = self.modulus
-        out = {}
-        for exps, c in terms.items():
-            if c := c % p:
-                out[self.monomial(exps)] = c
-        return Poly(self, out)
+        return Poly(self, {self.monomial(e): r for e, c in terms.items() if (r := c % p)})
 
     # -- monomials ---------------------------------------------------
 
     def monomial(self, exps: Sequence[int]) -> int:
-        """The packed monomial with the given exponent tuple."""
+        """The packed monomial of an exponent tuple, its bytes checked once."""
         if len(exps) != len(self.names):
             raise ValueError(f"{len(exps)} exponents for the {len(self.names)} "
                              f"variables of {self}")
-        packed = 0
-        for name, off, e in zip(self.names, self._offsets, exps):
-            if not 0 <= e < EXPONENT_LIMIT:
-                raise ValueError(f"exponent {e} of {name} is outside 0..{EXPONENT_LIMIT - 1}")
-            packed |= e << off
-        return (sum(e * w for e, w in zip(exps, self.weights)) << self._shift) | packed
+        try:
+            packed = int.from_bytes(bytes(exps), "big")
+        except ValueError:
+            packed = self._guard
+        if packed & self._guard:
+            e, name = next(p for p in zip(exps, self.names) if not 0 <= p[0] < EXPONENT_LIMIT)
+            raise ValueError(f"exponent {e} of {name} is outside 0..{EXPONENT_LIMIT - 1}")
+        return (sum(map(mul, exps, self.weights)) << self._shift) | packed
 
     def exponents(self, m: int) -> tuple[int, ...]:
         """The exponent tuple of a packed monomial."""

@@ -35,12 +35,29 @@ definition:
   check;
 - `derivation_by_gradient`: D(f) as the sum over the variables of the
   partial derivative times the image, where the library shifts one
-  memoised plan per exponent class mod p."""
+  memoised plan per exponent class mod p;
+- `whitney_by_degree_pairs`: a Whitney sum degree by degree, one
+  `_mul_into` per pair of nonzero components, where the library takes
+  three products of whole parity halves cut at the truncation;
+- `monomial_by_fields`: a packed monomial checked and shifted into place
+  one exponent at a time, where the library packs the tuple's bytes in
+  one call and tests the guard bits once."""
 
 import itertools
 import operator
 
-from modp.exactalg import PackedField, Poly, SubstHom, check_size, gradient, sum_of_products
+from modp.charclass import UClass
+from modp.exactalg import (
+    EXPONENT_LIMIT,
+    PackedField,
+    Poly,
+    SubstHom,
+    _mul_into,
+    _reduced,
+    check_size,
+    gradient,
+    sum_of_products,
+)
 from modp.groupdata import Series
 
 
@@ -140,6 +157,45 @@ def derivation_by_gradient(derivation, f: Poly) -> Poly:
     ring = derivation.ring
     return sum_of_products(ring, [(part, derivation.images[name])
                                   for name, part in zip(ring.names, gradient(f)) if part])
+
+
+def whitney_by_degree_pairs(uE: UClass, uF: UClass) -> UClass:
+    """The direct-sum formula over the pairs of nonzero components: even
+    classes convolve through even inputs only, odd classes through all.
+    Each degree's pairs go through `_mul_into`, which checks the exponent
+    limit per pair, into one accumulator reduced once."""
+    if uE.presentation is not uF.presentation and \
+            uE.presentation.ring != uF.presentation.ring:
+        raise ValueError("classes live in different presentations")
+    ring = uE.presentation.ring
+    trunc = min(uE.truncation, uF.truncation)
+    e = [c.coeffs for c in uE.components[:trunc + 1]]
+    f = [c.coeffs for c in uF.components[:trunc + 1]]
+    nonzero = [j for j, c in enumerate(e) if c]
+    comps = [ring.one()]
+    for m in range(1, trunc + 1):
+        acc: set = set()  # a presentation's ring is over F_2
+        for j in nonzero:
+            if j > m:
+                break
+            if (m % 2 or j % 2 == 0) and f[m - j]:
+                _mul_into(ring, acc, e[j], f[m - j])
+        comps.append(Poly(ring, _reduced(ring, acc)))
+    return UClass(uE.presentation, comps)
+
+
+def monomial_by_fields(ring, exps) -> int:
+    """The packed monomial of an exponent tuple, each exponent checked
+    against 0..EXPONENT_LIMIT - 1 and shifted into its byte in turn."""
+    if len(exps) != len(ring.names):
+        raise ValueError(f"{len(exps)} exponents for the {len(ring.names)} "
+                         f"variables of {ring}")
+    packed = 0
+    for name, off, e in zip(ring.names, ring._offsets, exps):
+        if not 0 <= e < EXPONENT_LIMIT:
+            raise ValueError(f"exponent {e} of {name} is outside 0..{EXPONENT_LIMIT - 1}")
+        packed |= e << off
+    return (sum(e * w for e, w in zip(exps, ring.weights)) << ring._shift) | packed
 
 
 def elementary_symmetric_by_definition(ring, a: int, values) -> Poly:

@@ -1,8 +1,9 @@
+import bisect
 import itertools
 import random
 
 import pytest
-from oracles import series_product
+from oracles import series_product, whitney_by_degree_pairs
 
 from modp.charclass import (
     Generator,
@@ -24,6 +25,8 @@ from modp.charclass import (
     whitney_sum,
 )
 from modp.exactalg import (
+    EXPONENT_LIMIT,
+    Poly,
     PolyRing,
     SubstHom,
     _mul_into,
@@ -201,27 +204,124 @@ def test_whitney_matches_the_full_convolution_on_sparse_classes():
         assert whitney_sum(e, f).components == tuple(full)
 
 
+def test_whitney_matches_the_degree_pair_oracle():
+    # weights 1, 2 and 3, truncations 0..14 that mostly differ, zero
+    # components, even parts and the unit, in both orders
+    rng = random.Random(43)
+    pres = GradedPresentation([Generator("a", 1), Generator("b", 2), Generator("c", 3)])
+    ring = pres.ring
+
+    def sparse(trunc):
+        # the terms of each kept component in a shuffled order
+        dense = rand_uclass(rng, pres, trunc)
+        return UClass(pres, [Poly(ring, dict(rng.sample(list(c.coeffs.items()), len(c.coeffs))))
+                             if m == 0 or rng.random() < 0.6 else ring.zero()
+                             for m, c in enumerate(dense.components)])
+
+    kinds = set()
+    for k in range(320):
+        e, f = sparse(rng.randrange(15)), sparse(rng.randrange(15))
+        if k % 4 == 1:
+            e, f = e.even_part(), f.even_part()
+        elif k % 4 == 2:
+            f = unit_uclass(pres, rng.randrange(15))
+        elif k % 4 == 3:
+            e, f = unit_uclass(pres, rng.randrange(15)), f.even_part()
+        kinds.add((e.truncation == f.truncation, k % 4))
+        for x, y in ((e, f), (f, e)):
+            got = whitney_sum(x, y)
+            assert got.truncation == min(x.truncation, y.truncation)
+            assert got.components == whitney_by_degree_pairs(x, y).components
+    assert len(kinds) == 8
+
+
 def test_whitney_pairs_only_nonzero_components(monkeypatch):
-    # each pair the sum multiplies goes through _mul_into once
+    # the three half products: each term of the shorter half meets the
+    # prefix of the other below the truncation, found by bisect_left
     import modp.charclass
+    import oracles
     pres = GradedPresentation([Generator("a", 1)])
     ring = pres.ring
-    pairs = []
+    met, pairs = [], []
+
+    def meeting(right, bound):
+        k = bisect.bisect_left(right, bound)
+        met.append((ring.exponents(top - bound), [ring.exponents(b) for b in right[:k]]))
+        return k
 
     def counting(ring, acc, f, g):
         pairs.append((ring.exponents(max(f)), ring.exponents(max(g))))
         _mul_into(ring, acc, f, g)
-    monkeypatch.setattr(modp.charclass, "_mul_into", counting)
+    monkeypatch.setattr(modp.charclass, "bisect_left", meeting)
+    monkeypatch.setattr(oracles, "_mul_into", counting)
+    # of two classes of 1,000 zeros only the terms 1 meet, once
     zero = unit_uclass(pres, 1000)
-    assert whitney_sum(zero, zero) == zero
+    top = 1001 << ring._shift
+    assert whitney_sum(zero, zero) == zero == whitney_by_degree_pairs(zero, zero)
+    assert met == [((0,), [(0,)])]
     assert pairs == []
-    # e = 1 + a + a^3 and f = 1 + a^2: the pairs (1, 0) in degree 1,
-    # (0, 2) but not (1, 1) in degree 2, and (1, 2) and (3, 0) in degree 3
+    # e = 1 + a + a^3 and f = 1 + a^2: E_even = 1 meets F_even = 1 + a^2,
+    # F_odd is empty, and of E_odd a meets 1 + a^2 and a^3 only 1, so the
+    # two a^3 cancel; the oracle multiplies (1, 0) in degree 1, (0, 2) but
+    # not (1, 1) in degree 2, and (1, 2) and (3, 0) in degree 3
     a = ring.var("a")
     e = UClass(pres, [ring.one(), a, ring.zero(), a ** 3])
     f = UClass(pres, [ring.one(), ring.zero(), a ** 2, ring.zero()])
-    assert whitney_sum(e, f).components == (ring.one(), a, a ** 2, ring.zero())
+    met.clear()
+    top = 4 << ring._shift
+    want = (ring.one(), a, a ** 2, ring.zero())
+    assert whitney_sum(e, f).components == want == whitney_by_degree_pairs(e, f).components
+    assert met == [((0,), [(0,), (2,)]), ((1,), [(0,), (2,)]), ((3,), [(0,)])]
     assert pairs == [((1,), (0,)), ((0,), (2,)), ((1,), (2,)), ((3,), (0,))]
+
+
+def test_whitney_exponent_limit_on_both_sides_of_the_truncation():
+    # 1 + a^100 meets itself in degree 200 as a^200: at truncation 200
+    # both routes raise the same line, at 199 the product is cut and both
+    # answer 1, as the two a^100 cancel over F_2
+    pres = GradedPresentation([Generator("a", 1)])
+    ring = pres.ring
+    a = ring.var("a")
+    top = EXPONENT_LIMIT - 1
+    line = (f"exponent of a exceeds {top} in F2[a]",)
+    for trunc, fails in ((200, True), (199, False)):
+        u = UClass(pres, [ring.one()] + [a ** 100 if m == 100 else ring.zero()
+                                         for m in range(1, trunc + 1)])
+        if fails:
+            for route in (whitney_sum, whitney_by_degree_pairs):
+                with pytest.raises(ValueError) as info:
+                    route(u, u)
+                assert info.value.args == line
+        else:
+            assert whitney_sum(u, u) == whitney_by_degree_pairs(u, u) == unit_uclass(pres, trunc)
+    # a pair of odd components is never kept: a^101 * a^101 is not checked
+    u = UClass(pres, [ring.one()] + [a ** 101 if m == 101 else ring.zero()
+                                     for m in range(1, 203)])
+    assert whitney_sum(u, u) == whitney_by_degree_pairs(u, u) == unit_uclass(pres, 202)
+    # two overflows: a^30 * a^101 = a^131 in degree 131 (an even and an
+    # odd component) and b^120 * b^120 = b^240 in degree 240 (two even
+    # ones); both routes name a, the variable of the lower degree
+    pres = GradedPresentation([Generator("a", 1), Generator("b", 1)])
+    ring = pres.ring
+    parts = {0: ring.one(), 30: ring.poly("a^30"), 101: ring.poly("a^101"),
+             120: ring.poly("b^120")}
+    u = UClass(pres, [parts.get(m, ring.zero()) for m in range(241)])
+    for route in (whitney_sum, whitney_by_degree_pairs):
+        with pytest.raises(ValueError) as info:
+            route(u, u)
+        assert info.value.args == (f"exponent of a exceeds {top} in F2[a,b]",)
+
+
+def test_uclass_refuses_a_component_with_a_term_off_its_degree():
+    # each component is checked by its least and its greatest packed key:
+    # a term below its degree, one above it, or both, give the same line
+    pres = GradedPresentation([Generator("a", 1), Generator("b", 2)])
+    ring = pres.ring
+    for text in ("a + b", "b + a^3", "a + a^2 + a^3", "a"):
+        with pytest.raises(ValueError) as info:
+            UClass(pres, [ring.one(), ring.zero(), ring.poly(text)])
+        assert info.value.args == ("component 2 is not homogeneous of degree 2",)
+    assert UClass(pres, [ring.one(), ring.zero(), ring.poly("a^2 + b")])[2] == ring.poly("a^2 + b")
 
 
 def test_whitney_rejects_bad_unit():

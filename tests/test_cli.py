@@ -26,7 +26,7 @@ from modp.cli import (
     UCLASS_MAX_VARS,
     main,
 )
-from modp.exactalg import MODULUS_LIMIT, MONOMIAL_GUARD
+from modp.exactalg import EXPONENT_LIMIT, MODULUS_LIMIT, MONOMIAL_GUARD
 from modp.groupdata import _EXCEPTIONAL_RANK, _MINIMUM_RANK, WEYL_MAX_ORDER, Series
 from modp.invariants import (
     CLASSICAL_MAX_RANK,
@@ -490,6 +490,40 @@ def test_each_rank_bound_holds_on_both_sides(family, capsys, tmp_path, monkeypat
             else f"need the rank of {family} >= {least}, got {least - 1}")
     check_refused((f"degrees --family {family} --rank {least - 1}", f"modp: error: {line}"),
                   capsys, tmp_path, monkeypatch)
+
+
+def counts_by_weight(weights, top: int) -> list[int]:
+    """counts[d] for d <= top: the monomials of degree d on variables of
+    the given weights, each exponent below EXPONENT_LIMIT, one variable at
+    a time, without the library's count table."""
+    counts = [1] + [0] * top
+    for w in weights:
+        grown = [0] * (top + 1)
+        for d, c in enumerate(counts):
+            for e in range(min(EXPONENT_LIMIT - 1, (top - d) // w) + 1):
+                grown[d + e * w] += c
+        counts = grown
+    return counts
+
+
+def test_the_monomial_guard_on_both_sides(capsys, tmp_path, monkeypatch):
+    # the minimal presentation of quillen --n 8 is free on weights 4, 6, 7,
+    # 8, 8, so each dimension is the size of its component: the last degree
+    # whose component fits under MONOMIAL_GUARD answers it, and the first
+    # one over the guard, which comes before it, gives its exact line
+    small = quillen.quillen_presentation(8).minimal()
+    assert small.relations == () and small.ring.weights == (4, 6, 7, 8, 8)
+    counts = counts_by_weight(small.ring.weights, DIMS_MAX_DEGREE)
+    accepted = max(d for d, c in enumerate(counts) if c <= MONOMIAL_GUARD)
+    refused = min(d for d, c in enumerate(counts) if c > MONOMIAL_GUARD)
+    assert refused < accepted < DIMS_MAX_DEGREE
+    monkeypatch.setenv("MODP_CACHE_DIR", str(tmp_path))
+    code, out = run_cli(capsys, "quillen", "--n", "8", "--dims", str(accepted), "--no-cache")
+    assert code == 0
+    assert out.splitlines()[-1] == f"dim H^{accepted} = {counts[accepted]}"
+    check_refused((f"quillen --n 8 --dims {refused}",
+                   f"modp: error: degree {refused} needs {counts[refused]} monomials "
+                   f"(> guard {MONOMIAL_GUARD})"), capsys, tmp_path, monkeypatch)
 
 
 # sizes from the count table of the minimal presentation of Spin(11), on

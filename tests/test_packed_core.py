@@ -11,7 +11,7 @@ import random
 import time
 
 import pytest
-from oracles import derivation_by_gradient, expand, monomials_by_product
+from oracles import derivation_by_gradient, expand, monomial_by_fields, monomials_by_product
 
 import modp.exactalg
 from modp.charclass import Derivation, bockstein, bso_presentation
@@ -422,6 +422,69 @@ def test_the_exponent_limit_on_both_sides():
     with pytest.raises(ValueError) as info:
         ring.monomial((EXPONENT_LIMIT,))
     assert info.value.args == (f"exponent {EXPONENT_LIMIT} of x is outside 0..{top}",)
+
+
+TOP, BYTE = EXPONENT_LIMIT - 1, 2 * EXPONENT_LIMIT
+
+
+@pytest.mark.parametrize("exps, bad", [
+    ((TOP, 0, 5), None),
+    # a guard bit: 128 and 255
+    ((3, TOP + 1, 7), (TOP + 1, "y")),
+    ((BYTE - 1, 0, 0), (BYTE - 1, "x")),
+    ((0, BYTE - 56, TOP + 3), (BYTE - 56, "y")),
+    # refused by bytes(): -1 and 256, also after a guard-bit exponent
+    ((3, -1, 7), (-1, "y")),
+    ((0, 1, BYTE), (BYTE, "z")),
+    ((1, TOP + 1, -1), (TOP + 1, "y")),
+    ((BYTE, TOP + 1, 0), (BYTE, "x")),
+])
+def test_each_branch_of_monomial_names_the_first_bad_exponent(exps, bad):
+    # 127 packs; either branch names the first exponent outside 0..127
+    ring = PolyRing(["x", "y", "z"], [1, 2, 3])
+    if bad is None:
+        assert ring.exponents(ring.monomial(exps)) == exps
+        assert ring.monomial(exps) == monomial_by_fields(ring, exps)
+        return
+    for route in (ring.monomial, lambda e: monomial_by_fields(ring, e)):
+        with pytest.raises(ValueError) as info:
+            route(exps)
+        assert info.value.args == (f"exponent {bad[0]} of {bad[1]} is outside "
+                                   f"0..{EXPONENT_LIMIT - 1}",)
+
+
+def test_monomial_and_from_terms_at_their_edges():
+    ring = PolyRing(["x", "y"], modulus=3)
+    with pytest.raises(ValueError) as info:
+        ring.monomial((1, 2, 3))
+    assert info.value.args == ("3 exponents for the 2 variables of F3[x,y]",)
+    with pytest.raises(TypeError):
+        ring.monomial((1.0, 2))
+    with pytest.raises(TypeError):
+        ring.monomial((1, 2.5))
+    # a coefficient that is 0 mod 3 drops its term, and the rest reduce
+    f = ring.from_terms({(1, 0): 3, (0, 1): -6, (2, 2): 4, (0, 0): -1})
+    assert f.coeffs == {ring.monomial((2, 2)): 1, ring.monomial((0, 0)): 2}
+    assert ring.from_terms({(1, 1): 9}) == ring.zero()
+
+
+def test_monomial_matches_the_field_by_field_oracle():
+    # random tuples of random rings, a quarter of them with an exponent
+    # outside 0..127: both routes pack the same int or raise the same line
+    rng = random.Random(71)
+    for _ in range(400):
+        n = rng.randrange(0, 7)
+        ring = PolyRing([f"v{i}" for i in range(n)], [rng.randrange(1, 5) for _ in range(n)])
+        exps = [rng.randrange(EXPONENT_LIMIT) for _ in range(n)]
+        if n and rng.random() < 0.25:
+            exps[rng.randrange(n)] = rng.choice((-300, -1, EXPONENT_LIMIT, 255, 256, 1000))
+        results = []
+        for route in (ring.monomial, lambda e: monomial_by_fields(ring, e)):
+            try:
+                results.append(route(tuple(exps)))
+            except ValueError as err:
+                results.append(err.args)
+        assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("p", [2, 3])
